@@ -391,6 +391,10 @@ def run(argv: Optional[list[str]] = None) -> tuple[int, str]:
         return 2, f"error: {e}"
     except CbpvError as e:
         return 2, f"error: {e}"
+    except (RecursionError, MemoryError) as e:
+        # legitimate input too deep or too large to evaluate: an internal
+        # limit, never a verdict, so it must not surface as exit code 1
+        return 2, f"error: {type(e).__name__}: {str(e) or 'out of memory'}"
 
 
 def main(argv: Optional[list[str]] = None) -> int:

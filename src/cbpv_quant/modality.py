@@ -1,15 +1,19 @@
 """Quantitative modalities: recurrences over effect trees into a truth space.
 
-A modality carries one combinator per effect operator.  The depth-indexed
-denotation follows the scheme: index 0 is bot, Unknown is bot, a leaf at
-index n+1 is its own value, and an operator node at index n+1 combines its
-children evaluated at index n (store lookups consume extra index budget,
-max(0, n - s(l)), exactly as specified by their recurrence).
+A modality carries one combinator per effect operator.  Everything here is
+computed by one depth-indexed recurrence, the scheme's definition: index 0 is
+bot, Unknown is bot, a leaf at index n+1 is its own value, and an operator
+node at index n+1 applies its combinator to the values of its children at
+index n.  A store lookup with value bound V reads children 0..V-1 once each,
+child v at index max(0, n - v), and then picks per state the child named by
+that state's value at the looked-up location.
 
-Certified intervals run the same recursion twice: the lower pass sends
-Unknown and exhausted indices to bot, the upper pass to top.  Both bounds are
-sound for every leaf-monotone modality, and the evaluator refuses interval
-mode for specs not declared leaf-monotone.
+Combinators are data-in: fn(node, kids) sees the children's values in index
+order, never the children themselves, so each consulted child is evaluated
+once per pass.  Certified intervals run the recurrence twice at an index deep
+enough for the whole tree: the lower pass sends Unknown to bot, the upper pass
+to top.  Both bounds are sound for every leaf-monotone modality, and the
+evaluator refuses interval mode for specs not declared leaf-monotone.
 """
 
 from __future__ import annotations
@@ -37,15 +41,17 @@ class ValuationError(CbpvError):
     pass
 
 
-Recurse = Callable[[EffectTree, int], Any]
-
-
 @dataclass(frozen=True)
 class OpRule:
-    """Combinator for one operator: fn(node, m, rec) with child budget m."""
+    """Combinator for one operator: fn(node, kids) -> truth value.
 
-    fn: Callable[[Node, int, Recurse], Any]
-    index_cost: int = 1
+    `kids` holds the values of the consulted children in index order.  A rule
+    without `family_consult` consults every child of a finite node at index
+    n - 1.  A rule with `family_consult` V is a store lookup: it consults
+    children 0..V-1, child v at index max(0, n - 1 - v).
+    """
+
+    fn: Callable[[Node, list], Any]
     family_consult: Optional[int] = None
 
 
@@ -94,46 +100,34 @@ def child_at(children, i: int) -> EffectTree:
 # Evaluation
 
 
-class _Pass:
-    def __init__(self, q: ModalitySpec, unknown_value, leaf_fn: Callable[[Any], Any]):
-        self.q = q
-        self.unknown_value = unknown_value
-        self.leaf_fn = leaf_fn
-        self.saw_unknown = False
-        self.exhausted = False
-        self._memo: dict[tuple[int, int], Any] = {}
-        self._keep: list = []  # pin memoized nodes so ids stay unique
-
-    def run(self, t: EffectTree, n: int):
-        if isinstance(t, _Unknown):
-            self.saw_unknown = True
-            return self.unknown_value
-        if n <= 0:
-            self.exhausted = True
-            return self.unknown_value
-        if isinstance(t, Leaf):
-            return self.leaf_fn(t.value)
-        assert isinstance(t, Node)
-        key = (id(t), n)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        rule = self.q.rule(t.op)
-        val = rule.fn(t, n - 1, self.run)
-        self._memo[key] = val
-        self._keep.append(t)
-        return val
+def _denote(q: ModalitySpec, t: EffectTree, n: int, leaf: Callable[[Any], Any], unknown):
+    """The defining recurrence at index n, with Unknown and index 0 sent to
+    `unknown` and each leaf payload x to leaf(x)."""
+    if isinstance(t, _Unknown) or n <= 0:
+        return unknown
+    if isinstance(t, Leaf):
+        return leaf(t.value)
+    rule = q.rule(t.op)
+    ch = t.children
+    if rule.family_consult is None:
+        kids = [_denote(q, child_at(ch, i), n - 1, leaf, unknown) for i in range(len(ch))]
+    else:
+        kids = [
+            _denote(q, child_at(ch, v), max(0, n - 1 - v), leaf, unknown)
+            for v in range(rule.family_consult)
+        ]
+    return rule.fn(t, kids)
 
 
 def denote_at_depth(q: ModalitySpec, t: EffectTree, n: int):
     """The depth-n approximation of q's denotation (Unknown and exhaustion
     both fall to bot, as in the defining recurrence)."""
-    return _Pass(q, q.space.bot, lambda v: v).run(t, n)
+    return _denote(q, t, n, lambda v: v, q.space.bot)
 
 
 def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
-    """An index deep enough that the lower pass on this finite tree reaches
-    every leaf; lookup-style rules consume extra budget per level."""
+    """An index deep enough that the recurrence on this finite tree reaches
+    every leaf; a lookup consumes its family_consult budget per level."""
     if isinstance(t, (Leaf, _Unknown)):
         return 1
     assert isinstance(t, Node)
@@ -144,7 +138,8 @@ def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
         kids = [ch.child(i) for i in range(min(consult, ch.width))]
     else:
         kids = list(ch)
-    return rule.index_cost + max((sufficient_depth(q, c) for c in kids), default=0)
+    cost = 1 if rule.family_consult is None else rule.family_consult
+    return cost + max((sufficient_depth(q, c) for c in kids), default=0)
 
 
 def evaluate_interval(
@@ -159,11 +154,8 @@ def evaluate_interval(
             f"interval bounds would be unsound"
         )
     d = sufficient_depth(q, t)
-    lo_pass = _Pass(q, q.space.bot, leaf_lo)
-    lo = lo_pass.run(t, d)
-    assert not lo_pass.exhausted, "sufficient_depth must cover the tree"
-    hi_pass = _Pass(q, q.space.top, leaf_hi)
-    hi = hi_pass.run(t, d)
+    lo = _denote(q, t, d, leaf_lo, q.space.bot)
+    hi = _denote(q, t, d, leaf_hi, q.space.top)
     # equal bounds pin the true value exactly; unexplored parts always show up
     # as a strict gap because the two passes only differ there
     exact = lo == hi
@@ -201,8 +193,8 @@ def expectation_modality(name: str = "E", space: Optional[UnitIntervalSpace] = N
     """E over [0,1]: fair coin average at probabilistic-choice nodes."""
     space = space or UnitIntervalSpace()
 
-    def por(node: Node, m: int, rec: Recurse):
-        return (rec(child_at(node.children, 0), m) + rec(child_at(node.children, 1), m)) / 2.0
+    def por(node: Node, kids: list):
+        return (kids[0] + kids[1]) / 2.0
 
     return ModalitySpec(name, space, {"por": OpRule(por)})
 
@@ -211,8 +203,8 @@ def cost_modality(name: str = "C", space: Optional[CostSpace] = None) -> Modalit
     """C over [0, inf] reversed: node costs accumulate along the branch."""
     space = space or CostSpace()
 
-    def cost(node: Node, m: int, rec: Recurse):
-        return node.param + rec(child_at(node.children, 0), m)
+    def cost(node: Node, kids: list):
+        return node.param + kids[0]
 
     return ModalitySpec(name, space, {"cost": OpRule(cost)})
 
@@ -220,27 +212,18 @@ def cost_modality(name: str = "C", space: Optional[CostSpace] = None) -> Modalit
 def store_modality(store_space: StateSetSpace, name: str = "G") -> ModalitySpec:
     """G over P(S): the set of starting states leading to a satisfying end state."""
     store = store_space.store
+    states = store_space.all_states
     rules: dict[str, OpRule] = {}
     for li, loc in enumerate(store.locations):
 
-        def lookup(node: Node, m: int, rec: Recurse, li=li):
-            out = []
-            for s in store_space.all_states:
-                v = s[li]
-                if s in rec(child_at(node.children, v), max(0, m - v)):
-                    out.append(s)
-            return frozenset(out)
+        def lookup(node: Node, kids: list, li=li):
+            return frozenset(s for s in states if s in kids[s[li]])
 
-        def update(node: Node, m: int, rec: Recurse, li=li):
-            target = rec(child_at(node.children, 0), m)
+        def update(node: Node, kids: list, li=li):
             k = node.param
-            return frozenset(
-                s for s in store_space.all_states if store.set_loc(s, li, k) in target
-            )
+            return frozenset(s for s in states if store.set_loc(s, li, k) in kids[0])
 
-        rules[f"lookup[{loc}]"] = OpRule(
-            lookup, index_cost=store.value_bound, family_consult=store.value_bound
-        )
+        rules[f"lookup[{loc}]"] = OpRule(lookup, family_consult=store.value_bound)
         rules[f"update[{loc}]"] = OpRule(update)
     return ModalitySpec(name, store_space, rules)
 
@@ -252,29 +235,20 @@ def prob_store_modality(table_space: StateTableSpace, name: str = "EG") -> Modal
     index = {s: i for i, s in enumerate(states)}
     rules: dict[str, OpRule] = {}
 
-    def por(node: Node, m: int, rec: Recurse):
-        a = rec(child_at(node.children, 0), m)
-        b = rec(child_at(node.children, 1), m)
-        return tuple((x + y) / 2.0 for x, y in zip(a, b))
+    def por(node: Node, kids: list):
+        return tuple((x + y) / 2.0 for x, y in zip(kids[0], kids[1]))
 
     rules["por"] = OpRule(por)
     for li, loc in enumerate(store.locations):
 
-        def lookup(node: Node, m: int, rec: Recurse, li=li):
-            out = []
-            for s in states:
-                v = s[li]
-                out.append(rec(child_at(node.children, v), max(0, m - v))[index[s]])
-            return tuple(out)
+        def lookup(node: Node, kids: list, li=li):
+            return tuple(kids[s[li]][i] for i, s in enumerate(states))
 
-        def update(node: Node, m: int, rec: Recurse, li=li):
-            inner = rec(child_at(node.children, 0), m)
+        def update(node: Node, kids: list, li=li):
             k = node.param
-            return tuple(inner[index[store.set_loc(s, li, k)]] for s in states)
+            return tuple(kids[0][index[store.set_loc(s, li, k)]] for s in states)
 
-        rules[f"lookup[{loc}]"] = OpRule(
-            lookup, index_cost=store.value_bound, family_consult=store.value_bound
-        )
+        rules[f"lookup[{loc}]"] = OpRule(lookup, family_consult=store.value_bound)
         rules[f"update[{loc}]"] = OpRule(update)
     return ModalitySpec(name, table_space, rules)
 
@@ -285,11 +259,11 @@ def make_nondet_variants(q: ModalitySpec) -> tuple[ModalitySpec, ModalitySpec]:
         raise ModalityError(f"modality {q.name} already interprets nor")
     space = q.space
 
-    def nor_join(node: Node, m: int, rec: Recurse):
-        return space.join2(rec(child_at(node.children, 0), m), rec(child_at(node.children, 1), m))
+    def nor_join(node: Node, kids: list):
+        return space.join2(kids[0], kids[1])
 
-    def nor_meet(node: Node, m: int, rec: Recurse):
-        return space.meet2(rec(child_at(node.children, 0), m), rec(child_at(node.children, 1), m))
+    def nor_meet(node: Node, kids: list):
+        return space.meet2(kids[0], kids[1])
 
     opt = replace(q, name=q.name + "opt", rules={**q.rules, "nor": OpRule(nor_join)})
     pes = replace(q, name=q.name + "pes", rules={**q.rules, "nor": OpRule(nor_meet)})
@@ -316,7 +290,7 @@ def make_error_lift(
         if op in rules:
             raise ModalityError(f"modality {q.name} already interprets {op}")
         v = f[e]
-        rules[op] = OpRule(lambda node, m, rec, v=v: v)
+        rules[op] = OpRule(lambda node, kids, v=v: v)
     two_valued = all(f[e] in (q.space.bot, q.space.top) for e in error_labels)
     return replace(q, name=q.name + "f", rules=rules, two_valued_errors=two_valued)
 
@@ -326,14 +300,10 @@ def boolean_modality(space, ops: tuple[str, ...], mode: str, name: str = "") -> 
     binary operator.  Used by the exhaustive relator law checks."""
     combine = space.join2 if mode == "may" else space.meet2
 
-    def mk(op):
-        def fn(node: Node, m: int, rec: Recurse):
-            vals = [rec(child_at(node.children, i), m) for i in range(len(node.children))]
-            out = space.bot if mode == "may" else space.top
-            for v in vals:
-                out = combine(out, v)
-            return out
+    def fn(node: Node, kids: list):
+        out = space.bot if mode == "may" else space.top
+        for v in kids:
+            out = combine(out, v)
+        return out
 
-        return OpRule(fn)
-
-    return ModalitySpec(name or mode, space, {op: mk(op) for op in ops})
+    return ModalitySpec(name or mode, space, {op: OpRule(fn) for op in ops})

@@ -254,3 +254,21 @@ def test_sat_exact_flag(tmp_path):
     assert code == 0
     # fuel 2 alone cannot certify the step; the exact retry loop can
     assert report.splitlines()[0] == "value = 1"
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
+def test_resource_exhaustion_is_an_error_not_a_verdict(progdir, monkeypatch, exc):
+    # exit code 1 means distinguished/refuted; running out of stack or
+    # memory on legitimate input must report an error instead
+    import cbpv_quant.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse_program", exhausted)
+    code, report = run(
+        ["sat", *_paths(progdir, "coin.cbpv", "emax1.qf"), "--signature", "prob+nondet"]
+    )
+    assert code == 2
+    assert report.startswith(f"error: {type(exc).__name__}")
+    assert len(report.splitlines()) == 1

@@ -65,12 +65,12 @@ def test_failing_law_is_reported():
     # trip leaf-monotonicity
     from dataclasses import replace
 
-    from cbpv_quant.modality import OpRule, child_at, expectation_modality
+    from cbpv_quant.modality import OpRule, expectation_modality
 
     E = expectation_modality()
 
-    def bad(node, m, rec):
-        return (1.0 - rec(child_at(node.children, 0), m) + rec(child_at(node.children, 1), m)) / 2
+    def bad(node, kids):
+        return (1.0 - kids[0] + kids[1]) / 2
 
     broken = replace(E, name="Ebad", rules={**E.rules, "nor": OpRule(bad)})
     r = law_leaf_monotone(broken, LawParams(samples=300, seed=2, depth=4))

@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from cbpv_quant.laws import random_value_tree, standard_modalities
 from cbpv_quant.lattice import StateSetSpace, StateTableSpace, StoreConfig
 from cbpv_quant.modality import (
     Interval,
@@ -11,6 +13,7 @@ from cbpv_quant.modality import (
     denote_at_depth,
     denote_interval,
     denote_limit,
+    evaluate_interval,
     expectation_modality,
     lift,
     make_error_lift,
@@ -116,6 +119,49 @@ def test_bounds_tighten_along_tree_extension():
     pi = denote_interval(E, pruned)
     assert E.space.leq(pi.lo, fi.lo)
     assert E.space.leq(fi.hi, pi.hi)
+
+
+# ---------------------------------------------------------------- the evaluator
+
+
+def test_interval_values_each_leaf_once_per_bound():
+    # a lookup reads each child once and then indexes per state, so nested
+    # lookups still value every leaf once for each of the two bounds
+    t = Node(
+        "lookup[l]",
+        tuple(Node("lookup[r]", tuple(eta((i, j)) for j in range(3))) for i in range(3)),
+    )
+    calls = Counter()
+
+    def top(x):
+        calls[x] += 1
+        return GSPACE.top
+
+    assert evaluate_interval(G, t, top, top) == Interval(GSPACE.top, GSPACE.top, True)
+    assert calls == Counter({(i, j): 2 for i in range(3) for j in range(3)})
+
+
+def _fill_unknown(t, value, filled):
+    """t with every Unknown replaced by a leaf carrying `value`."""
+    if t is Unknown:
+        filled.append(t)
+        return eta(value)
+    if isinstance(t, Leaf):
+        return t
+    return Node(t.op, tuple(_fill_unknown(c, value, filled) for c in t.children), param=t.param)
+
+
+@pytest.mark.parametrize("name", sorted(standard_modalities()))
+def test_bounds_are_limits_with_unknown_at_bot_and_top(name):
+    q = standard_modalities()[name]
+    rng = random.Random(31)
+    filled = []
+    for _ in range(40):
+        t = random_value_tree(q, rng, 4, lambda: q.space.sample(rng), p_unknown=0.3)
+        iv = evaluate_interval(q, t)
+        assert iv.lo == denote_limit(q, t)
+        assert iv.hi == denote_limit(q, _fill_unknown(t, q.space.top, filled))
+    assert filled, "no sampled tree contained Unknown"
 
 
 # ---------------------------------------------------------------- lift
