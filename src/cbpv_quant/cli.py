@@ -200,7 +200,7 @@ def cmd_compare(args) -> tuple[int, str]:
     sat = Satisfier(rt.signature, rt.modalities, rt.space, rt.width)
     left = parse_program(_read_input(args.left), rt.signature)
     right = parse_program(_read_input(args.right), rt.signature)
-    ty = infer_type(EMPTY, left, rt.signature)
+    ty = sat.type_of(left)
     suite_size = args.suite_size if args.suite_size is not None else rt.config.suite_size
     fuel = args.fuel if args.fuel is not None else rt.config.fuel
     suite = enumerate_basic_formulas(ty, suite_size, _pools(rt), rt.modalities)
@@ -248,9 +248,10 @@ def cmd_distinguish(args) -> tuple[int, str]:
     right = parse_program(_read_input(args.right), rt.signature)
     fuel = args.fuel if args.fuel is not None else rt.config.fuel
     pools = Pools(numerals=rt.config.numerals, constants=_default_constants(rt))
-    found = find_distinguishing_formula(
-        left, right, args.max_size, sat, pools, fuel_schedule=(max(2, fuel // 4), fuel)
-    )
+    # a cheap pass at a quarter of the fuel first, never above the reported fuel
+    first = min(max(2, fuel // 4), fuel)
+    schedule = (first, fuel) if first < fuel else (fuel,)
+    found = find_distinguishing_formula(left, right, args.max_size, sat, pools, fuel_schedule=schedule)
     if found is None:
         rep.text(f"no distinguishing formula up to size {args.max_size} at fuel {fuel}")
         rep.doc = {"witness": None, "max_size": args.max_size, "fuel": fuel}

@@ -16,7 +16,6 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .formulas import Formula, NegF, StepF, formula_size
 from .lattice import BoolSpace, TruthSpace
-from .machine import eval_tree
 from .modality import Interval, ModalitySpec, evaluate_interval
 from .satisfaction import Satisfier
 from .suites import FormulaSuite, Pools, enumerate_basic_formulas
@@ -107,8 +106,8 @@ def compare(
     witness is the one violating `right below left`.
     """
     space = satisfier.space
-    lt = infer_type(EMPTY, left, satisfier.sig)
-    rt = infer_type(EMPTY, right, satisfier.sig)
+    lt = satisfier.type_of(left)
+    rt = satisfier.type_of(right)
     if lt != rt or lt != suite.target:
         raise EquivalenceError(
             f"compare needs both terms at the suite type {suite.target}; got {lt} and {rt}"
@@ -153,8 +152,8 @@ def find_distinguishing_formula(
     """Iterative-deepening search for the smallest certified witness; basic
     formulas are tried along with their step and negation closures."""
     space = satisfier.space
-    ty = infer_type(EMPTY, left, satisfier.sig)
-    tc_ty = infer_type(EMPTY, right, satisfier.sig)
+    ty = satisfier.type_of(left)
+    tc_ty = satisfier.type_of(right)
     if ty != tc_ty:
         raise EquivalenceError("terms of different types are trivially distinguished")
 
@@ -375,12 +374,11 @@ def check_simulation_bounded(
     pools: Pools,
     satisfier: Satisfier,
     rng=None,
-    width: int = 16,
 ) -> SimulationReport:
     """Check the applicative-simulation clauses for every pair of a finite
     candidate relation: structural dissection for value shapes, membership of
     derived pairs for thunks/arrows/products (arguments bounded by the pool),
-    and the relator on effect trees at producer types."""
+    and the relator on the satisfier's effect trees at producer types."""
     sig = satisfier.sig
     space = satisfier.space
     out: list[ClauseResult] = []
@@ -450,8 +448,8 @@ def check_simulation_bounded(
                 else:
                     out.append(ClauseResult(pair, 6, "ok"))
             elif isinstance(ty, ProducerType):
-                t = eval_tree(m, fuel, sig, width)
-                r = eval_tree(n, fuel, sig, width)
+                t = satisfier.tree(m, fuel)
+                r = satisfier.tree(n, fuel)
                 leaf_pairs = [
                     (Return(v), Return(w)) for (v, w) in relation.pairs(ty.val)
                 ]

@@ -6,8 +6,11 @@ and the extended non-negative reals under the REVERSED order (smaller cost is
 higher truth: leq(a, b) iff a >= b numerically, top = 0, bot = inf).
 
 Order comparisons are exact; the configurable tolerance is consulted only by
-approx_eq.  All shipped example programs produce dyadic rationals, which
-double-precision floats represent exactly.
+approx_eq.  Values are double-precision floats.  The shipped example
+programs produce shallow dyadic rationals, which floats represent exactly,
+but that does not hold in general: arithmetic on other values rounds to
+nearest, so a bound can land on the wrong side of the true value (the
+lower bound of a program worth 6/7 rounds above 6/7 from fuel 140).
 """
 
 from __future__ import annotations

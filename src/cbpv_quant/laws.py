@@ -55,7 +55,6 @@ from .syntax import (
     numeral,
 )
 from .trees import EffectTree, Leaf, Node, Unknown, eta, map_leaves, mu, tree_depth, truncate
-from .typecheck import EMPTY, infer_type
 
 
 @dataclass(frozen=True)
@@ -464,7 +463,7 @@ def law_congruence(
     candidates = [
         (m, n)
         for (m, n) in _equivalent_pairs(runtime, rng)
-        if infer_type(EMPTY, m, runtime.signature) == ty
+        if sat.type_of(m) == ty
         and not isinstance(compare(m, n, suite, fuel, sat), Distinguished)
     ]
     failures = []
@@ -473,7 +472,7 @@ def law_congruence(
         m, n = candidates[rng.randrange(len(candidates))]
         ctx = _context_pool(runtime, rng)
         cm, cn = ctx(m), ctx(n)
-        if infer_type(EMPTY, cm, runtime.signature) != ty:
+        if sat.type_of(cm) != ty:
             continue
         runs += 1
         verdict = compare(cm, cn, suite, fuel, sat)

@@ -1,14 +1,16 @@
 """The satisfaction evaluator: how much does a term satisfy a formula.
 
-Results are certified intervals.  Modal formulas evaluate the term's effect
-tree at the given fuel and run the leaf valuation twice, a lower and an upper
-pass; leaf-monotonicity of the shipped modalities makes the sandwich sound.
+Results are certified intervals.  Modal formulas measure the term's effect
+tree at the given fuel, built once per term and fuel by `Satisfier.tree`, and
+run the leaf valuation twice, a lower and an upper pass; leaf-monotonicity of
+the shipped modalities makes the sandwich sound.
 On recursion-free programs with complete families every result is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .formulas import (
     AndF,
@@ -42,12 +44,14 @@ from .syntax import (
     EffectSignature,
     Force,
     GenTerm,
+    GenType,
     Inj,
     Pair,
     Proj,
     Return,
     numeral_value,
 )
+from .trees import EffectTree
 from .typecheck import EMPTY, infer_type
 
 
@@ -63,6 +67,15 @@ class SatResult:
 
 
 class Satisfier:
+    """Evaluates formulas on terms and memoises what they share.
+
+    A Satisfier keeps each term's effect tree at the fuel it last used and
+    each term's type, so every formula on the same term measures one tree:
+    reuse one Satisfier across the formulas of a suite.  A call at another
+    fuel drops the trees of the old one; the trees at the current fuel and
+    the types are held for the Satisfier's lifetime.
+    """
+
     def __init__(
         self,
         signature: EffectSignature,
@@ -74,6 +87,30 @@ class Satisfier:
         self.modalities = modalities
         self.space = space
         self.width = width
+        self._types: dict[GenTerm, GenType] = {}
+        self._trees: dict[ComTerm, EffectTree] = {}
+        self._tree_fuel: Optional[int] = None
+
+    def type_of(self, term: GenTerm) -> GenType:
+        """The type of a closed term, inferred once per distinct term."""
+        ty = self._types.get(term)
+        if ty is None:
+            ty = self._types[term] = infer_type(EMPTY, term, self.sig)
+        return ty
+
+    def tree(self, term: ComTerm, fuel: int) -> EffectTree:
+        """The term's effect tree at `fuel`, built once per distinct term.
+
+        Only one fuel's trees are kept: a call at another fuel clears them
+        first, so doubling the fuel never holds the trees of earlier fuels.
+        """
+        if fuel != self._tree_fuel:
+            self._trees.clear()
+            self._tree_fuel = fuel
+        t = self._trees.get(term)
+        if t is None:
+            t = self._trees[term] = eval_tree(term, fuel, self.sig, self.width)
+        return t
 
     def satisfies(self, term: GenTerm, phi: Formula, fuel: int) -> SatResult:
         """Evaluate `term |= phi` at the given fuel.
@@ -82,8 +119,7 @@ class Satisfier:
         """
         if fuel < 1:
             raise SatisfactionError("fuel must be positive")
-        ty = infer_type(EMPTY, term, self.sig)
-        check_formula(phi, ty, self.modalities, self.space, self.sig)
+        check_formula(phi, self.type_of(term), self.modalities, self.space, self.sig)
         iv = self._eval(term, phi, fuel)
         return SatResult(iv, is_positive(phi), fuel)
 
@@ -140,7 +176,7 @@ class Satisfier:
         raise FormulaTypeError(f"unknown formula {phi!r}")
 
     def _modal(self, term: ComTerm, q: ModalitySpec, body: Formula, fuel: int) -> Interval:
-        tree = eval_tree(term, fuel, self.sig, self.width)
+        tree = self.tree(term, fuel)
         cache: dict = {}
 
         def leaf_interval(leaf) -> Interval:

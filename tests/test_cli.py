@@ -272,3 +272,30 @@ def test_resource_exhaustion_is_an_error_not_a_verdict(progdir, monkeypatch, exc
     assert code == 2
     assert report.startswith(f"error: {type(exc).__name__}")
     assert len(report.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fuel, schedule", [(1, (1,)), (2, (2,)), (16, (4, 16))])
+def test_distinguish_fuel_schedule_stays_within_fuel(progdir, monkeypatch, fuel, schedule):
+    # the search never runs above the fuel it reports, and tries each fuel once
+    import cbpv_quant.cli as cli
+
+    seen = []
+
+    def record(left, right, max_size, sat, pools, fuel_schedule):
+        seen.append(tuple(fuel_schedule))
+        return None
+
+    monkeypatch.setattr(cli, "find_distinguishing_formula", record)
+    code, report = run(
+        [
+            "distinguish",
+            *_paths(progdir, "costM.cbpv", "costN.cbpv"),
+            "--signature",
+            "cost+nondet",
+            "--fuel",
+            str(fuel),
+        ]
+    )
+    assert code == 0
+    assert seen == [schedule]
+    assert report.endswith(f"at fuel {fuel}")

@@ -330,3 +330,78 @@ def test_error_lift_through_lookup_family(store_rt):
     iv = sat.satisfies(prog, phi, 8).interval
     # the raise value is consulted at every branch, so the lookup passes it through
     assert iv.exact and iv.lo == frozenset({(1,)})
+
+
+def _count_trees(monkeypatch):
+    import cbpv_quant.satisfaction as satisfaction
+
+    built = []
+    real = satisfaction.eval_tree
+
+    def counting(term, fuel, *args):
+        built.append((term, fuel))
+        return real(term, fuel, *args)
+
+    monkeypatch.setattr(satisfaction, "eval_tree", counting)
+    return built
+
+
+def test_compare_builds_one_tree_per_term(prob_nondet_rt, monkeypatch):
+    from cbpv_quant.equivalence import compare
+    from cbpv_quant.parser import parse_ctype
+    from cbpv_quant.suites import Pools, enumerate_basic_formulas
+
+    rt = prob_nondet_rt
+    suite = enumerate_basic_formulas(
+        parse_ctype("F nat"), 3, Pools(numerals=(0, 1, 2)), rt.modalities
+    )
+    assert len(suite.formulas) > 2
+    assert all(isinstance(phi, Modal) for phi in suite.formulas)
+    left = parse_program("por(return 0, nor(return 1, return 2))", rt.signature)
+    right = parse_program("nor(por(return 0, return 1), return 2)", rt.signature)
+    built = _count_trees(monkeypatch)
+    compare(left, right, suite, 8, _sat(rt))
+    assert built == [(left, 8), (right, 8)]
+
+
+def test_tree_memo_keeps_one_fuel(prob_rt, monkeypatch):
+    rt = prob_rt
+    prog = parse_program("por(return 0, return 1)", rt.signature)
+    phi = parse_formula("E<{1}>", rt.signature, rt.space)
+    built = _count_trees(monkeypatch)
+    sat = _sat(rt)
+    for fuel in (4, 4):
+        sat.satisfies(prog, phi, fuel)
+    assert len(built) == 1
+    built.clear()
+    sat = _sat(rt)
+    for fuel in (4, 16, 4):
+        sat.satisfies(prog, phi, fuel)
+    assert [fuel for _, fuel in built] == [4, 16, 4]
+
+
+@pytest.mark.parametrize("signame", ["prob+nondet", "cost+nondet", "store+nondet", "prob+store"])
+def test_shared_satisfier_matches_fresh_ones(signame):
+    # one Satisfier reused across programs, formulas and interleaved fuels
+    # gives exactly the results of a fresh Satisfier per call
+    import random
+
+    from cbpv_quant.config import RunConfig, build_runtime
+    from cbpv_quant.generators import generate_program
+    from cbpv_quant.parser import parse_ctype
+    from cbpv_quant.suites import Pools, enumerate_basic_formulas
+
+    rt = build_runtime(RunConfig(signature=signame, locations=("l",), value_bound=3))
+    suite = enumerate_basic_formulas(
+        parse_ctype("F nat"), 3, Pools(numerals=(0, 1, 2)), rt.modalities
+    )
+    shared = _sat(rt)
+    rng = random.Random(53)
+    for _ in range(15):
+        prog = generate_program(rng, rt.signature, depth=3)
+        for phi in suite.formulas:
+            for fuel in (4, 16, 4):
+                assert shared.satisfies(prog, phi, fuel) == _sat(rt).satisfies(prog, phi, fuel)
+            reused = satisfies_exact(shared, prog, phi, 4, fuel_cap=64)
+            fresh = satisfies_exact(_sat(rt), prog, phi, 4, fuel_cap=64)
+            assert reused == fresh  # SatResult equality includes fuel_used
