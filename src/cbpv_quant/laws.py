@@ -40,6 +40,7 @@ from .satisfaction import Satisfier
 from .suites import Pools, enumerate_basic_formulas
 from .syntax import (
     Apply,
+    CbpvError,
     ComTerm,
     EffOp,
     FiniteArity,
@@ -57,12 +58,25 @@ from .syntax import (
 from .trees import EffectTree, Leaf, Node, Unknown, eta, map_leaves, mu, tree_depth, truncate
 
 
+class LawError(CbpvError):
+    pass
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise LawError(f"congruence trials must be at least 0, got {trials}")
+
+
 @dataclass(frozen=True)
 class LawParams:
     samples: int = 1000
     seed: int = 0
     depth: int = 4
     tolerance: float = 1e-9
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise LawError(f"law samples must be at least 1, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +160,8 @@ def law_leaf_monotone(q: ModalitySpec, params: LawParams) -> LawResult:
     failures = []
     for i in range(params.samples):
         t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng))
-        raised = map_leaves(t, lambda a: space.raise_of(rng, a))
-        lo, hi = denote_limit(q, t), denote_limit(q, raised)
+        lo = denote_limit(q, t)
+        hi = denote_limit(q, t, lambda a: space.raise_of(rng, a))
         if not space.leq(lo, hi):
             failures.append(f"sample {i}: {space.render(lo)} not below {space.render(hi)}")
     return LawResult("a (leaf-monotone)", q.name, params.samples, tuple(failures))
@@ -184,7 +198,7 @@ def law_sequential(q: ModalitySpec, params: LawParams) -> LawResult:
             lambda: random_value_tree(q, rng, inner_depth, lambda: space.sample(rng)),
         )
         lhs = denote_limit(q, mu(tt))
-        rhs = denote_limit(q, map_leaves(tt, lambda sub: denote_limit(q, sub)))
+        rhs = denote_limit(q, tt, lambda sub: denote_limit(q, sub))
         if not space.approx_eq(lhs, rhs, params.tolerance):
             failures.append(
                 f"sample {i}: mu side {space.render(lhs)} vs mapped side {space.render(rhs)}"
@@ -222,9 +236,9 @@ def law_decomposability(q: ModalitySpec, params: LawParams) -> LawResult:
         surrogates = space.monotone_maps(rng, 4)
         certified = True
         for h in surrogates:
-            H = lambda sub, h=h: denote_limit(q, map_leaves(sub, h))
-            lo = denote_limit(q, map_leaves(tt, H))
-            hi = denote_limit(q, map_leaves(rr, H))
+            H = lambda sub, h=h: denote_limit(q, sub, h)
+            lo = denote_limit(q, tt, H)
+            hi = denote_limit(q, rr, H)
             if not space.leq(lo, hi):
                 certified = False
                 break
@@ -232,8 +246,8 @@ def law_decomposability(q: ModalitySpec, params: LawParams) -> LawResult:
             continue
         checked += 1
         for h in space.monotone_maps(rng, 4):
-            lo = denote_limit(q, map_leaves(mu(tt), h))
-            hi = denote_limit(q, map_leaves(mu(rr), h))
+            lo = denote_limit(q, mu(tt), h)
+            hi = denote_limit(q, mu(rr), h)
             if not space.leq(lo, hi):
                 failures.append(f"sample {i}: flattening broke the certified order")
                 break
@@ -278,8 +292,8 @@ def _o_rel(t, r, pairs, mods, space, memo=None) -> bool:
         h = dict(zip(lefts, bits))
         rh = right_set(pairs, h, space)
         for q in mods.values():
-            lv = denote_limit(q, map_leaves(t, lambda x: h[x]))
-            rv = denote_limit(q, map_leaves(r, rh))
+            lv = denote_limit(q, t, h.__getitem__)
+            rv = denote_limit(q, r, rh)
             if not space.leq(lv, rv):
                 out = False
                 break
@@ -455,6 +469,7 @@ def law_congruence(
     suite_size: int = 3,
     fuel: int = 16,
 ) -> LawResult:
+    _check_trials(trials)
     rng = random.Random(seed)
     sat = Satisfier(runtime.signature, runtime.modalities, runtime.space, runtime.width)
     pools = Pools(numerals=(0, 1, 2, 7))
@@ -514,6 +529,7 @@ def run_law_suite(
     runtime: Optional[Runtime] = None,
     congruence_trials: int = 200,
 ) -> LawReport:
+    _check_trials(congruence_trials)
     report = LawReport()
     for q in modalities:
         report.results.append(law_leaf_monotone(q, params))

@@ -10,14 +10,16 @@ that state's value at the looked-up location.
 
 Combinators are data-in: fn(node, kids) sees the children's values in index
 order, never the children themselves, so each consulted child is evaluated
-once per pass.  Certified intervals run the recurrence twice at an index deep
-enough for the whole tree: the lower pass sends Unknown to bot, the upper pass
-to top.  Both bounds are sound for every leaf-monotone modality, and the
-evaluator refuses interval mode for specs not declared leaf-monotone.
+once per pass.  Exact denotations run the recurrence once at an unbounded
+index.  Certified intervals run it twice at an index deep enough for the
+whole tree: the lower pass sends Unknown to bot, the upper pass to top.  Both
+bounds are sound for every leaf-monotone modality, and the evaluator refuses
+interval mode for specs not declared leaf-monotone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Optional
 
@@ -100,7 +102,7 @@ def child_at(children, i: int) -> EffectTree:
 # Evaluation
 
 
-def _denote(q: ModalitySpec, t: EffectTree, n: int, leaf: Callable[[Any], Any], unknown):
+def _denote(q: ModalitySpec, t: EffectTree, n: float, leaf: Callable[[Any], Any], unknown):
     """The defining recurrence at index n, with Unknown and index 0 sent to
     `unknown` and each leaf payload x to leaf(x)."""
     if isinstance(t, _Unknown) or n <= 0:
@@ -180,9 +182,15 @@ def lift(q: ModalitySpec, valuation, t: EffectTree) -> Interval:
     return evaluate_interval(q, t, fn, fn)
 
 
-def denote_limit(q: ModalitySpec, t: EffectTree):
-    """The exact denotation of a finite tree (the supremum of the chain)."""
-    return denote_at_depth(q, t, sufficient_depth(q, t))
+def denote_limit(q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], Any] = lambda v: v):
+    """The exact denotation of a finite tree (the supremum of the chain), with
+    each leaf payload x valued at leaf(x).
+
+    The recurrence at an unbounded index: on a finite tree it reaches every
+    leaf, so no `sufficient_depth` walk is needed.  Each consulted leaf is
+    valued once, depth-first in child order.
+    """
+    return _denote(q, t, math.inf, leaf, q.space.bot)
 
 
 # --------------------------------------------------------------------------

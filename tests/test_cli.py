@@ -184,6 +184,19 @@ def test_laws_verb_small():
     assert "all laws pass" in report
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--samples", "-3"), ("--samples", "0"), ("--trials", "-3")],
+)
+def test_laws_rejects_bad_counts(flag, value):
+    code, report = run(
+        ["laws", flag, value, "--modality", "E", "--no-relator", "--signature", "prob"]
+    )
+    assert code == 2
+    assert report.startswith("error: ") and "\n" not in report
+    assert flag.lstrip("-") in report
+
+
 def test_stdin_program(progdir, monkeypatch):
     import io
     import sys

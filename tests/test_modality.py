@@ -20,8 +20,9 @@ from cbpv_quant.modality import (
     make_nondet_variants,
     prob_store_modality,
     store_modality,
+    sufficient_depth,
 )
-from cbpv_quant.trees import Leaf, Node, Unknown, eta
+from cbpv_quant.trees import Leaf, Node, Unknown, eta, map_leaves
 
 E = expectation_modality()
 C = cost_modality()
@@ -126,7 +127,8 @@ def test_bounds_tighten_along_tree_extension():
 
 def test_interval_values_each_leaf_once_per_bound():
     # a lookup reads each child once and then indexes per state, so nested
-    # lookups still value every leaf once for each of the two bounds
+    # lookups still value every leaf once for each of the two bounds, and
+    # once for the exact denotation
     t = Node(
         "lookup[l]",
         tuple(Node("lookup[r]", tuple(eta((i, j)) for j in range(3))) for i in range(3)),
@@ -139,6 +141,9 @@ def test_interval_values_each_leaf_once_per_bound():
 
     assert evaluate_interval(G, t, top, top) == Interval(GSPACE.top, GSPACE.top, True)
     assert calls == Counter({(i, j): 2 for i in range(3) for j in range(3)})
+    calls.clear()
+    assert denote_limit(G, t, top) == GSPACE.top
+    assert calls == Counter({(i, j): 1 for i in range(3) for j in range(3)})
 
 
 def _fill_unknown(t, value, filled):
@@ -162,6 +167,28 @@ def test_bounds_are_limits_with_unknown_at_bot_and_top(name):
         assert iv.lo == denote_limit(q, t)
         assert iv.hi == denote_limit(q, _fill_unknown(t, q.space.top, filled))
     assert filled, "no sampled tree contained Unknown"
+
+
+@pytest.mark.parametrize("name", sorted(standard_modalities()))
+def test_exact_denotation_matches_recurrence_at_sufficient_depth(name):
+    # the recurrence at sufficient_depth stays the oracle for the unbounded index
+    q = standard_modalities()[name]
+    rng = random.Random(47)
+    for _ in range(40):
+        t = random_value_tree(q, rng, 4, lambda: q.space.sample(rng), p_unknown=0.3)
+        for f in q.space.monotone_maps(rng, 2):
+            assert denote_limit(q, t, f) == denote_at_depth(
+                q, map_leaves(t, f), sufficient_depth(q, t)
+            )
+
+
+def test_exact_denotation_is_not_bounded_by_sufficient_depth():
+    # sufficient_depth exceeds the default recursion limit near 330 levels of
+    # a cost chain; the exact denotation never calls it
+    chain = eta(0.0)
+    for _ in range(400):
+        chain = cost(1, chain)
+    assert denote_limit(C, chain) == 400.0
 
 
 # ---------------------------------------------------------------- lift
