@@ -318,6 +318,7 @@ def cmd_laws(args) -> tuple[int, str]:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every verb and its flags."""
     p = argparse.ArgumentParser(
         prog="cbpv-quant",
         description="Quantitative behavioural reasoning for call-by-push-value programs",
@@ -381,9 +382,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def run(argv: Optional[list[str]] = None) -> tuple[int, str]:
-    """Parse arguments, dispatch, and return (exit code, report text)."""
-    args = build_arg_parser().parse_args(argv)
+    """Parse arguments, dispatch, and return (exit code, report text).
+
+    The argument parser is built on the first call and reused by later ones.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_arg_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, TypeCheckError, ConfigError) as e:

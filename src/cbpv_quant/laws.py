@@ -135,19 +135,22 @@ def random_value_tree(
     """A random finite tree over q's operators (indexed children materialized
     as width-V tuples) with sampled leaf payloads and occasional Unknowns."""
     shapes = _op_shapes(q)
-    if depth <= 0 or not shapes or rng.random() < 0.3:
-        if rng.random() < p_unknown:
-            return Unknown
-        return Leaf(leaf())
-    op, kind, extra = shapes[rng.randrange(len(shapes))]
-    rec = lambda: random_value_tree(q, rng, depth - 1, leaf, p_unknown)
-    if kind == "finite":
-        return Node(op, (rec(), rec()))
-    if kind == "param":
-        return Node(op, (rec(),), param=rng.randrange(4))
-    if kind == "nullary":
-        return Node(op, ())
-    return Node(op, tuple(rec() for _ in range(extra)))
+
+    def grow(depth: int) -> EffectTree:
+        if depth <= 0 or not shapes or rng.random() < 0.3:
+            if rng.random() < p_unknown:
+                return Unknown
+            return Leaf(leaf())
+        op, kind, extra = shapes[rng.randrange(len(shapes))]
+        if kind == "finite":
+            return Node(op, (grow(depth - 1), grow(depth - 1)))
+        if kind == "param":
+            return Node(op, (grow(depth - 1),), param=rng.randrange(4))
+        if kind == "nullary":
+            return Node(op, ())
+        return Node(op, tuple(grow(depth - 1) for _ in range(extra)))
+
+    return grow(depth)
 
 
 # --------------------------------------------------------------------------

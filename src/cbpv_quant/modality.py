@@ -10,9 +10,11 @@ that state's value at the looked-up location.
 
 Combinators are data-in: fn(node, kids) sees the children's values in index
 order, never the children themselves, so each consulted child is evaluated
-once per pass.  Exact denotations run the recurrence once at an unbounded
-index.  Certified intervals run it twice at an index deep enough for the
-whole tree: the lower pass sends Unknown to bot, the upper pass to top.  Both
+once per walk.  Exact denotations run the recurrence once at an unbounded
+index.  Certified intervals take one walk at an index deep enough for the
+whole tree (`sufficient_depth`) that computes both bounds per node: the lower
+bound sends Unknown to bot, the upper bound to top, and each node applies its
+combinator to the lower and then to the upper values of its children.  Both
 bounds are sound for every leaf-monotone modality, and the evaluator refuses
 interval mode for specs not declared leaf-monotone.
 """
@@ -102,6 +104,13 @@ def child_at(children, i: int) -> EffectTree:
 # Evaluation
 
 
+def _unconsulted_family(q: ModalitySpec, t: Node) -> ModalityError:
+    return ModalityError(
+        f"operator {t.op!r} of modality {q.name} has a nat-indexed child family "
+        f"but its combinator declares no family_consult"
+    )
+
+
 def _denote(q: ModalitySpec, t: EffectTree, n: float, leaf: Callable[[Any], Any], unknown):
     """The defining recurrence at index n, with Unknown and index 0 sent to
     `unknown` and each leaf payload x to leaf(x)."""
@@ -112,13 +121,46 @@ def _denote(q: ModalitySpec, t: EffectTree, n: float, leaf: Callable[[Any], Any]
     rule = q.rule(t.op)
     ch = t.children
     if rule.family_consult is None:
-        kids = [_denote(q, child_at(ch, i), n - 1, leaf, unknown) for i in range(len(ch))]
+        try:
+            width = len(ch)
+        except TypeError:  # a NatFamily has no len
+            raise _unconsulted_family(q, t) from None
+        kids = [_denote(q, child_at(ch, i), n - 1, leaf, unknown) for i in range(width)]
     else:
         kids = [
             _denote(q, child_at(ch, v), max(0, n - 1 - v), leaf, unknown)
             for v in range(rule.family_consult)
         ]
     return rule.fn(t, kids)
+
+
+def _bounds(q: ModalitySpec, t: EffectTree, n: int, leaf_lo, leaf_hi, bot, top) -> tuple:
+    """The recurrence at index n for both bounds in one walk: (lo, hi) with
+    Unknown and index 0 at (bot, top) and each leaf payload x at
+    (leaf_lo(x), leaf_hi(x))."""
+    if isinstance(t, _Unknown) or n <= 0:
+        return bot, top
+    if isinstance(t, Leaf):
+        x = t.value
+        return leaf_lo(x), leaf_hi(x)
+    rule = q.rule(t.op)
+    ch = t.children
+    if rule.family_consult is None:
+        try:
+            width = len(ch)
+        except TypeError:  # a NatFamily has no len
+            raise _unconsulted_family(q, t) from None
+        kids = [
+            _bounds(q, child_at(ch, i), n - 1, leaf_lo, leaf_hi, bot, top)
+            for i in range(width)
+        ]
+    else:
+        kids = [
+            _bounds(q, child_at(ch, v), max(0, n - 1 - v), leaf_lo, leaf_hi, bot, top)
+            for v in range(rule.family_consult)
+        ]
+    fn = rule.fn
+    return fn(t, [k[0] for k in kids]), fn(t, [k[1] for k in kids])
 
 
 def denote_at_depth(q: ModalitySpec, t: EffectTree, n: int):
@@ -136,8 +178,9 @@ def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
     rule = q.rule(t.op)
     ch = t.children
     if isinstance(ch, NatFamily):
-        consult = rule.family_consult if rule.family_consult is not None else ch.width
-        kids = [ch.child(i) for i in range(min(consult, ch.width))]
+        if rule.family_consult is None:
+            raise _unconsulted_family(q, t)
+        kids = [ch.child(i) for i in range(min(rule.family_consult, ch.width))]
     else:
         kids = list(ch)
     cost = 1 if rule.family_consult is None else rule.family_consult
@@ -150,16 +193,18 @@ def evaluate_interval(
     leaf_lo: Callable[[Any], Any] = lambda v: v,
     leaf_hi: Callable[[Any], Any] = lambda v: v,
 ) -> Interval:
+    """Certified bounds: one walk at `sufficient_depth` computing (lo, hi) per
+    node, with Unknown at (bot, top) and each leaf payload x at
+    (leaf_lo(x), leaf_hi(x)); at every leaf leaf_lo runs before leaf_hi."""
     if not q.leaf_monotone:
         raise ModalityError(
             f"modality {q.name} is not declared leaf-monotone; "
             f"interval bounds would be unsound"
         )
     d = sufficient_depth(q, t)
-    lo = _denote(q, t, d, leaf_lo, q.space.bot)
-    hi = _denote(q, t, d, leaf_hi, q.space.top)
+    lo, hi = _bounds(q, t, d, leaf_lo, leaf_hi, q.space.bot, q.space.top)
     # equal bounds pin the true value exactly; unexplored parts always show up
-    # as a strict gap because the two passes only differ there
+    # as a strict gap because the two bounds only differ there
     exact = lo == hi
     assert_interval_order(q.space, lo, hi)
     return Interval(lo, hi, exact)

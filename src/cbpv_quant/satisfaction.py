@@ -1,9 +1,10 @@
 """The satisfaction evaluator: how much does a term satisfy a formula.
 
 Results are certified intervals.  Modal formulas measure the term's effect
-tree at the given fuel, built once per term and fuel by `Satisfier.tree`, and
-run the leaf valuation twice, a lower and an upper pass; leaf-monotonicity of
-the shipped modalities makes the sandwich sound.
+tree at the given fuel, built once per term and fuel by `Satisfier.tree`, in
+one walk that carries a lower and an upper bound per node; leaf-monotonicity
+of the shipped modalities makes the sandwich sound.  Each modal subformula is
+measured once per term and fuel, however many formulas share it.
 On recursion-free programs with complete families every result is exact.
 """
 
@@ -71,9 +72,16 @@ class Satisfier:
 
     A Satisfier keeps each term's effect tree at the fuel it last used and
     each term's type, so every formula on the same term measures one tree:
-    reuse one Satisfier across the formulas of a suite.  A call at another
-    fuel drops the trees of the old one; the trees at the current fuel and
-    the types are held for the Satisfier's lifetime.
+    reuse one Satisfier across the formulas of a suite.  It also keeps the
+    interval of each modal subformula `q<phi>` per term, so `q<phi>`,
+    `step(q<phi>, a)` for every threshold `a` and `not q<phi>` fold the tree
+    once.  Modal intervals live as long as the trees: a call at another fuel
+    drops both, while the types are held for the Satisfier's lifetime.
+    Formulas are checked against the term's type on every call.
+
+    Modal intervals are keyed by equality, so formulas that compare equal
+    share one entry: after `E<const 1.0>`, `E<const 1>` on the same term
+    reports the stored `1.0` where a fresh Satisfier may report `1`.
     """
 
     def __init__(
@@ -89,6 +97,7 @@ class Satisfier:
         self.width = width
         self._types: dict[GenTerm, GenType] = {}
         self._trees: dict[ComTerm, EffectTree] = {}
+        self._modals: dict[tuple[ComTerm, Modal], Interval] = {}
         self._tree_fuel: Optional[int] = None
 
     def type_of(self, term: GenTerm) -> GenType:
@@ -101,11 +110,13 @@ class Satisfier:
     def tree(self, term: ComTerm, fuel: int) -> EffectTree:
         """The term's effect tree at `fuel`, built once per distinct term.
 
-        Only one fuel's trees are kept: a call at another fuel clears them
-        first, so doubling the fuel never holds the trees of earlier fuels.
+        Only one fuel's trees are kept: a call at another fuel clears them,
+        and the modal intervals measured on them, first, so doubling the fuel
+        never holds the trees of earlier fuels.
         """
         if fuel != self._tree_fuel:
             self._trees.clear()
+            self._modals.clear()
             self._tree_fuel = fuel
         t = self._trees.get(term)
         if t is None:
@@ -147,7 +158,7 @@ class Satisfier:
         if isinstance(phi, ProjF):
             return self._eval(Proj(term, phi.label), phi.body, fuel)
         if isinstance(phi, Modal):
-            return self._modal(term, self.modalities[phi.modality], phi.body, fuel)
+            return self._modal(term, phi, fuel)
         if isinstance(phi, OrF):
             return self._family(term, phi.family, fuel, is_or=True)
         if isinstance(phi, AndF):
@@ -175,8 +186,16 @@ class Satisfier:
             return Interval(lo, hi, lo == hi)
         raise FormulaTypeError(f"unknown formula {phi!r}")
 
-    def _modal(self, term: ComTerm, q: ModalitySpec, body: Formula, fuel: int) -> Interval:
+    def _modal(self, term: ComTerm, phi: Modal, fuel: int) -> Interval:
         tree = self.tree(term, fuel)
+        key = (term, phi)
+        try:
+            iv = self._modals.get(key)
+        except TypeError:  # a formula with unhashable parts is not memoised
+            key = iv = None
+        if iv is not None:
+            return iv
+        body = phi.body
         cache: dict = {}
 
         def leaf_interval(leaf) -> Interval:
@@ -190,12 +209,17 @@ class Satisfier:
                 cache[leaf] = got
             return got
 
-        return evaluate_interval(
-            q,
+        # folded in this frame, so the fold starts at the same stack depth
+        # as without the memo
+        iv = evaluate_interval(
+            self.modalities[phi.modality],
             tree,
             leaf_lo=lambda x: leaf_interval(x).lo,
             leaf_hi=lambda x: leaf_interval(x).hi,
         )
+        if key is not None:
+            self._modals[key] = iv
+        return iv
 
     def _family(self, term: GenTerm, fam: Family, fuel: int, is_or: bool) -> Interval:
         space = self.space

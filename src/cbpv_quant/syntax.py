@@ -8,7 +8,8 @@ new trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -159,7 +160,20 @@ def _ctype_atom(t: ComType) -> str:
 # Terms
 
 
-class ValTerm:
+class _HashCached:
+    """Term nodes keep their hash, once computed, in `_hash`; it is dropped
+    from pickled state because string hashes differ between processes."""
+
+    __slots__ = ()
+    _hash: Optional[int] = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+class ValTerm(_HashCached):
     """A passive value term."""
 
     __slots__ = ()
@@ -168,7 +182,7 @@ class ValTerm:
         return print_val(self)
 
 
-class ComTerm:
+class ComTerm(_HashCached):
     """An active computation term."""
 
     __slots__ = ()
@@ -180,49 +194,81 @@ class ComTerm:
 GenTerm = Union[ValTerm, ComTerm]
 
 
-@dataclass(frozen=True)
+def _term(cls):
+    """A frozen dataclass term node whose hash is computed on first use and
+    cached.
+
+    The cached value is the one the dataclass generates, the hash of the
+    tuple of field values, so each subterm is hashed once however often the
+    term serves as a dictionary key.  `__hash__` is one Python frame per term
+    level, like the generated one.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    if len(names) > 1:
+        values = attrgetter(*names)
+    elif names:
+        one = attrgetter(names[0])
+        values = lambda self: (one(self),)
+    else:
+        values = lambda self: ()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(values(self))
+            # set past the frozen __setattr__ without touching __dict__,
+            # which would give each hashed node its own dict
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_term
 class UnitVal(ValTerm):
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class Zero(ValTerm):
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class Succ(ValTerm):
     arg: ValTerm
 
 
-@dataclass(frozen=True)
+@_term
 class Var(ValTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@_term
 class Thunk(ValTerm):
     com: "ComTerm"
 
 
-@dataclass(frozen=True)
+@_term
 class Inj(ValTerm):
     label: str
     arg: ValTerm
 
 
-@dataclass(frozen=True)
+@_term
 class Pair(ValTerm):
     fst: ValTerm
     snd: ValTerm
 
 
-@dataclass(frozen=True)
+@_term
 class Return(ComTerm):
     value: ValTerm
 
 
-@dataclass(frozen=True)
+@_term
 class SeqTo(ComTerm):
     """M to x. N  --  run M, bind its returned value to x, continue with N."""
 
@@ -231,32 +277,32 @@ class SeqTo(ComTerm):
     body: ComTerm
 
 
-@dataclass(frozen=True)
+@_term
 class Force(ComTerm):
     value: ValTerm
 
 
-@dataclass(frozen=True)
+@_term
 class Lambda(ComTerm):
     binder: str
     dom: ValType
     body: ComTerm
 
 
-@dataclass(frozen=True)
+@_term
 class Apply(ComTerm):
     com: ComTerm
     arg: ValTerm
 
 
-@dataclass(frozen=True)
+@_term
 class LetVal(ComTerm):
     binder: str
     value: ValTerm
     body: ComTerm
 
 
-@dataclass(frozen=True)
+@_term
 class CaseNat(ComTerm):
     """case V of {zero -> M | succ x -> N}"""
 
@@ -266,7 +312,7 @@ class CaseNat(ComTerm):
     succ_branch: ComTerm
 
 
-@dataclass(frozen=True)
+@_term
 class CaseSum(ComTerm):
     """pm V as {inj l x -> M | ...}; branches must cover every label of V's type."""
 
@@ -280,7 +326,7 @@ class CaseSum(ComTerm):
         return None
 
 
-@dataclass(frozen=True)
+@_term
 class CasePair(ComTerm):
     scrutinee: ValTerm
     fst_binder: str
@@ -288,7 +334,7 @@ class CasePair(ComTerm):
     body: ComTerm
 
 
-@dataclass(frozen=True)
+@_term
 class Record(ComTerm):
     """<l = M, ...> -- labelled tuple of computations, projected lazily."""
 
@@ -301,18 +347,18 @@ class Record(ComTerm):
         return None
 
 
-@dataclass(frozen=True)
+@_term
 class Proj(ComTerm):
     com: ComTerm
     label: str
 
 
-@dataclass(frozen=True)
+@_term
 class Fix(ComTerm):
     com: ComTerm
 
 
-@dataclass(frozen=True)
+@_term
 class EffOp(ComTerm):
     """An algebraic effect node.
 

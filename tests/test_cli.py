@@ -312,3 +312,40 @@ def test_distinguish_fuel_schedule_stays_within_fuel(progdir, monkeypatch, fuel,
     assert code == 0
     assert seen == [schedule]
     assert report.endswith(f"at fuel {fuel}")
+
+
+def test_argument_parser_is_built_once(progdir, monkeypatch):
+    # run() builds its parser on the first call and reuses it; every report
+    # matches a dispatch through a freshly built parser
+    import cbpv_quant.cli as cli
+
+    built = []
+    real = cli.build_arg_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_arg_parser", counting)
+    coin_sat = ["sat", *_paths(progdir, "coin.cbpv", "emax1.qf"), "--signature", "prob+nondet"]
+    argvs = [
+        coin_sat,
+        ["typecheck", *_paths(progdir, "coin.cbpv"), "--signature", "prob+nondet"],
+        ["eval", *_paths(progdir, "coin.cbpv"), "--signature", "prob+nondet", "--fuel", "8", "--json"],
+        ["compare", *_paths(progdir, "costM.cbpv", "costN.cbpv"), "--signature", "cost+nondet"],
+        ["distinguish", *_paths(progdir, "costM.cbpv", "costN.cbpv"), "--signature", "cost+nondet"],
+        ["typecheck", *_paths(progdir, "bad.cbpv"), "--signature", "prob"],
+        coin_sat + ["--exact", "--fuel", "2"],
+        coin_sat,
+    ]
+    for argv in argvs:
+        got = run(argv)
+        args = real().parse_args(argv)
+        try:
+            fresh = args.fn(args)
+        except Exception as e:  # the error mapping lives in run()
+            fresh = (2, f"error: {e}")
+        assert got == fresh
+    assert len(built) == 1
+    assert real() is not real()

@@ -76,3 +76,34 @@ def test_failing_law_is_reported():
     r = law_leaf_monotone(broken, LawParams(samples=300, seed=2, depth=4))
     assert not r.passed
     assert r.failures
+
+
+def _tree_text(t):
+    from cbpv_quant.trees import Leaf, Unknown
+
+    if t is Unknown:
+        return "?"
+    if isinstance(t, Leaf):
+        v = t.value
+        return "{" + ",".join(map(repr, sorted(v))) + "}" if isinstance(v, frozenset) else repr(v)
+    return f"{t.op}/{t.param}(" + ",".join(_tree_text(c) for c in t.children) + ")"
+
+
+def test_random_value_tree_draws_are_pinned():
+    # the generator's rng draws, and so every law sample, are fixed: a digest
+    # of seeded trees for all ten modalities at depths 0-5, plus each rng's
+    # next draw, as recorded when the operator shapes were recomputed per node
+    import hashlib
+    import random
+
+    from cbpv_quant.laws import random_value_tree
+
+    h = hashlib.sha256()
+    for name, q in sorted(MODS.items()):
+        rng = random.Random(2024)
+        for depth in range(6):
+            for _ in range(20):
+                t = random_value_tree(q, rng, depth, lambda: q.space.sample(rng), p_unknown=0.3)
+                h.update(_tree_text(t).encode())
+        h.update(repr(rng.random()).encode())
+    assert h.hexdigest() == "056e44f4d579ad1c76996bb5299ea09a029ae865f78d6741434ded7386e1e511"

@@ -6,9 +6,12 @@ import pytest
 
 from cbpv_quant.laws import random_value_tree, standard_modalities
 from cbpv_quant.lattice import StateSetSpace, StateTableSpace, StoreConfig
+from cbpv_quant import modality
 from cbpv_quant.modality import (
     Interval,
     ModalityError,
+    ModalitySpec,
+    OpRule,
     cost_modality,
     denote_at_depth,
     denote_interval,
@@ -22,7 +25,7 @@ from cbpv_quant.modality import (
     store_modality,
     sufficient_depth,
 )
-from cbpv_quant.trees import Leaf, Node, Unknown, eta, map_leaves
+from cbpv_quant.trees import Leaf, NatFamily, Node, Unknown, eta, leaves, map_leaves
 
 E = expectation_modality()
 C = cost_modality()
@@ -180,6 +183,49 @@ def test_exact_denotation_matches_recurrence_at_sufficient_depth(name):
             assert denote_limit(q, t, f) == denote_at_depth(
                 q, map_leaves(t, f), sufficient_depth(q, t)
             )
+
+
+@pytest.mark.parametrize("name", sorted(standard_modalities()))
+def test_interval_walk_matches_recurrence_at_sufficient_depth(name):
+    # the one (lo, hi) walk against the single-valuation recurrence, run once
+    # per bound: lo sends Unknown to bot and leaves through leaf_lo, hi sends
+    # Unknown to top and leaves through a distinct, pointwise higher leaf_hi
+    q = standard_modalities()[name]
+    space = q.space
+    rng = random.Random(59)
+    filled = []
+    for _ in range(40):
+        t = random_value_tree(q, rng, 4, lambda: space.sample(rng), p_unknown=0.3)
+        d = sufficient_depth(q, t)
+        for f in space.monotone_maps(rng, 2):
+            raised = {x: space.raise_of(rng, f(x)) for x in leaves(t)}
+            iv = evaluate_interval(q, t, f, raised.__getitem__)
+            assert iv.lo == denote_at_depth(q, map_leaves(t, f), d)
+            upper = _fill_unknown(map_leaves(t, raised.__getitem__), space.top, filled)
+            assert iv.hi == denote_at_depth(q, upper, d)
+            assert iv.exact == (iv.lo == iv.hi)
+    assert filled, "no sampled tree contained Unknown"
+
+
+def test_combinator_without_family_consult_on_a_family_is_refused():
+    # a rule that declares no family_consult reads a finite child tuple; on a
+    # nat-indexed family every walk names the operator instead of crashing
+    t = Node("por", NatFamily(lambda i: eta(0.5), 2))
+    for walk in (
+        lambda: sufficient_depth(E, t),
+        lambda: evaluate_interval(E, t),
+        lambda: denote_limit(E, t),
+        lambda: denote_at_depth(E, t, 3),
+        # the pair walk refuses on its own too, though evaluate_interval
+        # meets the sufficient_depth gate first
+        lambda: modality._bounds(E, t, 3, lambda v: v, lambda v: v, 0.0, 1.0),
+    ):
+        with pytest.raises(ModalityError, match="'por'"):
+            walk()
+    # with family_consult declared, the same node is a lookup and folds
+    rules = {"por": OpRule(lambda node, kids: kids[1], family_consult=2)}
+    lookup = ModalitySpec("Elookup", E.space, rules)
+    assert evaluate_interval(lookup, t) == Interval(0.5, 0.5, True)
 
 
 def test_exact_denotation_is_not_bounded_by_sufficient_depth():

@@ -405,3 +405,104 @@ def test_shared_satisfier_matches_fresh_ones(signame):
             reused = satisfies_exact(shared, prog, phi, 4, fuel_cap=64)
             fresh = satisfies_exact(_sat(rt), prog, phi, 4, fuel_cap=64)
             assert reused == fresh  # SatResult equality includes fuel_used
+
+
+def _count_folds(monkeypatch):
+    import cbpv_quant.satisfaction as satisfaction
+
+    folds = []
+    real = satisfaction.evaluate_interval
+
+    def counting(q, tree, *args, **kwargs):
+        folds.append(q.name)
+        return real(q, tree, *args, **kwargs)
+
+    monkeypatch.setattr(satisfaction, "evaluate_interval", counting)
+    return folds
+
+
+def test_modal_memo_folds_once_per_term_and_fuel(prob_rt, monkeypatch):
+    rt = prob_rt
+    prog = parse_program("por(return 1, por(return 0, return 1))", rt.signature)
+    modal = parse_formula("E<{1}>", rt.signature, rt.space)
+    family = [modal, StepF(modal, 0.25), StepF(modal, 0.5), StepF(modal, 1.0), NegF(modal)]
+    folds = _count_folds(monkeypatch)
+    sat = _sat(rt)
+    at8 = [sat.satisfies(prog, phi, 8) for phi in family]
+    assert folds == ["E"]
+    assert [r.interval.lo for r in at8] == [0.75, 1.0, 1.0, 0.0, 0.25]
+    sat.satisfies(prog, modal, 16)
+    assert folds == ["E", "E"]
+    # the fuel-8 intervals went with the fuel-8 trees
+    assert [sat.satisfies(prog, phi, 8) for phi in family] == at8
+    assert folds == ["E", "E", "E"]
+
+
+def test_modal_memo_checks_every_formula(prob_rt):
+    # a memoised interval never skips the type check of a later formula
+    from cbpv_quant.formulas import FormulaTypeError, InjF
+
+    rt = prob_rt
+    sat = _sat(rt)
+    prog = parse_program("return 1", rt.signature)
+    sat.satisfies(prog, Modal("E", NatEq(1)), 8)
+    with pytest.raises(FormulaTypeError):
+        sat.satisfies(prog, Modal("E", InjF("1", NatEq(1))), 8)
+
+
+@pytest.mark.parametrize("signame", ["prob+nondet", "cost+nondet", "store+nondet", "prob+store"])
+def test_modal_memo_reports_like_fresh_satisfiers(signame):
+    # the shared Satisfier answers step and negation closures of suite
+    # formulas from its memo, and prints exactly what a fresh one computes
+    import random
+
+    from cbpv_quant.config import RunConfig, build_runtime
+    from cbpv_quant.generators import generate_program
+    from cbpv_quant.parser import parse_ctype
+    from cbpv_quant.suites import Pools, enumerate_basic_formulas
+
+    rt = build_runtime(RunConfig(signature=signame, locations=("l",), value_bound=3))
+    suite = enumerate_basic_formulas(
+        parse_ctype("F nat"), 3, Pools(numerals=(0, 1, 2)), rt.modalities
+    )
+    formulas = []
+    for phi in suite.formulas:
+        formulas += [phi, NegF(phi), StepF(phi, rt.space.top), StepF(phi, rt.space.bot)]
+    shared = _sat(rt)
+    rng = random.Random(61)
+    for _ in range(8):
+        prog = generate_program(rng, rt.signature, depth=3)
+        for fuel in (4, 16):
+            for phi in formulas:
+                assert repr(shared.satisfies(prog, phi, fuel)) == repr(_sat(rt).satisfies(prog, phi, fuel))
+
+
+def test_modal_memo_shares_equal_formulas(prob_nondet_rt):
+    # ConstF(1) and the parsed ConstF(1.0) are equal, so they are one memo
+    # key: a shared Satisfier reports whichever form it measured first, where
+    # fresh ones report each formula's own
+    rt = prob_nondet_rt
+    prog = parse_program("return 0", rt.signature)
+    built = Modal("Eopt", ConstF(1))
+    parsed = parse_formula("Eopt<const 1>", rt.signature, rt.space)
+    assert parsed == built and parsed.body.value == 1.0
+    assert repr(_sat(rt).satisfies(prog, built, 8).interval) == "Interval(lo=1, hi=1, exact=True)"
+    assert repr(_sat(rt).satisfies(prog, parsed, 8).interval) == "Interval(lo=1.0, hi=1.0, exact=True)"
+    sat = _sat(rt)
+    sat.satisfies(prog, parsed, 8)
+    assert repr(sat.satisfies(prog, built, 8).interval) == "Interval(lo=1.0, hi=1.0, exact=True)"
+    sat = _sat(rt)
+    sat.satisfies(prog, built, 8)
+    assert repr(sat.satisfies(prog, parsed, 8).interval) == "Interval(lo=1, hi=1, exact=True)"
+    # a program whose fold averages reports the float either way
+    coin = parse_program("por(return 0, return 1)", rt.signature)
+    assert repr(sat.satisfies(coin, built, 8).interval) == "Interval(lo=1.0, hi=1.0, exact=True)"
+
+
+def test_unhashable_formula_is_evaluated_unmemoised(prob_rt):
+    rt = prob_rt
+    prog = parse_program("por(return 0, return 1)", rt.signature)
+    listed = Modal("E", OrF(Family(members=[NatEq(0), NatEq(1)])))
+    sat = _sat(rt)
+    for _ in range(2):
+        assert sat.satisfies(prog, listed, 8).interval.lo == 1.0

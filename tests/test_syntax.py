@@ -74,3 +74,82 @@ def test_print_parse_roundtrip(seed):
     rng = random.Random(seed)
     term = generate_program(rng, sig, depth=4)
     assert parse_program(print_com(term), sig) == term
+
+
+def _one_of_each_term():
+    from cbpv_quant.syntax import (
+        Apply,
+        CaseNat,
+        CasePair,
+        CaseSum,
+        EffOp,
+        Fix,
+        Inj,
+        LetVal,
+        Pair,
+        ProducerType,
+        Proj,
+        Record,
+        ThunkType,
+        UnitVal,
+    )
+
+    x = Var("x")
+    ret_x = Return(x)
+    return [
+        UnitVal(),
+        Zero(),
+        Succ(Zero()),
+        x,
+        Thunk(ret_x),
+        Inj("1", Zero()),
+        Pair(Zero(), UnitVal()),
+        ret_x,
+        SeqTo(Return(Zero()), "x", ret_x),
+        Force(Var("f")),
+        Lambda("x", NAT, ret_x),
+        Apply(Lambda("x", NAT, ret_x), Zero()),
+        LetVal("x", Zero(), ret_x),
+        CaseNat(Zero(), Return(Zero()), "x", ret_x),
+        CaseSum(Inj("1", Zero()), (("1", "x", ret_x),)),
+        CasePair(Pair(Zero(), Zero()), "x", "y", ret_x),
+        Record((("a", ret_x),)),
+        Proj(Record((("a", ret_x),)), "a"),
+        Fix(Lambda("f", ThunkType(ProducerType(NAT)), Force(Var("f")))),
+        EffOp("por", None, (Return(Zero()), Return(Succ(Zero())))),
+        EffOp("lookup[l]", None, (), "x", ret_x),
+    ]
+
+
+def test_term_hash_is_the_generated_value_cached():
+    # every term class caches the hash the dataclass would generate: the
+    # hash of the tuple of its field values
+    import dataclasses
+
+    from cbpv_quant.syntax import ComTerm, ValTerm
+
+    terms = _one_of_each_term()
+    classes = set(ValTerm.__subclasses__()) | set(ComTerm.__subclasses__())
+    assert {type(t) for t in terms} == classes
+    for t in terms:
+        generated = hash(tuple(getattr(t, f.name) for f in dataclasses.fields(t)))
+        assert hash(t) == generated
+        assert t.__dict__["_hash"] == generated and hash(t) == generated
+        twin = dataclasses.replace(t)
+        assert twin == t and twin is not t and hash(twin) == generated
+
+
+def test_deep_term_hashes():
+    v = numeral(400)
+    assert hash(Return(v)) == hash((v,))
+    assert hash(Return(v)) == hash(Return(numeral(400)))
+
+
+def test_pickled_term_drops_its_cached_hash():
+    # string hashes differ between processes, so the cache is not pickled
+    import pickle
+
+    t = Lambda("x", NAT, Return(Var("x")))
+    hash(t)
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and "_hash" not in u.__dict__ and hash(u) == hash(t)
