@@ -14,10 +14,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
-from .config import ConfigError, RunConfig, Runtime, build_runtime, load_config
+from .config import ConfigError, RunConfig, Runtime, apply_flags, build_runtime, load_config
 from .equivalence import (
     Distinguished,
     NoDistinctionFound,
@@ -31,12 +30,12 @@ from .laws import (
     standard_modalities,
 )
 from .machine import eval_tree
-from .parser import ParseError, parse_program
+from .parser import parse_program
 from .satisfaction import Satisfier, satisfies_exact
 from .suites import Pools, enumerate_basic_formulas
 from .syntax import CbpvError
 from .trees import Leaf, NatFamily, Node, _Unknown
-from .typecheck import EMPTY, TypeCheckError, infer_type
+from .typecheck import EMPTY, infer_type
 
 
 def _read_input(path: str) -> str:
@@ -117,20 +116,7 @@ def _runtime(args) -> Runtime:
         cfg = load_config("cbpv-quant.toml")
     else:
         cfg = RunConfig()
-    updates = {}
-    for key in ("signature", "fuel", "suite_size", "seed", "explore_width", "value_bound"):
-        v = getattr(args, key, None)
-        if v is not None:
-            updates[key] = v
-    if getattr(args, "locations", None):
-        updates["locations"] = tuple(args.locations.split(","))
-    if getattr(args, "errors", None):
-        updates["errors"] = tuple(args.errors.split(","))
-    if getattr(args, "numerals", None):
-        updates["numerals"] = tuple(int(x) for x in args.numerals.split(","))
-    if updates:
-        cfg = replace(cfg, **updates)
-    return build_runtime(cfg)
+    return build_runtime(apply_flags(cfg, vars(args)))
 
 
 def _pools(rt: Runtime) -> Pools:
@@ -156,7 +142,7 @@ def cmd_eval(args) -> tuple[int, str]:
     rep = Reporter(args.json)
     term = parse_program(_read_input(args.program), rt.signature)
     infer_type(EMPTY, term, rt.signature)
-    fuel = args.fuel if args.fuel is not None else rt.config.fuel
+    fuel = rt.config.fuel
     tree = eval_tree(term, fuel, rt.signature, rt.width)
     lines: list[str] = []
     _render_tree(tree, lines)
@@ -172,7 +158,7 @@ def cmd_sat(args) -> tuple[int, str]:
     term = parse_program(_read_input(args.program), rt.signature)
     phi = parse_formula(_read_input(args.formula), rt.signature, rt.space)
     sat = Satisfier(rt.signature, rt.modalities, rt.space, rt.width)
-    fuel = args.fuel if args.fuel is not None else rt.config.fuel
+    fuel = rt.config.fuel
     if args.exact:
         res = satisfies_exact(sat, term, phi, fuel)
     else:
@@ -201,11 +187,9 @@ def cmd_compare(args) -> tuple[int, str]:
     left = parse_program(_read_input(args.left), rt.signature)
     right = parse_program(_read_input(args.right), rt.signature)
     ty = sat.type_of(left)
-    suite_size = args.suite_size if args.suite_size is not None else rt.config.suite_size
-    fuel = args.fuel if args.fuel is not None else rt.config.fuel
-    suite = enumerate_basic_formulas(ty, suite_size, _pools(rt), rt.modalities)
+    suite = enumerate_basic_formulas(ty, rt.config.suite_size, _pools(rt), rt.modalities)
     directions = ["both"] if not args.both else ["geq", "leq"]
-    verdicts = [compare(left, right, suite, fuel, sat, d) for d in directions]
+    verdicts = [compare(left, right, suite, rt.config.fuel, sat, d) for d in directions]
     code = 0
     docs = []
     for d, v in zip(directions, verdicts):
@@ -241,12 +225,14 @@ def cmd_compare(args) -> tuple[int, str]:
 
 
 def cmd_distinguish(args) -> tuple[int, str]:
+    if args.max_size < 1:
+        raise ConfigError(f"--max-size: must be at least 1, got {args.max_size}")
     rt = _runtime(args)
     rep = Reporter(args.json)
     sat = Satisfier(rt.signature, rt.modalities, rt.space, rt.width)
     left = parse_program(_read_input(args.left), rt.signature)
     right = parse_program(_read_input(args.right), rt.signature)
-    fuel = args.fuel if args.fuel is not None else rt.config.fuel
+    fuel = rt.config.fuel
     pools = Pools(numerals=rt.config.numerals, constants=_default_constants(rt))
     # a cheap pass at a quarter of the fuel first, never above the reported fuel
     first = min(max(2, fuel // 4), fuel)
@@ -276,7 +262,7 @@ def cmd_laws(args) -> tuple[int, str]:
     rep = Reporter(args.json)
     params = LawParams(
         samples=args.samples,
-        seed=args.seed if args.seed is not None else rt.config.seed,
+        seed=rt.config.seed,
         depth=args.depth,
         tolerance=rt.config.tolerance,
     )
@@ -331,12 +317,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         sp.add_argument("--signature", help="effect signature selector")
         sp.add_argument("--locations", help="store locations, comma-separated")
         sp.add_argument("--errors", help="error labels, comma-separated")
-        sp.add_argument("--value-bound", dest="value_bound", type=int)
-        sp.add_argument("--explore-width", dest="explore_width", type=int)
+        sp.add_argument("--value-bound", dest="value_bound")
+        sp.add_argument("--explore-width", dest="explore_width")
         sp.add_argument("--numerals", help="numeral pool, comma-separated")
-        sp.add_argument("--seed", type=int)
+        sp.add_argument("--seed")
         if fuel:
-            sp.add_argument("--fuel", type=int)
+            sp.add_argument("--fuel")
 
     sp = sub.add_parser("typecheck", help="infer the type of a program")
     sp.add_argument("program")
@@ -358,7 +344,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="behavioural comparison over a formula suite")
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.add_argument("--suite-size", dest="suite_size", type=int)
+    sp.add_argument("--suite-size", dest="suite_size")
     sp.add_argument("--both", action="store_true", help="report each direction separately")
     common(sp)
     sp.set_defaults(fn=cmd_compare)
@@ -396,11 +382,7 @@ def run(argv: Optional[list[str]] = None) -> tuple[int, str]:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, TypeCheckError, ConfigError) as e:
-        return 2, f"error: {e}"
-    except FileNotFoundError as e:
-        return 2, f"error: {e}"
-    except CbpvError as e:
+    except (CbpvError, OSError, UnicodeDecodeError) as e:
         return 2, f"error: {e}"
     except (RecursionError, MemoryError) as e:
         # legitimate input too deep or too large to evaluate: an internal

@@ -17,13 +17,15 @@ The configuration document is key-value text (one `key = value` per line,
     seed            = 0
     numerals        = [0, 1, 7]
 
-Flags given on the command line win over file values.
+Command-line flags of the same names (`--value-bound 3`, `--locations l,r`)
+set the same fields: `apply_flags` converts them with the same table,
+`SETTINGS`, and they win over file values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .formulas import FormulaParser
 from .lattice import (
@@ -90,8 +92,68 @@ class RunConfig:
         return base, nondet, error
 
 
+def _items(text: str) -> tuple[str, ...]:
+    """The comma-separated items of a list value, whitespace stripped."""
+    text = text.strip()
+    return tuple(x.strip() for x in text.split(",")) if text else ()
+
+
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
+def _numerals(text: str) -> tuple[int, ...]:
+    # with no numerals a suite at type F nat is empty, and an empty suite
+    # distinguishes nothing
+    numerals = tuple(int(x) for x in _items(text))
+    if not numerals:
+        raise ValueError("needs at least one numeral")
+    return numerals
+
+
+# The one text -> value converter of every RunConfig field a file key or a
+# flag of the same name sets.  List values are comma-separated items; a file
+# writes them in brackets, [a, b], a flag without.
+SETTINGS: dict[str, Callable[[str], Any]] = {
+    "signature": str,
+    "truth_space": str,
+    "locations": _items,
+    "value_bound": int,
+    "errors": _items,
+    "tolerance": float,
+    "explore_width": int,
+    "fuel": int,
+    "suite_size": _positive,
+    "seed": int,
+    "numerals": _numerals,
+}
+_LISTS = ("locations", "errors", "numerals")
+
+
+def _convert(key: str, text: str, where: str) -> Any:
+    """The value of setting `key` written as `text`; `where` names the
+    source (a file line or a flag) in the ConfigError a bad value raises."""
+    try:
+        return SETTINGS[key](text)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def apply_flags(cfg: RunConfig, flags: Mapping[str, Any]) -> RunConfig:
+    """`cfg` with every setting that `flags` holds as text, not None: the
+    command line's `--value-bound 3` arrives as `flags["value_bound"] = "3"`."""
+    updates = {
+        key: _convert(key, text, "--" + key.replace("_", "-"))
+        for key in SETTINGS
+        if (text := flags.get(key)) is not None
+    }
+    return replace(cfg, **updates)
+
+
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
     updates: dict[str, Any] = {}
     valuations: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,43 +171,17 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {lineno}: error_valuation.<q>.<e> expected")
             q, _, e = rest.partition(".")
             valuations.append((q, e, value))
-        elif key == "signature":
-            updates["signature"] = value
-        elif key == "truth_space":
-            updates["truth_space"] = value
-        elif key == "locations":
-            updates["locations"] = tuple(_parse_list(value, lineno))
-        elif key == "errors":
-            updates["errors"] = tuple(_parse_list(value, lineno))
-        elif key == "value_bound":
-            updates["value_bound"] = int(value)
-        elif key == "explore_width":
-            updates["explore_width"] = int(value)
-        elif key == "fuel":
-            updates["fuel"] = int(value)
-        elif key == "suite_size":
-            updates["suite_size"] = int(value)
-        elif key == "seed":
-            updates["seed"] = int(value)
-        elif key == "tolerance":
-            updates["tolerance"] = float(value)
-        elif key == "numerals":
-            updates["numerals"] = tuple(int(x) for x in _parse_list(value, lineno))
+        elif key in SETTINGS:
+            if key in _LISTS:
+                if not (value.startswith("[") and value.endswith("]")):
+                    raise ConfigError(f"line {lineno}: expected a [a, b] list")
+                value = value[1:-1]
+            updates[key] = _convert(key, value, f"line {lineno}: {key}")
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     if valuations:
         updates["error_valuations"] = tuple(valuations)
-    return replace(cfg, **updates)
-
-
-def _parse_list(value: str, lineno: int) -> list[str]:
-    value = value.strip()
-    if not (value.startswith("[") and value.endswith("]")):
-        raise ConfigError(f"line {lineno}: expected a [a, b] list")
-    inner = value[1:-1].strip()
-    if not inner:
-        return []
-    return [x.strip() for x in inner.split(",")]
+    return RunConfig(**updates)
 
 
 def load_config(path: str) -> RunConfig:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .formulas import Formula, NegF, StepF, formula_size
@@ -24,6 +25,7 @@ from .syntax import (
     ArrowType,
     CbpvError,
     ComTerm,
+    EffectSignature,
     Force,
     GenTerm,
     GenType,
@@ -37,6 +39,8 @@ from .syntax import (
     Return,
     SumType,
     ThunkType,
+    ValTerm,
+    ValType,
     free_vars,
     numeral_value,
 )
@@ -46,6 +50,16 @@ from .typecheck import EMPTY, TypeCheckError, check_type, infer_type
 
 class EquivalenceError(CbpvError):
     pass
+
+
+def _value_has_type(sig: EffectSignature, v: ValTerm, t: ValType) -> bool:
+    """Whether the closed value `v` checks at type `t`: the argument filter
+    of the formula and argument pools."""
+    try:
+        check_type(EMPTY, v, t, sig)
+        return True
+    except TypeCheckError:
+        return False
 
 
 # --------------------------------------------------------------------------
@@ -156,16 +170,10 @@ def find_distinguishing_formula(
     tc_ty = satisfier.type_of(right)
     if ty != tc_ty:
         raise EquivalenceError("terms of different types are trivially distinguished")
-
-    def type_of_value(v, t):
-        try:
-            check_type(EMPTY, v, t, satisfier.sig)
-            return True
-        except TypeCheckError:
-            return False
+    has_type = partial(_value_has_type, satisfier.sig)
 
     for size in range(1, max_size + 1):
-        suite = enumerate_basic_formulas(ty, size, pools, satisfier.modalities, type_of_value)
+        suite = enumerate_basic_formulas(ty, size, pools, satisfier.modalities, has_type)
         candidates: list[Formula] = []
         for phi in suite.formulas:
             if formula_size(phi) != size:
@@ -379,16 +387,9 @@ def check_simulation_bounded(
     candidate relation: structural dissection for value shapes, membership of
     derived pairs for thunks/arrows/products (arguments bounded by the pool),
     and the relator on the satisfier's effect trees at producer types."""
-    sig = satisfier.sig
+    has_type = partial(_value_has_type, satisfier.sig)
     space = satisfier.space
     out: list[ClauseResult] = []
-
-    def type_of_value(v, t):
-        try:
-            check_type(EMPTY, v, t, sig)
-            return True
-        except TypeCheckError:
-            return False
 
     from .suites import args_for
 
@@ -426,7 +427,7 @@ def check_simulation_bounded(
             elif isinstance(ty, ArrowType):
                 missing = [
                     v
-                    for v in args_for(ty.dom, pools, type_of_value)
+                    for v in args_for(ty.dom, pools, has_type)
                     if not relation.contains(Apply(m, v), Apply(n, v), ty.cod)
                 ]
                 if missing:

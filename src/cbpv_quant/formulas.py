@@ -149,14 +149,6 @@ class MixF(Formula):
     pess: Formula
 
 
-def or_of(*members: Formula) -> Formula:
-    return OrF(Family(members=tuple(members)))
-
-
-def and_of(*members: Formula) -> Formula:
-    return AndF(Family(members=tuple(members)))
-
-
 def is_positive(phi: Formula) -> bool:
     """Membership in the positive fragment: no negation anywhere."""
     if isinstance(phi, NegF):
@@ -358,11 +350,7 @@ class FormulaParser(Parser):
         self.space = space
 
     def parse_formula(self) -> Formula:
-        phi = self.formula()
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-        return phi
+        return self.whole(self.formula)
 
     def formula(self) -> Formula:
         t = self.peek()

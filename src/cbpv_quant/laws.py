@@ -469,15 +469,16 @@ def law_congruence(
     runtime: Runtime,
     trials: int = 200,
     seed: int = 0,
-    suite_size: int = 3,
-    fuel: int = 16,
 ) -> LawResult:
+    """Contexts around candidate-equivalent pairs, compared over the suite of
+    `runtime.config.suite_size` at `runtime.config.fuel`."""
     _check_trials(trials)
     rng = random.Random(seed)
     sat = Satisfier(runtime.signature, runtime.modalities, runtime.space, runtime.width)
     pools = Pools(numerals=(0, 1, 2, 7))
     ty = ProducerType(NAT)
-    suite = enumerate_basic_formulas(ty, suite_size, pools, runtime.modalities)
+    fuel = runtime.config.fuel
+    suite = enumerate_basic_formulas(ty, runtime.config.suite_size, pools, runtime.modalities)
     candidates = [
         (m, n)
         for (m, n) in _equivalent_pairs(runtime, rng)

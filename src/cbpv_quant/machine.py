@@ -241,16 +241,3 @@ def _approx(c: Config, n: int, sig: EffectSignature, width: int) -> EffectTree:
         assert isinstance(out, Stepped)
         c = out.config
         n -= 1
-
-
-def run_to_terminal(m: ComTerm, max_steps: int = 10_000) -> Optional[ComTerm]:
-    """Drive an effect-free computation to its terminal; None if fuel runs out."""
-    c = Config(EMPTY_STACK, m)
-    for _ in range(max_steps):
-        out = machine_step(c)
-        if isinstance(out, Done):
-            return out.terminal
-        if isinstance(out, Effect):
-            raise CbpvError(f"run_to_terminal hit effect operator {out.op}")
-        c = out.config
-    return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .syntax import (
     ArrowType,
@@ -58,6 +58,9 @@ from .syntax import (
     Zero,
     numeral,
 )
+
+
+T = TypeVar("T")
 
 
 class ParseError(CbpvError):
@@ -164,33 +167,25 @@ class Parser:
 
     # ---- entry points
 
-    def parse_program(self) -> ComTerm:
-        m = self.com_term()
+    def whole(self, phrase: Callable[[], T]) -> T:
+        """Parse one `phrase` that must span the whole input."""
+        result = phrase()
         t = self.peek()
         if t.kind != "eof":
             raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-        return m
+        return result
+
+    def parse_program(self) -> ComTerm:
+        return self.whole(self.com_term)
 
     def parse_value(self) -> ValTerm:
-        v = self.val_term()
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-        return v
+        return self.whole(self.val_term)
 
     def parse_vtype(self) -> ValType:
-        t = self.vtype()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        return t
+        return self.whole(self.vtype)
 
     def parse_ctype(self) -> ComType:
-        t = self.ctype()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        return t
+        return self.whole(self.ctype)
 
     # ---- computations
 

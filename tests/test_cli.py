@@ -349,3 +349,69 @@ def test_argument_parser_is_built_once(progdir, monkeypatch):
         assert got == fresh
     assert len(built) == 1
     assert real() is not real()
+
+
+def _write(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+def _on_costs(verb, d, *flags):
+    return [verb, *_paths(d, "costM.cbpv", "costN.cbpv"), "--signature", "cost+nondet", *flags]
+
+
+_MALFORMED = {
+    "numerals-not-ints": lambda d: [
+        "sat", *_paths(d, "coin.cbpv", "emax1.qf"), "--signature", "prob+nondet", "--numerals", "a,b"
+    ],
+    "numerals-empty": lambda d: _on_costs("compare", d, "--numerals", ""),
+    "program-is-directory": lambda d: ["typecheck", str(d), "--signature", "prob"],
+    "program-not-utf8": lambda d: [
+        "typecheck", _write(d / "latin1.cbpv", b"return 0 // caf\xe9\n"), "--signature", "prob"
+    ],
+    "config-fuel-not-int": lambda d: [
+        "sat", *_paths(d, "coin.cbpv", "emax1.qf"), "--config", _write(d / "bad.toml", b"fuel = abc\n")
+    ],
+    "suite-size-0": lambda d: _on_costs("compare", d, "--suite-size", "0"),
+    "suite-size-negative": lambda d: _on_costs("compare", d, "--suite-size", "-2"),
+    "max-size-0": lambda d: _on_costs("distinguish", d, "--max-size", "0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_is_one_error_line(progdir, case):
+    # bad input is an error (exit 2), never a traceback, a verdict or an
+    # empty "no distinction" report
+    code, report = run(_MALFORMED[case](progdir))
+    assert code == 2
+    assert report.startswith("error: ") and "\n" not in report
+
+
+@pytest.mark.parametrize("key, items", [("locations", "l, r"), ("errors", "e1, e2"), ("numerals", "0, 1, 7")])
+def test_list_flag_and_file_give_equal_configs(tmp_path, monkeypatch, key, items):
+    # a flag's items and a file's bracketed items go through one splitter
+    import cbpv_quant.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.toml").write_text(f"{key} = [{items}]\n")
+    parser = cli.build_arg_parser()
+    from_flag = cli._runtime(parser.parse_args(["typecheck", "-", f"--{key}", items]))
+    from_file = cli._runtime(parser.parse_args(["typecheck", "-", "--config", "run.toml"]))
+    assert from_flag.config == from_file.config
+
+
+def test_laws_fuel_flag_sets_congruence_fuel(monkeypatch):
+    import cbpv_quant.laws as laws
+
+    fuels = []
+    real = laws.compare
+
+    def recording(m, n, suite, fuel, sat, *rest):
+        fuels.append(fuel)
+        return real(m, n, suite, fuel, sat, *rest)
+
+    monkeypatch.setattr(laws, "compare", recording)
+    argv = ["laws", "--modality", "E", "--samples", "1", "--trials", "2", "--no-relator"]
+    code, _ = run(argv + ["--signature", "prob", "--fuel", "5"])
+    assert code == 0
+    assert fuels and set(fuels) == {5}

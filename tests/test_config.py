@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -98,3 +99,18 @@ def test_parse_truth_values():
     from cbpv_quant.lattice import UnitIntervalSpace
 
     assert parse_truth_value("0.5", UnitIntervalSpace()) == 0.5
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("fuel = abc", "line 1: fuel: invalid literal"),
+        ("\nsuite_size = 0", "line 2: suite_size: must be at least 1, got 0"),
+        ("numerals = [0, x]", "line 1: numerals: invalid literal"),
+        ("numerals = []", "line 1: numerals: needs at least one numeral"),
+        ("locations = l, r", "line 1: expected a [a, b] list"),
+    ],
+)
+def test_bad_values_name_their_line(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
