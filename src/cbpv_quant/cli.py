@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Optional
 
-from .config import ConfigError, RunConfig, Runtime, apply_flags, build_runtime, load_config
+from .config import ConfigError, RunConfig, Runtime, _items, apply_flags, build_runtime, load_config
 from .equivalence import (
     Distinguished,
     NoDistinctionFound,
@@ -25,6 +25,7 @@ from .equivalence import (
 )
 from .formulas import parse_formula, print_formula
 from .laws import (
+    CONGRUENCE_NUMERALS,
     LawParams,
     run_law_suite,
     standard_modalities,
@@ -258,6 +259,9 @@ def _default_constants(rt: Runtime):
 
 
 def cmd_laws(args) -> tuple[int, str]:
+    if args.numerals is not None:
+        pool = ", ".join(map(str, CONGRUENCE_NUMERALS))
+        raise ConfigError(f"--numerals: laws uses the fixed numeral pool {pool}")
     rt = _runtime(args)
     rep = Reporter(args.json)
     params = LawParams(
@@ -268,7 +272,7 @@ def cmd_laws(args) -> tuple[int, str]:
     )
     mods = standard_modalities(rt.store)
     if args.modality:
-        wanted = args.modality.split(",")
+        wanted = _items(args.modality)
         missing = [w for w in wanted if w not in mods]
         if missing:
             raise ConfigError(f"unknown modalities for the law suite: {missing}")

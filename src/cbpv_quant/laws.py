@@ -465,6 +465,10 @@ def _equivalent_pairs(runtime: Runtime, rng: random.Random) -> list[tuple[ComTer
     return pairs
 
 
+# the numerals of the congruence suite; fixed, so `laws` takes no numeral pool
+CONGRUENCE_NUMERALS = (0, 1, 2, 7)
+
+
 def law_congruence(
     runtime: Runtime,
     trials: int = 200,
@@ -475,7 +479,7 @@ def law_congruence(
     _check_trials(trials)
     rng = random.Random(seed)
     sat = Satisfier(runtime.signature, runtime.modalities, runtime.space, runtime.width)
-    pools = Pools(numerals=(0, 1, 2, 7))
+    pools = Pools(numerals=CONGRUENCE_NUMERALS)
     ty = ProducerType(NAT)
     fuel = runtime.config.fuel
     suite = enumerate_basic_formulas(ty, runtime.config.suite_size, pools, runtime.modalities)

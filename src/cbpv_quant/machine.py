@@ -5,6 +5,13 @@ A configuration pairs a stack of evaluation frames with a focused computation.
 yields Unknown, a terminal under the empty stack yields a leaf, and every
 machine step or effect node consumes one fuel unit, with effect children
 evaluated at one unit less.
+
+Between two effect nodes the machine is a pure function of the
+configuration, so a configuration that repeats within one silent stretch
+never reaches an effect or a terminal: the stretch is Unknown at every fuel.
+Brent's cycle detection ("An improved Monte Carlo factorization algorithm",
+BIT 20, 1980) finds the repeat, so a silent cycle ends as Unknown after
+O(cycle) steps, not O(fuel).
 """
 
 from __future__ import annotations
@@ -215,6 +222,9 @@ def eval_tree(
 
 
 def _approx(c: Config, n: int, sig: EffectSignature, width: int) -> EffectTree:
+    # Brent: `mark` is saved after each window of `window` steps, the window
+    # doubling; a step that lands on `mark` closes a silent cycle
+    mark, window, since = c, 1, 0
     while True:
         if n == 0:
             return Unknown
@@ -241,3 +251,11 @@ def _approx(c: Config, n: int, sig: EffectSignature, width: int) -> EffectTree:
         assert isinstance(out, Stepped)
         c = out.config
         n -= 1
+        # every term a configuration holds was part of some focus, so hashing
+        # each focus keeps all their hashes cached and `==` rejects unequal
+        # terms at the root, not after walking them (long numerals)
+        if hash(c.focus) == hash(mark.focus) and c == mark:
+            return Unknown
+        since += 1
+        if since == window:
+            mark, window, since = c, 2 * window, 0

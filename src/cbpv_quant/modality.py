@@ -22,6 +22,7 @@ interval mode for specs not declared leaf-monotone.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Optional
 
@@ -29,6 +30,7 @@ from .lattice import (
     CostSpace,
     StateSetSpace,
     StateTableSpace,
+    StoreConfig,
     TruthSpace,
     UnitIntervalSpace,
     assert_interval_order,
@@ -262,6 +264,12 @@ def cost_modality(name: str = "C", space: Optional[CostSpace] = None) -> Modalit
     return ModalitySpec(name, space, {"cost": OpRule(cost)})
 
 
+def _update_targets(store: StoreConfig, states: tuple, li: int) -> list[tuple]:
+    """after[v][i]: the i-th state with location `li` set to v, for each
+    stored value v; an update rule with parameter k reads after[k % V]."""
+    return [tuple(store.set_loc(s, li, v) for s in states) for v in range(store.value_bound)]
+
+
 def store_modality(store_space: StateSetSpace, name: str = "G") -> ModalitySpec:
     """G over P(S): the set of starting states leading to a satisfying end state."""
     store = store_space.store
@@ -272,9 +280,9 @@ def store_modality(store_space: StateSetSpace, name: str = "G") -> ModalitySpec:
         def lookup(node: Node, kids: list, li=li):
             return frozenset(s for s in states if s in kids[s[li]])
 
-        def update(node: Node, kids: list, li=li):
-            k = node.param
-            return frozenset(s for s in states if store.set_loc(s, li, k) in kids[0])
+        def update(node: Node, kids: list, after=_update_targets(store, states, li)):
+            hit = kids[0].__contains__
+            return frozenset(compress(states, map(hit, after[node.param % store.value_bound])))
 
         rules[f"lookup[{loc}]"] = OpRule(lookup, family_consult=store.value_bound)
         rules[f"update[{loc}]"] = OpRule(update)
@@ -293,13 +301,13 @@ def prob_store_modality(table_space: StateTableSpace, name: str = "EG") -> Modal
 
     rules["por"] = OpRule(por)
     for li, loc in enumerate(store.locations):
+        gather = [tuple(map(index.__getitem__, after)) for after in _update_targets(store, states, li)]
 
         def lookup(node: Node, kids: list, li=li):
             return tuple(kids[s[li]][i] for i, s in enumerate(states))
 
-        def update(node: Node, kids: list, li=li):
-            k = node.param
-            return tuple(kids[0][index[store.set_loc(s, li, k)]] for s in states)
+        def update(node: Node, kids: list, gather=gather):
+            return tuple(map(kids[0].__getitem__, gather[node.param % store.value_bound]))
 
         rules[f"lookup[{loc}]"] = OpRule(lookup, family_consult=store.value_bound)
         rules[f"update[{loc}]"] = OpRule(update)

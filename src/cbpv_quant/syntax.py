@@ -2,8 +2,11 @@
 
 Terms come in two syntactic categories: passive value terms and active
 computation terms.  Every node is an immutable, hashable dataclass, so terms
-can be compared structurally and used as dictionary keys; substitution builds
-new trees.
+can be compared structurally and used as dictionary keys.  A node caches its
+hash and its free-variable set on first use, so closedness is O(1) after one
+walk.  Substitution builds new nodes only on the paths to a substituted
+variable: a subterm in which no bound name is free comes back as the same
+object, so closed subterms are shared, not rebuilt.
 """
 
 from __future__ import annotations
@@ -161,15 +164,18 @@ def _ctype_atom(t: ComType) -> str:
 
 
 class _HashCached:
-    """Term nodes keep their hash, once computed, in `_hash`; it is dropped
-    from pickled state because string hashes differ between processes."""
+    """Term nodes keep their hash, once computed, in `_hash`, and their free
+    variables in `_fv`.  Both are dropped from pickled state: string hashes
+    differ between processes, and the empty set is shared, not copied."""
 
     __slots__ = ()
     _hash: Optional[int] = None
+    _fv: Optional[frozenset[str]] = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_fv", None)
         return state
 
 
@@ -201,7 +207,10 @@ def _term(cls):
     The cached value is the one the dataclass generates, the hash of the
     tuple of field values, so each subterm is hashed once however often the
     term serves as a dictionary key.  `__hash__` is one Python frame per term
-    level, like the generated one.
+    level, like the generated one.  Equality is the generated structural one,
+    except that it accepts the same object at once and rejects a pair whose
+    cached hashes differ before comparing fields: two long hashed numerals
+    that differ are unequal at the root, not after a walk down both chains.
     """
     cls = dataclass(frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
@@ -222,7 +231,18 @@ def _term(cls):
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return values(self) == values(other)
+
     cls.__hash__ = __hash__
+    cls.__eq__ = __eq__
     return cls
 
 
@@ -466,68 +486,73 @@ def numeral_value(v: ValTerm) -> Optional[int]:
 # Free variables and substitution
 
 
+_CLOSED: frozenset[str] = frozenset()
+
+
 def free_vars(term: GenTerm) -> frozenset[str]:
+    """The free variables of `term`, computed once per node and cached in
+    `_fv`; closed nodes share one empty set.  One Python frame per term
+    level, like `__hash__`."""
+    fv = term._fv
+    if fv is not None:
+        return fv
     if isinstance(term, (UnitVal, Zero)):
-        return frozenset()
-    if isinstance(term, Var):
-        return frozenset((term.name,))
-    if isinstance(term, Succ):
-        return free_vars(term.arg)
-    if isinstance(term, Thunk):
-        return free_vars(term.com)
-    if isinstance(term, Inj):
-        return free_vars(term.arg)
-    if isinstance(term, Pair):
-        return free_vars(term.fst) | free_vars(term.snd)
-    if isinstance(term, Return):
-        return free_vars(term.value)
-    if isinstance(term, SeqTo):
-        return free_vars(term.com) | (free_vars(term.body) - {term.binder})
-    if isinstance(term, Force):
-        return free_vars(term.value)
-    if isinstance(term, Lambda):
-        return free_vars(term.body) - {term.binder}
-    if isinstance(term, Apply):
-        return free_vars(term.com) | free_vars(term.arg)
-    if isinstance(term, LetVal):
-        return free_vars(term.value) | (free_vars(term.body) - {term.binder})
-    if isinstance(term, CaseNat):
-        return (
+        fv = _CLOSED
+    elif isinstance(term, Var):
+        fv = frozenset((term.name,))
+    elif isinstance(term, (Succ, Inj)):
+        fv = free_vars(term.arg)
+    elif isinstance(term, (Thunk, Proj, Fix)):
+        fv = free_vars(term.com)
+    elif isinstance(term, Pair):
+        fv = free_vars(term.fst) | free_vars(term.snd)
+    elif isinstance(term, (Return, Force)):
+        fv = free_vars(term.value)
+    elif isinstance(term, SeqTo):
+        fv = free_vars(term.com) | (free_vars(term.body) - {term.binder})
+    elif isinstance(term, Lambda):
+        fv = free_vars(term.body) - {term.binder}
+    elif isinstance(term, Apply):
+        fv = free_vars(term.com) | free_vars(term.arg)
+    elif isinstance(term, LetVal):
+        fv = free_vars(term.value) | (free_vars(term.body) - {term.binder})
+    elif isinstance(term, CaseNat):
+        fv = (
             free_vars(term.scrutinee)
             | free_vars(term.zero_branch)
             | (free_vars(term.succ_branch) - {term.succ_binder})
         )
-    if isinstance(term, CaseSum):
+    elif isinstance(term, CaseSum):
         fv = free_vars(term.scrutinee)
         for _, x, m in term.branches:
             fv |= free_vars(m) - {x}
-        return fv
-    if isinstance(term, CasePair):
-        return free_vars(term.scrutinee) | (free_vars(term.body) - {term.fst_binder, term.snd_binder})
-    if isinstance(term, Record):
-        fv = frozenset()
+    elif isinstance(term, CasePair):
+        fv = free_vars(term.scrutinee) | (free_vars(term.body) - {term.fst_binder, term.snd_binder})
+    elif isinstance(term, Record):
+        fv = _CLOSED
         for _, m in term.fields:
             fv |= free_vars(m)
-        return fv
-    if isinstance(term, Proj):
-        return free_vars(term.com)
-    if isinstance(term, Fix):
-        return free_vars(term.com)
-    if isinstance(term, EffOp):
-        fv = free_vars(term.param) if term.param is not None else frozenset()
+    elif isinstance(term, EffOp):
+        fv = free_vars(term.param) if term.param is not None else _CLOSED
         for c in term.children:
             fv |= free_vars(c)
         if term.body is not None:
             fv |= free_vars(term.body) - {term.binder}
-        return fv
-    raise CbpvError(f"free_vars: unknown term {term!r}")
+    else:
+        raise CbpvError(f"free_vars: unknown term {term!r}")
+    if not fv:
+        fv = _CLOSED
+    # past the frozen __setattr__, as `__hash__` sets `_hash`
+    object.__setattr__(term, "_fv", fv)
+    return fv
 
 
 def substitute(term: GenTerm, bindings: Mapping[str, ValTerm]) -> GenTerm:
     """Simultaneous substitution of closed values for variables.
 
     Every substituted value must be closed, so capture cannot occur; binders
-    simply shadow entries of `bindings`.
+    simply shadow entries of `bindings`.  A subterm in which no bound name is
+    free is returned as it is, the same object.
     """
     if __debug__:
         for v in bindings.values():
@@ -541,12 +566,10 @@ def _drop(bindings: dict[str, ValTerm], *names: str) -> dict[str, ValTerm]:
 
 
 def _subst(term: GenTerm, b: dict[str, ValTerm]) -> GenTerm:
-    if not b:
-        return term
-    if isinstance(term, (UnitVal, Zero)):
+    if free_vars(term).isdisjoint(b):
         return term
     if isinstance(term, Var):
-        return b.get(term.name, term)
+        return b[term.name]
     if isinstance(term, Succ):
         return Succ(_subst(term.arg, b))
     if isinstance(term, Thunk):

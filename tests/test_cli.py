@@ -415,3 +415,23 @@ def test_laws_fuel_flag_sets_congruence_fuel(monkeypatch):
     code, _ = run(argv + ["--signature", "prob", "--fuel", "5"])
     assert code == 0
     assert fuels and set(fuels) == {5}
+
+
+def test_laws_modality_list_strips_whitespace():
+    base = ["laws", "--samples", "5", "--depth", "2", "--no-relator", "--no-congruence"]
+    base += ["--signature", "prob+nondet", "--json"]
+    spaced = run(base + ["--modality", "E, Epes"])
+    assert spaced[0] == 0
+    assert spaced == run(base + ["--modality", "E,Epes"])
+
+
+def test_laws_rejects_numerals_naming_the_fixed_pool():
+    from cbpv_quant.laws import CONGRUENCE_NUMERALS
+
+    code, report = run(
+        ["laws", "--numerals", "3,4", "--modality", "E", "--samples", "1", "--trials", "1",
+         "--no-relator", "--signature", "prob"]
+    )
+    assert code == 2
+    assert report.startswith("error: --numerals: ") and "\n" not in report
+    assert ", ".join(map(str, CONGRUENCE_NUMERALS)) in report

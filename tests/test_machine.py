@@ -16,16 +16,21 @@ from cbpv_quant.machine import (
 from cbpv_quant.parser import parse_program
 from cbpv_quant.syntax import (
     Apply,
+    CaseNat,
+    EffOp,
     Fix,
     Force,
     Lambda,
     NAT,
+    NatIndexed,
     Return,
+    SeqTo,
     Thunk,
     Var,
+    is_terminal,
     numeral,
 )
-from cbpv_quant.trees import Leaf, Node, Unknown, contains_unknown, tree_leq
+from cbpv_quant.trees import Leaf, NatFamily, Node, Unknown, contains_unknown, tree_leq
 
 PROB = build_signature(RunConfig(signature="prob"))
 STORE = build_signature(RunConfig(signature="store", locations=("l",)))
@@ -133,3 +138,117 @@ def test_monotone_approximation_and_fuel_soundness(seed):
             for later in ts[i + 1 :]:
                 assert later == t
             break
+
+
+# ---------------------------------------------------------------- silent cycles
+
+
+def _naive_approx(c, n, sig, width):
+    """The machine loop without cycle detection: every silent stretch runs
+    until it reaches an effect, a terminal or the end of its fuel."""
+    while True:
+        if n == 0:
+            return Unknown
+        m = c.focus
+        if isinstance(m, EffOp):
+            out = machine_step(c)
+            desc = sig.get(m.op)
+            if desc is not None and isinstance(desc.arity, NatIndexed):
+                fn = out.cont_fn
+                return Node(
+                    m.op, NatFamily(lambda k: _naive_approx(fn(k), n - 1, sig, width), width), out.param
+                )
+            return Node(m.op, tuple(_naive_approx(cc, n - 1, sig, width) for cc in out.conts), out.param)
+        if not c.stack and is_terminal(m):
+            return Leaf(m)
+        c = machine_step(c).config
+        n -= 1
+
+
+def _naive_tree(m, fuel, sig, width):
+    return _naive_approx(Config((), m), fuel, sig, width)
+
+
+ALL_SIGNATURES = [
+    build_signature(RunConfig(signature=base + nondet + error, locations=("l",), value_bound=2))
+    for base in ("prob", "store", "prob+store", "cost")
+    for nondet in ("", "+nondet")
+    for error in ("", "+error")
+]
+
+D = r"(fix (\g:U(F nat). force g))"
+
+SILENT_LOOPS = {
+    # fixed stack: the same four configurations forever
+    "fixed-stack": (PROB, D),
+    "fixed-stack under a frame": (PROB, f"{D} to x. return succ x"),
+    "after a prefix": (PROB, f"return 3 to y. {D}"),
+    # the stack and the value grow, so no configuration ever repeats
+    "growing stack": (PROB, r"fix (\g:U(F nat). force g to x. return x)"),
+    "growing value": (PROB, r"(fix (\f:U(nat -> F nat). \x:nat. (force f) (succ x))) 0"),
+    "countdown": (
+        PROB,
+        r"(fix (\f:U(nat -> F nat). \x:nat. case x of {zero -> return 0 | succ y -> (force f) y})) 9",
+    ),
+    "under por": (PROB, f"por(return 0, por({D}, return 1))"),
+    "six sevenths": (
+        PROB,
+        rf"fix (\f:U(F nat). por(return 0, por(return 0, por({D}, force f))))",
+    ),
+    "under lookup": (
+        STORE,
+        rf"lookup[l](x. case x of {{zero -> {D} | succ y -> update[l](0, return y)}})",
+    ),
+}
+
+
+@pytest.mark.parametrize("sig_index", range(len(ALL_SIGNATURES)))
+def test_cycle_cut_matches_naive_machine_on_generated_programs(sig_index):
+    sig = ALL_SIGNATURES[sig_index]
+    rng = random.Random(sig_index)
+    loop = parse_program(D, PROB)
+    for _ in range(3):
+        prog = generate_program(rng, sig, depth=3)
+        # the same program, but diverging silently wherever it returns 0,
+        # which puts silent cycles below its effect nodes
+        diverging = SeqTo(prog, "x", CaseNat(Var("x"), loop, "y", Return(Var("y"))))
+        for m in (prog, diverging):
+            for fuel in range(65):
+                assert eval_tree(m, fuel, sig, width=3) == _naive_tree(m, fuel, sig, 3)
+
+
+@pytest.mark.parametrize("name", sorted(SILENT_LOOPS))
+def test_cycle_cut_matches_naive_machine_on_silent_loops(name):
+    sig, src = SILENT_LOOPS[name]
+    prog = parse_program(src, sig)
+    for fuel in range(65):
+        assert eval_tree(prog, fuel, sig, width=3) == _naive_tree(prog, fuel, sig, 3)
+
+
+def _counting_steps(monkeypatch):
+    from cbpv_quant import machine
+
+    calls = [0]
+    real = machine.machine_step
+
+    def counted(c):
+        calls[0] += 1
+        return real(c)
+
+    monkeypatch.setattr(machine, "machine_step", counted)
+    return calls
+
+
+def test_silent_cycle_ends_after_few_steps_at_any_fuel(monkeypatch):
+    calls = _counting_steps(monkeypatch)
+    assert eval_tree(parse_program(D, PROB), 100_000, PROB) is Unknown
+    assert calls[0] <= 20
+
+
+def test_never_repeating_loop_runs_to_the_end_of_its_fuel(monkeypatch):
+    # the numeral passed around grows to ~5000 levels; comparing it with the
+    # saved configuration's must not walk both chains
+    calls = _counting_steps(monkeypatch)
+    sig, src = SILENT_LOOPS["growing value"]
+    assert eval_tree(parse_program(src, sig), 20_000, sig) is Unknown
+    assert calls[0] == 20_000

@@ -386,6 +386,35 @@ def test_prob_store_threads_state():
     assert denote_limit(eg, upd) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7])
+def test_update_rules_match_set_loc(k):
+    # the gather tables give, per state s, the child's value at s with the
+    # location set to k mod V, as set_loc defines it
+    tspace = StateTableSpace(STORE)
+    eg = prob_store_modality(tspace)
+    states = GSPACE.all_states
+    rng = random.Random(k)
+    for li, loc in enumerate(STORE.locations):
+        node = Node(f"update[{loc}]", (eta(None),), param=k)
+        target = frozenset(s for s in states if rng.random() < 0.5)
+        want = frozenset(s for s in states if STORE.set_loc(s, li, k) in target)
+        assert G.rules[f"update[{loc}]"].fn(node, [target]) == want
+        row = tuple(rng.random() for _ in states)
+        index = {s: i for i, s in enumerate(states)}
+        want_row = tuple(row[index[STORE.set_loc(s, li, k)]] for s in states)
+        assert eg.rules[f"update[{loc}]"].fn(node, [row]) == want_row
+
+
+def test_update_rules_reject_a_missing_parameter_as_set_loc_does():
+    node = Node("update[l]", (eta(None),))
+    with pytest.raises(TypeError) as want:
+        STORE.set_loc(GSPACE.all_states[0], 0, node.param)
+    for q in (G, prob_store_modality(StateTableSpace(STORE))):
+        with pytest.raises(TypeError) as got:
+            q.rules["update[l]"].fn(node, [q.space.top])
+        assert str(got.value) == str(want.value)
+
+
 # ---------------------------------------------------------------- cross-modality invariants
 
 

@@ -153,3 +153,56 @@ def test_pickled_term_drops_its_cached_hash():
     hash(t)
     u = pickle.loads(pickle.dumps(t))
     assert u == t and "_hash" not in u.__dict__ and hash(u) == hash(t)
+
+
+def test_substitute_returns_the_term_when_no_bound_name_is_free():
+    t = SeqTo(Force(Var("f")), "y", Return(Var("y")))
+    assert substitute(t, {"x": numeral(1)}) is t
+    assert substitute(t, {"y": numeral(1)}) is t  # y is bound, not free
+    closed = Lambda("x", NAT, Return(Var("x")))
+    assert substitute(closed, {"x": numeral(2)}) is closed
+
+
+def test_substitute_shares_closed_subterms():
+    closed = Thunk(Return(numeral(5)))
+    other = Lambda("z", NAT, Return(Var("z")))
+    t = SeqTo(Force(closed), "y", SeqTo(Force(Var("f")), "w", Force(other)))
+    out = substitute(t, {"f": closed})
+    assert out == SeqTo(Force(closed), "y", SeqTo(Force(closed), "w", Force(other)))
+    assert out.com is t.com
+    assert out.body.body is t.body.body
+    assert out.body.com.value is closed
+
+
+def test_free_vars_are_cached_and_closed_terms_share_the_empty_set():
+    t = SeqTo(Force(Var("f")), "y", Return(Var("y")))
+    fv = free_vars(t)
+    assert fv == {"f"} and free_vars(t) is fv and t.__dict__["_fv"] is fv
+    assert free_vars(Return(numeral(3))) is free_vars(Lambda("x", NAT, Return(Var("x"))))
+
+
+def test_pickled_term_recomputes_its_free_vars():
+    import pickle
+
+    t = SeqTo(Force(Var("f")), "y", Return(Var("y")))
+    closed = Lambda("x", NAT, Return(Var("x")))
+    for term, want in ((t, {"f"}), (closed, set())):
+        free_vars(term)
+        u = pickle.loads(pickle.dumps(term))
+        assert u == term and "_fv" not in u.__dict__
+        assert free_vars(u) == want
+    assert free_vars(pickle.loads(pickle.dumps(closed))) is free_vars(closed)
+
+
+def test_hashed_terms_that_differ_are_unequal_at_the_root():
+    # built and hashed one level at a time, as the machine builds numerals;
+    # a field-by-field walk down 3000 levels would exceed the recursion limit
+    v = Zero()
+    for _ in range(3000):
+        v = Succ(v)
+        hash(v)
+    w = Succ(v)
+    hash(w)
+    assert w != v and not (v == w)
+    assert Return(w) != Return(v)
+    assert v == v and Succ(Succ(Zero())) == numeral(2)
