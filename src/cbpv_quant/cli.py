@@ -34,8 +34,8 @@ from .machine import eval_tree
 from .parser import parse_program
 from .satisfaction import Satisfier, satisfies_exact
 from .suites import Pools, enumerate_basic_formulas
-from .syntax import CbpvError
-from .trees import Leaf, NatFamily, Node, _Unknown
+from .syntax import CbpvError, NatIndexed, Return
+from .trees import Leaf, Node, _Unknown
 from .typecheck import EMPTY, infer_type
 
 
@@ -46,14 +46,14 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _render_tree(t, out: list[str], indent: int = 0, prefix: str = "") -> None:
+def _render_tree(t, sig, out: list[str], indent: int = 0, prefix: str = "") -> None:
+    """Append t's lines to out; the children of a nat-indexed node (a store
+    lookup) carry their index, `k: `."""
     pad = "  " * indent + prefix
     if isinstance(t, _Unknown):
         out.append(pad + "?")
     elif isinstance(t, Leaf):
         term = t.value
-        from .syntax import Return
-
         if isinstance(term, Return):
             out.append(pad + f"ret {term.value}")
         else:
@@ -61,13 +61,10 @@ def _render_tree(t, out: list[str], indent: int = 0, prefix: str = "") -> None:
     else:
         assert isinstance(t, Node)
         out.append(pad + _node_label(t) + ":")
-        ch = t.children
-        if isinstance(ch, NatFamily):
-            for i in range(ch.width):
-                _render_tree(ch.child(i), out, indent + 1, f"{i}: ")
-        else:
-            for c in ch:
-                _render_tree(c, out, indent + 1)
+        desc = sig.get(t.op)
+        indexed = desc is not None and isinstance(desc.arity, NatIndexed)
+        for i, c in enumerate(t.children):
+            _render_tree(c, sig, out, indent + 1, f"{i}: " if indexed else "")
 
 
 def _node_label(t: Node) -> str:
@@ -84,11 +81,7 @@ def _tree_json(t):
     if isinstance(t, Leaf):
         return {"leaf": str(t.value)}
     assert isinstance(t, Node)
-    ch = t.children
-    if isinstance(ch, NatFamily):
-        kids = [_tree_json(ch.child(i)) for i in range(ch.width)]
-        return {"op": t.op, "param": t.param, "children": kids, "family_width": ch.width}
-    return {"op": t.op, "param": t.param, "children": [_tree_json(c) for c in ch]}
+    return {"op": t.op, "param": t.param, "children": [_tree_json(c) for c in t.children]}
 
 
 def _interval_json(space, iv):
@@ -146,7 +139,7 @@ def cmd_eval(args) -> tuple[int, str]:
     fuel = rt.config.fuel
     tree = eval_tree(term, fuel, rt.signature, rt.width)
     lines: list[str] = []
-    _render_tree(tree, lines)
+    _render_tree(tree, rt.signature, lines)
     for line in lines:
         rep.text(line)
     rep.doc = {"fuel": fuel, "tree": _tree_json(tree)}
@@ -322,7 +315,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         sp.add_argument("--locations", help="store locations, comma-separated")
         sp.add_argument("--errors", help="error labels, comma-separated")
         sp.add_argument("--value-bound", dest="value_bound")
-        sp.add_argument("--explore-width", dest="explore_width")
         sp.add_argument("--numerals", help="numeral pool, comma-separated")
         sp.add_argument("--seed")
         if fuel:

@@ -11,7 +11,6 @@ The configuration document is key-value text (one `key = value` per line,
     errors          = [e1, e2]
     error_valuation.<q>.<e> = <truth value>   # e.g. states{l=1}, 0.5, top
     tolerance       = 1e-9
-    explore_width   = 16
     fuel            = 16
     suite_size      = 3
     seed            = 0
@@ -20,6 +19,11 @@ The configuration document is key-value text (one `key = value` per line,
 Command-line flags of the same names (`--value-bound 3`, `--locations l,r`)
 set the same fields: `apply_flags` converts them with the same table,
 `SETTINGS`, and they win over file values.
+
+A file holds defaults that every verb shares, so a verb ignores the keys it
+does not use: `typecheck` ignores `fuel` and `laws` ignores `numerals`.  As
+flags, the same settings are refused by those verbs, and an unrecognized key
+is an error.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ class RunConfig:
     errors: tuple[str, ...] = ("e",)
     error_valuations: tuple[tuple[str, str, str], ...] = ()  # (modality, label, literal)
     tolerance: float = 1e-9
-    explore_width: int = 16
     fuel: int = 16
     suite_size: int = 3
     seed: int = 0
@@ -124,7 +127,6 @@ SETTINGS: dict[str, Callable[[str], Any]] = {
     "value_bound": int,
     "errors": _items,
     "tolerance": float,
-    "explore_width": int,
     "fuel": int,
     "suite_size": _positive,
     "seed": int,
@@ -203,7 +205,9 @@ class Runtime:
 
     @property
     def width(self) -> int:
-        return self.config.explore_width
+        """The number of children of a nat-indexed node: a store lookup has
+        one per storable value, 0..value_bound-1."""
+        return self.config.value_bound
 
 
 def build_signature(cfg: RunConfig) -> EffectSignature:
@@ -231,11 +235,6 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     store = None
     if base in ("store", "prob+store"):
         store = StoreConfig(cfg.locations, cfg.value_bound)
-        if cfg.explore_width < cfg.value_bound:
-            raise ConfigError(
-                f"explore_width {cfg.explore_width} is below value_bound {cfg.value_bound}; "
-                f"store lookups would hit unexpanded children"
-            )
 
     space: TruthSpace
     auto = cfg.truth_space in ("auto", "")

@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .formulas import Formula, NegF, StepF, formula_size
 from .lattice import BoolSpace, TruthSpace
 from .modality import Interval, ModalitySpec, evaluate_interval
 from .satisfaction import Satisfier
-from .suites import FormulaSuite, Pools, enumerate_basic_formulas
+from .suites import FormulaSuite, Pools, args_for, enumerate_basic_formulas
 from .syntax import (
     Apply,
     ArrowType,
     CbpvError,
     ComTerm,
-    EffectSignature,
     Force,
     GenTerm,
     GenType,
@@ -39,27 +37,15 @@ from .syntax import (
     Return,
     SumType,
     ThunkType,
-    ValTerm,
-    ValType,
     free_vars,
     numeral_value,
 )
 from .trees import EffectTree, leaves
-from .typecheck import EMPTY, TypeCheckError, check_type, infer_type
+from .typecheck import EMPTY, infer_type
 
 
 class EquivalenceError(CbpvError):
     pass
-
-
-def _value_has_type(sig: EffectSignature, v: ValTerm, t: ValType) -> bool:
-    """Whether the closed value `v` checks at type `t`: the argument filter
-    of the formula and argument pools."""
-    try:
-        check_type(EMPTY, v, t, sig)
-        return True
-    except TypeCheckError:
-        return False
 
 
 # --------------------------------------------------------------------------
@@ -170,10 +156,8 @@ def find_distinguishing_formula(
     tc_ty = satisfier.type_of(right)
     if ty != tc_ty:
         raise EquivalenceError("terms of different types are trivially distinguished")
-    has_type = partial(_value_has_type, satisfier.sig)
-
     for size in range(1, max_size + 1):
-        suite = enumerate_basic_formulas(ty, size, pools, satisfier.modalities, has_type)
+        suite = enumerate_basic_formulas(ty, size, pools, satisfier.modalities)
         candidates: list[Formula] = []
         for phi in suite.formulas:
             if formula_size(phi) != size:
@@ -249,11 +233,13 @@ class ValuationFamily:
     exhaustive: bool = False
 
 
+RANDOM_GRIDS = 32  # random-grid valuations per family, when an rng is given
+
+
 def indicator_families(
     left_leaves: Sequence[Any],
     space: TruthSpace,
     rng=None,
-    n_random: int = 32,
     formula_valuations: Sequence[Mapping[Any, Any]] = (),
 ) -> ValuationFamily:
     """The default family: single- and pair-indicator valuations, any
@@ -274,7 +260,7 @@ def indicator_families(
     for i, fv in enumerate(formula_valuations):
         vals.append((f"formula-{i}", fv))
     if rng is not None:
-        for _ in range(n_random):
+        for _ in range(RANDOM_GRIDS):
             vals.append(("random-grid", {y: space.sample(rng) for y in uniq}))
     return ValuationFamily(tuple(vals), exhaustive=False)
 
@@ -343,7 +329,6 @@ class ClauseResult:
 @dataclass(frozen=True)
 class SimulationReport:
     results: tuple[ClauseResult, ...]
-    pool_bounded: bool = True  # arrow arguments were drawn from a finite pool
 
     @property
     def refuted(self) -> bool:
@@ -387,12 +372,8 @@ def check_simulation_bounded(
     candidate relation: structural dissection for value shapes, membership of
     derived pairs for thunks/arrows/products (arguments bounded by the pool),
     and the relator on the satisfier's effect trees at producer types."""
-    has_type = partial(_value_has_type, satisfier.sig)
     space = satisfier.space
     out: list[ClauseResult] = []
-
-    from .suites import args_for
-
     for ty in relation.types():
         for (m, n) in relation.pairs(ty):
             pair = (m, n)
@@ -427,7 +408,7 @@ def check_simulation_bounded(
             elif isinstance(ty, ArrowType):
                 missing = [
                     v
-                    for v in args_for(ty.dom, pools, has_type)
+                    for v in args_for(ty.dom, pools)
                     if not relation.contains(Apply(m, v), Apply(n, v), ty.cod)
                 ]
                 if missing:

@@ -21,6 +21,7 @@ from .syntax import (
     FiniteArity,
     Fix,
     Force,
+    Inj,
     Lambda,
     LetVal,
     NAT,
@@ -46,18 +47,16 @@ from .syntax import (
 )
 
 
+# numerals are drawn from 0..MAX_NAT; a computation is a fixpoint with
+# probability FIX_WEIGHT
+MAX_NAT = 4
+FIX_WEIGHT = 0.03
+
+
 class TermGen:
-    def __init__(
-        self,
-        rng: random.Random,
-        signature: EffectSignature,
-        max_nat: int = 4,
-        fix_weight: float = 0.03,
-    ):
+    def __init__(self, rng: random.Random, signature: EffectSignature):
         self.rng = rng
         self.sig = signature
-        self.max_nat = max_nat
-        self.fix_weight = fix_weight
         self._fresh = 0
 
     def fresh(self) -> str:
@@ -74,21 +73,15 @@ class TermGen:
         if isinstance(ty, UnitType):
             return UnitVal()
         if isinstance(ty, NatType):
-            return numeral(rng.randrange(self.max_nat + 1))
+            return numeral(rng.randrange(MAX_NAT + 1))
         if isinstance(ty, ThunkType):
             return Thunk(self.com(ctx, ty.com, max(0, depth - 1)))
         if isinstance(ty, SumType):
             label, comp = rng.choice(ty.variants)
-            return self._inj(label, self.val(ctx, comp, max(0, depth - 1)))
+            return Inj(label, self.val(ctx, comp, max(0, depth - 1)))
         if isinstance(ty, PairType):
             return Pair(self.val(ctx, ty.fst, max(0, depth - 1)), self.val(ctx, ty.snd, max(0, depth - 1)))
         raise ValueError(f"cannot generate a value of type {ty}")
-
-    @staticmethod
-    def _inj(label, arg):
-        from .syntax import Inj
-
-        return Inj(label, arg)
 
     # ---- computations
 
@@ -103,7 +96,7 @@ class TermGen:
             if isinstance(d.arity, FiniteArity) and d.arity.n == 0:
                 continue
             options.append(f"op:{d.name}")
-        if rng.random() < self.fix_weight:
+        if rng.random() < FIX_WEIGHT:
             options = ["fix"]
         choice = rng.choice(options)
         if choice == "terminal":
@@ -151,7 +144,7 @@ class TermGen:
             return EffOp(d.name, None, kids)
         if isinstance(d.arity, NatParam):
             kids = tuple(self.com(ctx, ty, depth - 1) for _ in range(d.arity.n))
-            return EffOp(d.name, numeral(self.rng.randrange(self.max_nat + 1)), kids)
+            return EffOp(d.name, numeral(self.rng.randrange(MAX_NAT + 1)), kids)
         assert isinstance(d.arity, NatIndexed)
         x = self.fresh()
         return EffOp(d.name, None, (), x, self.com({**ctx, x: NAT}, ty, depth - 1))

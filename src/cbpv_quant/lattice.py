@@ -323,9 +323,6 @@ class StateTableSpace(TruthSpace):
         self.top = (1.0,) * n
         self.bot = (0.0,) * n
 
-    def state_index(self, state: tuple[int, ...]) -> int:
-        return self.all_states.index(state)
-
     def leq(self, a, b):
         return all(x <= y for x, y in zip(a, b))
 

@@ -55,7 +55,7 @@ from .syntax import (
     Var,
     numeral,
 )
-from .trees import EffectTree, Leaf, Node, Unknown, eta, map_leaves, mu, tree_depth, truncate
+from .trees import EffectTree, Leaf, Node, Unknown, eta, leaves, map_leaves, mu, tree_depth, truncate
 
 
 class LawError(CbpvError):
@@ -308,8 +308,6 @@ def _o_rel(t, r, pairs, mods, space, memo=None) -> bool:
 
 
 def _leaf_set(t) -> list:
-    from .trees import leaves
-
     return list(dict.fromkeys(leaves(t)))
 
 

@@ -4,7 +4,9 @@ A configuration pairs a stack of evaluation frames with a focused computation.
 `eval_tree` builds the depth-n approximation of a term's effect tree: fuel 0
 yields Unknown, a terminal under the empty stack yields a leaf, and every
 machine step or effect node consumes one fuel unit, with effect children
-evaluated at one unit less.
+evaluated at one unit less.  A nat-indexed node (a store lookup) gets one
+child per storable value, 0..width-1, built eagerly into the node's tuple, so
+the finished tree is plain data that folds read without machine work.
 
 Between two effect nodes the machine is a pure function of the
 configuration, so a configuration that repeats within one silent stretch
@@ -47,7 +49,7 @@ from .syntax import (
     numeral_value,
     substitute,
 )
-from .trees import EffectTree, Leaf, NatFamily, Node, Unknown
+from .trees import EffectTree, Leaf, Node, Unknown
 
 
 class StuckError(CbpvError):
@@ -210,11 +212,13 @@ def eval_tree(
     m: ComTerm,
     fuel: int,
     signature: EffectSignature,
-    width: int = 16,
+    width: int = 3,
 ) -> EffectTree:
     """The fuel-indexed approximation |empty stack, m|_fuel of m's effect tree.
 
-    Nat-indexed children are materialized on demand up to `width`.
+    `width` is the number of children of a nat-indexed node: a store lookup
+    with value bound V has children 0..V-1, one per storable value, so pass
+    the store's value bound (the default is `RunConfig`'s).
     """
     if fuel < 0:
         raise CbpvError("fuel must be non-negative")
@@ -234,17 +238,10 @@ def _approx(c: Config, n: int, sig: EffectSignature, width: int) -> EffectTree:
             assert isinstance(out, Effect)
             desc = sig.get(m.op)
             if desc is not None and isinstance(desc.arity, NatIndexed):
-                fn = out.cont_fn
-                return Node(
-                    m.op,
-                    NatFamily(lambda k: _approx(fn(k), n - 1, sig, width), width),
-                    out.param,
-                )
-            return Node(
-                m.op,
-                tuple(_approx(cc, n - 1, sig, width) for cc in out.conts),
-                out.param,
-            )
+                conts = map(out.cont_fn, range(width))
+            else:
+                conts = out.conts
+            return Node(m.op, tuple(_approx(cc, n - 1, sig, width) for cc in conts), out.param)
         if not c.stack and is_terminal(m):
             return Leaf(m)
         out = machine_step(c)

@@ -8,9 +8,10 @@ index n.  A store lookup with value bound V reads children 0..V-1 once each,
 child v at index max(0, n - v), and then picks per state the child named by
 that state's value at the looked-up location.
 
-Combinators are data-in: fn(node, kids) sees the children's values in index
-order, never the children themselves, so each consulted child is evaluated
-once per walk.  Exact denotations run the recurrence once at an unbounded
+Trees are plain data, children in tuples, so a walk reads them and never runs
+the machine.  Combinators are data-in: fn(node, kids) sees the children's
+values in index order, never the children themselves, so each consulted child
+is evaluated once per walk.  Exact denotations run the recurrence once at an unbounded
 index.  Certified intervals take one walk at an index deep enough for the
 whole tree (`sufficient_depth`) that computes both bounds per node: the lower
 bound sends Unknown to bot, the upper bound to top, and each node applies its
@@ -36,7 +37,7 @@ from .lattice import (
     assert_interval_order,
 )
 from .syntax import CbpvError
-from .trees import EffectTree, Leaf, NatFamily, Node, _Unknown, leaves
+from .trees import EffectTree, Leaf, Node, _Unknown, leaves
 
 
 class ModalityError(CbpvError):
@@ -52,9 +53,9 @@ class OpRule:
     """Combinator for one operator: fn(node, kids) -> truth value.
 
     `kids` holds the values of the consulted children in index order.  A rule
-    without `family_consult` consults every child of a finite node at index
-    n - 1.  A rule with `family_consult` V is a store lookup: it consults
-    children 0..V-1, child v at index max(0, n - 1 - v).
+    without `family_consult` consults every child of the node at index n - 1.
+    A rule with `family_consult` V is a store lookup: it consults children
+    0..V-1, child v at index max(0, n - 1 - v).
     """
 
     fn: Callable[[Node, list], Any]
@@ -94,23 +95,14 @@ def exact_interval(v) -> Interval:
     return Interval(v, v, True)
 
 
-def child_at(children, i: int) -> EffectTree:
-    if isinstance(children, NatFamily):
-        return children.child(i)
+def child_at(children: tuple[EffectTree, ...], i: int) -> EffectTree:
     if i < 0 or i >= len(children):
-        raise ModalityError(f"child index {i} out of range for finite node")
+        raise ModalityError(f"child index {i} out of range for {len(children)} children")
     return children[i]
 
 
 # --------------------------------------------------------------------------
 # Evaluation
-
-
-def _unconsulted_family(q: ModalitySpec, t: Node) -> ModalityError:
-    return ModalityError(
-        f"operator {t.op!r} of modality {q.name} has a nat-indexed child family "
-        f"but its combinator declares no family_consult"
-    )
 
 
 def _denote(q: ModalitySpec, t: EffectTree, n: float, leaf: Callable[[Any], Any], unknown):
@@ -123,11 +115,7 @@ def _denote(q: ModalitySpec, t: EffectTree, n: float, leaf: Callable[[Any], Any]
     rule = q.rule(t.op)
     ch = t.children
     if rule.family_consult is None:
-        try:
-            width = len(ch)
-        except TypeError:  # a NatFamily has no len
-            raise _unconsulted_family(q, t) from None
-        kids = [_denote(q, child_at(ch, i), n - 1, leaf, unknown) for i in range(width)]
+        kids = [_denote(q, child_at(ch, i), n - 1, leaf, unknown) for i in range(len(ch))]
     else:
         kids = [
             _denote(q, child_at(ch, v), max(0, n - 1 - v), leaf, unknown)
@@ -148,13 +136,9 @@ def _bounds(q: ModalitySpec, t: EffectTree, n: int, leaf_lo, leaf_hi, bot, top) 
     rule = q.rule(t.op)
     ch = t.children
     if rule.family_consult is None:
-        try:
-            width = len(ch)
-        except TypeError:  # a NatFamily has no len
-            raise _unconsulted_family(q, t) from None
         kids = [
             _bounds(q, child_at(ch, i), n - 1, leaf_lo, leaf_hi, bot, top)
-            for i in range(width)
+            for i in range(len(ch))
         ]
     else:
         kids = [
@@ -178,15 +162,8 @@ def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
         return 1
     assert isinstance(t, Node)
     rule = q.rule(t.op)
-    ch = t.children
-    if isinstance(ch, NatFamily):
-        if rule.family_consult is None:
-            raise _unconsulted_family(q, t)
-        kids = [ch.child(i) for i in range(min(rule.family_consult, ch.width))]
-    else:
-        kids = list(ch)
     cost = 1 if rule.family_consult is None else rule.family_consult
-    return cost + max((sufficient_depth(q, c) for c in kids), default=0)
+    return cost + max((sufficient_depth(q, c) for c in t.children), default=0)
 
 
 def evaluate_interval(

@@ -82,6 +82,9 @@ class Satisfier:
     Modal intervals are keyed by equality, so formulas that compare equal
     share one entry: after `E<const 1.0>`, `E<const 1>` on the same term
     reports the stored `1.0` where a fresh Satisfier may report `1`.
+
+    `width` is the number of children of a nat-indexed node in the trees it
+    builds: a store's value bound, `Runtime.width`.
     """
 
     def __init__(
@@ -89,7 +92,7 @@ class Satisfier:
         signature: EffectSignature,
         modalities: dict[str, ModalitySpec],
         space: TruthSpace,
-        width: int = 16,
+        width: int = 3,
     ):
         self.sig = signature
         self.modalities = modalities

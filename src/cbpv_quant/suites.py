@@ -59,13 +59,11 @@ class SuiteError(CbpvError):
 
 @dataclass(frozen=True)
 class Pools:
-    """Generation material: numerals for {n} tests, closed argument values for
-    arrow types, and step thresholds."""
+    """Generation material: numerals for {n} tests and nat arguments, and
+    step thresholds."""
 
     numerals: tuple[int, ...] = (0, 1, 7)
-    arguments: tuple[ValTerm, ...] = ()
     constants: tuple[Any, ...] = ()
-    synthesize_defaults: bool = True
 
 
 @dataclass(frozen=True)
@@ -101,23 +99,16 @@ def default_com(ty: ComType):
     raise SuiteError(f"no default computation for {ty}")
 
 
-def args_for(ty: ValType, pools: Pools, type_of_value) -> list[ValTerm]:
-    """Closed argument candidates of the given type, drawn from the pool."""
+def args_for(ty: ValType, pools: Pools) -> list[ValTerm]:
+    """Closed argument candidates of the given type: the pool's distinct
+    numerals at nat, a default value of the type otherwise."""
     out = []
-    for v in pools.arguments:
-        try:
-            if type_of_value(v, ty):
-                out.append(v)
-        except CbpvError:
-            continue
     if isinstance(ty, NatType):
         for n in pools.numerals:
             v = numeral(n)
             if v not in out:
                 out.append(v)
     if not out:
-        if not pools.synthesize_defaults:
-            raise SuiteError(f"empty argument pool at type {ty}")
         out.append(default_val(ty))
     return out
 
@@ -127,12 +118,9 @@ def enumerate_basic_formulas(
     size: int,
     pools: Pools,
     modalities: dict[str, ModalitySpec],
-    type_of_value=None,
 ) -> FormulaSuite:
     """Every basic formula of syntactic size at most `size` at the target
     type, in a deterministic order (by size, then construction order)."""
-    if type_of_value is None:
-        type_of_value = lambda v, t: True
     memo: dict[tuple[int, int, bool], list[Formula]] = {}
 
     def go(ty: GenType, budget: int, root: bool) -> list[Formula]:
@@ -154,7 +142,7 @@ def enumerate_basic_formulas(
             out.extend(FstF(b) for b in go(ty.fst, budget - 1, False))
             out.extend(SndF(b) for b in go(ty.snd, budget - 1, False))
         elif isinstance(ty, ArrowType):
-            for v in args_for(ty.dom, pools, type_of_value):
+            for v in args_for(ty.dom, pools):
                 out.extend(ArgF(v, b) for b in go(ty.cod, budget - 1, False))
         elif isinstance(ty, ProductType):
             for l, t in ty.fields:

@@ -1,10 +1,11 @@
 """Effect trees and their algebra.
 
 A tree is a leaf (carrying an arbitrary payload), the Unknown marker for an
-unexplored/fuel-exhausted subtree, or an operator node.  Node children are
-either a finite tuple or an on-demand family indexed by naturals, explored up
-to a configured width.  Unknown records fuel exhaustion only; it is never a
-certificate of divergence.
+unexplored/fuel-exhausted subtree, or an operator node whose children are a
+plain tuple.  A nat-indexed operator (a store lookup) has one child per
+storable value, 0..V-1 for value bound V, built like any other child.
+Unknown records fuel exhaustion only; it is never a certificate of
+divergence.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from .syntax import CbpvError
 
 
 class TreeError(CbpvError):
-    pass
-
-
-class UnexpandedFamilyError(TreeError):
     pass
 
 
@@ -52,66 +49,21 @@ class _Unknown(EffectTree):
 Unknown = _Unknown()
 
 
-class NatFamily:
-    """A total, lazily materialized family of child trees indexed by naturals.
-
-    Indices below `width` may be forced; the memo is write-once per index, so
-    concurrent readers racing to compute an index still observe one value.
-    """
-
-    __slots__ = ("fn", "width", "_memo")
-
-    def __init__(self, fn: Callable[[int], EffectTree], width: int):
-        if width < 1:
-            raise TreeError("family width must be at least 1")
-        self.fn = fn
-        self.width = width
-        self._memo: dict[int, EffectTree] = {}
-
-    def child(self, i: int) -> EffectTree:
-        if i < 0 or i >= self.width:
-            raise UnexpandedFamilyError(
-                f"index {i} is beyond the exploration width {self.width}"
-            )
-        got = self._memo.get(i)
-        if got is None:
-            computed = self.fn(i)
-            got = self._memo.setdefault(i, computed)
-        return got
-
-    def prefix(self) -> tuple[EffectTree, ...]:
-        return tuple(self.child(i) for i in range(self.width))
-
-    def __eq__(self, other):
-        if not isinstance(other, NatFamily):
-            return NotImplemented
-        if self.width != other.width:
-            raise UnexpandedFamilyError(
-                f"cannot compare families of widths {self.width} and {other.width}"
-            )
-        return self.prefix() == other.prefix()
-
-
-Children = Union[tuple[EffectTree, ...], NatFamily]
-
-
 class Node(EffectTree):
     __slots__ = ("op", "param", "children")
 
-    def __init__(self, op: str, children: Children, param: Optional[int] = None):
+    def __init__(self, op: str, children: tuple[EffectTree, ...], param: Optional[int] = None):
         self.op = op
         self.param = param
         self.children = children
 
     def __eq__(self, other):
-        if not isinstance(other, Node):
-            return False
-        if self.op != other.op or self.param != other.param:
-            return False
-        a, b = self.children, other.children
-        if isinstance(a, tuple) != isinstance(b, tuple):
-            return False
-        return a == b
+        return (
+            isinstance(other, Node)
+            and self.op == other.op
+            and self.param == other.param
+            and self.children == other.children
+        )
 
     def __repr__(self):
         return f"Node({self.op!r}, param={self.param!r})"
@@ -129,10 +81,7 @@ def map_leaves(t: EffectTree, f: Callable[[Any], Any]) -> EffectTree:
     if isinstance(t, _Unknown):
         return t
     assert isinstance(t, Node)
-    ch = t.children
-    if isinstance(ch, tuple):
-        return Node(t.op, tuple(map_leaves(c, f) for c in ch), t.param)
-    return Node(t.op, NatFamily(lambda i: map_leaves(ch.child(i), f), ch.width), t.param)
+    return Node(t.op, tuple(map_leaves(c, f) for c in t.children), t.param)
 
 
 def leaf_substitute(t: EffectTree, valuation: Union[Mapping[Any, Any], Callable[[Any], Any]]) -> EffectTree:
@@ -161,23 +110,15 @@ def graft(t: EffectTree) -> EffectTree:
     if isinstance(t, _Unknown):
         return t
     assert isinstance(t, Node)
-    ch = t.children
-    if isinstance(ch, tuple):
-        return Node(t.op, tuple(graft(c) for c in ch), t.param)
-    return Node(t.op, NatFamily(lambda i: graft(ch.child(i)), ch.width), t.param)
+    return Node(t.op, tuple(graft(c) for c in t.children), t.param)
 
 
 mu = graft
 
 
-def _child_list(t: Node) -> tuple[EffectTree, ...]:
-    ch = t.children
-    return ch if isinstance(ch, tuple) else ch.prefix()
-
-
 def tree_leq(t: EffectTree, r: EffectTree) -> bool:
     """The approximation order: t below r iff t is r with some subtrees pruned
-    to Unknown.  Families are compared over their exploration width."""
+    to Unknown."""
     if isinstance(t, _Unknown):
         return True
     if isinstance(t, Leaf):
@@ -186,14 +127,6 @@ def tree_leq(t: EffectTree, r: EffectTree) -> bool:
     if not isinstance(r, Node) or t.op != r.op or t.param != r.param:
         return False
     tc, rc = t.children, r.children
-    if isinstance(tc, tuple) != isinstance(rc, tuple):
-        return False
-    if isinstance(tc, NatFamily):
-        if tc.width != rc.width:
-            raise UnexpandedFamilyError(
-                f"cannot compare families of widths {tc.width} and {rc.width}"
-            )
-        return all(tree_leq(tc.child(i), rc.child(i)) for i in range(tc.width))
     if len(tc) != len(rc):
         return False
     return all(tree_leq(a, b) for a, b in zip(tc, rc))
@@ -203,8 +136,7 @@ def tree_depth(t: EffectTree) -> int:
     if isinstance(t, (Leaf, _Unknown)):
         return 0
     assert isinstance(t, Node)
-    kids = _child_list(t)
-    return 1 + (max((tree_depth(c) for c in kids), default=0))
+    return 1 + (max((tree_depth(c) for c in t.children), default=0))
 
 
 def truncate(t: EffectTree, depth: int) -> EffectTree:
@@ -214,18 +146,15 @@ def truncate(t: EffectTree, depth: int) -> EffectTree:
     if isinstance(t, (Leaf, _Unknown)):
         return t
     assert isinstance(t, Node)
-    ch = t.children
-    if isinstance(ch, tuple):
-        return Node(t.op, tuple(truncate(c, depth - 1) for c in ch), t.param)
-    return Node(t.op, NatFamily(lambda i: truncate(ch.child(i), depth - 1), ch.width), t.param)
+    return Node(t.op, tuple(truncate(c, depth - 1) for c in t.children), t.param)
 
 
 def leaves(t: EffectTree) -> Iterator[Any]:
-    """Iterate leaf payloads, materializing families up to their width."""
+    """Iterate leaf payloads, depth-first in child order."""
     if isinstance(t, Leaf):
         yield t.value
     elif isinstance(t, Node):
-        for c in _child_list(t):
+        for c in t.children:
             yield from leaves(c)
 
 
@@ -234,4 +163,4 @@ def contains_unknown(t: EffectTree) -> bool:
         return True
     if isinstance(t, Leaf):
         return False
-    return any(contains_unknown(c) for c in _child_list(t))
+    return any(contains_unknown(c) for c in t.children)

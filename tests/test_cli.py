@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -59,6 +60,48 @@ def test_eval_nat_param_rendering(tmp_path):
     )
     assert code == 0
     assert report.splitlines()[0] == "update[l:=3]:"
+
+
+COPIER = os.path.join(os.path.dirname(__file__), "..", "programs", "copier.cbpv")
+
+
+def test_eval_lists_one_child_per_storable_value():
+    argv = ["eval", COPIER, "--signature", "store+nondet", "--value-bound", "3", "--fuel", "6"]
+    code, report = run(argv)
+    assert code == 0
+    assert report.splitlines() == [
+        "nor:",
+        "  lookup[l]:",
+        "    0: update[r:=0]:",
+        "      ret 0",
+        "    1: update[r:=1]:",
+        "      ret 1",
+        "    2: update[r:=2]:",
+        "      ret 2",
+        "  lookup[r]:",
+        "    0: update[l:=0]:",
+        "      ret 0",
+        "    1: update[l:=1]:",
+        "      ret 1",
+        "    2: update[l:=2]:",
+        "      ret 2",
+    ]
+    code, report = run(argv + ["--json"])
+    lookup = json.loads(report)["tree"]["children"][0]
+    assert lookup["op"] == "lookup[l]" and len(lookup["children"]) == 3
+    assert "family_width" not in lookup
+
+
+def test_explore_width_flag_and_key_are_gone(tmp_path):
+    argv = ["eval", COPIER, "--signature", "store", "--fuel", "6"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--explore-width", "16"])
+    assert exc.value.code == 2
+    conf = tmp_path / "run.toml"
+    conf.write_text("explore_width = 16\n")
+    code, report = run(argv + ["--config", str(conf)])
+    assert code == 2
+    assert report == "error: line 1: unknown key 'explore_width'"
 
 
 def test_sat_coin(progdir):
@@ -435,3 +478,16 @@ def test_laws_rejects_numerals_naming_the_fixed_pool():
     assert code == 2
     assert report.startswith("error: --numerals: ") and "\n" not in report
     assert ", ".join(map(str, CONGRUENCE_NUMERALS)) in report
+
+
+def test_laws_ignores_a_config_files_numerals_but_refuses_the_flag(tmp_path):
+    # a config file holds defaults every verb shares, so laws skips the
+    # numerals key it does not use; the flag is refused
+    base = ["laws", "--modality", "E", "--samples", "1", "--trials", "5", "--no-relator", "--json"]
+    conf = tmp_path / "run.toml"
+    conf.write_text("signature = prob\nnumerals = [3, 4]\n")
+    from_file = run(base + ["--config", str(conf)])
+    assert from_file[0] == 0
+    assert from_file == run(base + ["--signature", "prob"])
+    code, report = run(base + ["--signature", "prob", "--numerals", "3,4"])
+    assert code == 2 and report.startswith("error: --numerals: ")

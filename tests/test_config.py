@@ -24,7 +24,6 @@ def test_parse_config_document():
         errors = [e1, e2]
         error_valuation.G.e1 = states{l=1}
         tolerance = 1e-9
-        explore_width = 16
         fuel = 12
         numerals = [0, 1, 7]
         """
@@ -83,11 +82,6 @@ def test_error_valuation_defaults_to_bottom():
     from cbpv_quant.modality import denote_limit
 
     assert denote_limit(cf, Node("raise[e1]", ())) == math.inf
-
-
-def test_explore_width_must_cover_store():
-    with pytest.raises(ConfigError, match="explore_width"):
-        build_runtime(RunConfig(signature="store", value_bound=20, explore_width=4))
 
 
 def test_parse_truth_values():

@@ -30,7 +30,7 @@ from cbpv_quant.syntax import (
     is_terminal,
     numeral,
 )
-from cbpv_quant.trees import Leaf, NatFamily, Node, Unknown, contains_unknown, tree_leq
+from cbpv_quant.trees import Leaf, Node, Unknown, contains_unknown, tree_leq
 
 PROB = build_signature(RunConfig(signature="prob"))
 STORE = build_signature(RunConfig(signature="store", locations=("l",)))
@@ -122,7 +122,15 @@ def test_nat_indexed_children_are_lazy():
     prog = parse_program("lookup[l](x. return x)", STORE)
     t = eval_tree(prog, 3, STORE, width=8)
     assert t.op == "lookup[l]"
-    assert t.children.child(5) == Leaf(Return(numeral(5)))
+    assert t.children[5] == Leaf(Return(numeral(5)))
+
+
+def test_lookup_has_one_child_per_storable_value():
+    # the machine builds a lookup as laws.random_value_tree does: a plain
+    # tuple of V children, so machine-built and law-built lookups compare equal
+    prog = parse_program("lookup[l](x. return x)", STORE)
+    t = eval_tree(prog, 3, STORE, width=3)
+    assert t == Node("lookup[l]", tuple(Leaf(Return(numeral(k))) for k in range(3)))
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -154,11 +162,10 @@ def _naive_approx(c, n, sig, width):
             out = machine_step(c)
             desc = sig.get(m.op)
             if desc is not None and isinstance(desc.arity, NatIndexed):
-                fn = out.cont_fn
-                return Node(
-                    m.op, NatFamily(lambda k: _naive_approx(fn(k), n - 1, sig, width), width), out.param
-                )
-            return Node(m.op, tuple(_naive_approx(cc, n - 1, sig, width) for cc in out.conts), out.param)
+                conts = map(out.cont_fn, range(width))
+            else:
+                conts = out.conts
+            return Node(m.op, tuple(_naive_approx(cc, n - 1, sig, width) for cc in conts), out.param)
         if not c.stack and is_terminal(m):
             return Leaf(m)
         c = machine_step(c).config

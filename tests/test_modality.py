@@ -6,12 +6,9 @@ import pytest
 
 from cbpv_quant.laws import random_value_tree, standard_modalities
 from cbpv_quant.lattice import StateSetSpace, StateTableSpace, StoreConfig
-from cbpv_quant import modality
 from cbpv_quant.modality import (
     Interval,
     ModalityError,
-    ModalitySpec,
-    OpRule,
     cost_modality,
     denote_at_depth,
     denote_interval,
@@ -25,7 +22,7 @@ from cbpv_quant.modality import (
     store_modality,
     sufficient_depth,
 )
-from cbpv_quant.trees import Leaf, NatFamily, Node, Unknown, eta, leaves, map_leaves
+from cbpv_quant.trees import Leaf, Node, Unknown, eta, leaves, map_leaves
 
 E = expectation_modality()
 C = cost_modality()
@@ -205,27 +202,6 @@ def test_interval_walk_matches_recurrence_at_sufficient_depth(name):
             assert iv.hi == denote_at_depth(q, upper, d)
             assert iv.exact == (iv.lo == iv.hi)
     assert filled, "no sampled tree contained Unknown"
-
-
-def test_combinator_without_family_consult_on_a_family_is_refused():
-    # a rule that declares no family_consult reads a finite child tuple; on a
-    # nat-indexed family every walk names the operator instead of crashing
-    t = Node("por", NatFamily(lambda i: eta(0.5), 2))
-    for walk in (
-        lambda: sufficient_depth(E, t),
-        lambda: evaluate_interval(E, t),
-        lambda: denote_limit(E, t),
-        lambda: denote_at_depth(E, t, 3),
-        # the pair walk refuses on its own too, though evaluate_interval
-        # meets the sufficient_depth gate first
-        lambda: modality._bounds(E, t, 3, lambda v: v, lambda v: v, 0.0, 1.0),
-    ):
-        with pytest.raises(ModalityError, match="'por'"):
-            walk()
-    # with family_consult declared, the same node is a lookup and folds
-    rules = {"por": OpRule(lambda node, kids: kids[1], family_consult=2)}
-    lookup = ModalitySpec("Elookup", E.space, rules)
-    assert evaluate_interval(lookup, t) == Interval(0.5, 0.5, True)
 
 
 def test_exact_denotation_is_not_bounded_by_sufficient_depth():

@@ -312,6 +312,19 @@ def test_interval_nesting_on_generated_programs(signame):
                 prev = iv
 
 
+def test_satisfier_builds_one_lookup_child_per_storable_value():
+    from cbpv_quant.config import RunConfig, build_runtime
+
+    rt = build_runtime(RunConfig(signature="store+nondet", locations=("l",), value_bound=2))
+    sat = _sat(rt)
+    prog = parse_program("nor(lookup[l](x. return x), return 0)", rt.signature)
+    lookup = sat.tree(prog, 8).children[0]
+    assert lookup.op == "lookup[l]"
+    assert isinstance(lookup.children, tuple) and len(lookup.children) == 2
+    phi = parse_formula("Gopt<{1}>", rt.signature, rt.space)
+    assert sat.satisfies(prog, phi, 8).interval.lo == frozenset({(1,)})
+
+
 def test_error_lift_through_lookup_family(store_rt):
     from cbpv_quant.config import RunConfig, build_runtime
 

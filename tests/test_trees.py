@@ -4,10 +4,8 @@ import pytest
 
 from cbpv_quant.trees import (
     Leaf,
-    NatFamily,
     Node,
     Unknown,
-    UnexpandedFamilyError,
     contains_unknown,
     eta,
     leaf_substitute,
@@ -85,49 +83,8 @@ def test_truncate_chain():
         assert tree_leq(a, b)
 
 
-def test_family_is_write_once_and_bounded():
-    calls = []
-
-    def fn(i):
-        calls.append(i)
-        return Leaf(i)
-
-    fam = NatFamily(fn, width=4)
-    assert fam.child(2) == Leaf(2)
-    assert fam.child(2) == Leaf(2)
-    assert calls == [2]
-    with pytest.raises(UnexpandedFamilyError):
-        fam.child(4)
-
-
-def test_family_width_mismatch_raises_on_compare():
-    a = Node("lookup[l]", NatFamily(lambda i: Leaf(i), 3))
-    b = Node("lookup[l]", NatFamily(lambda i: Leaf(i), 4))
-    with pytest.raises(UnexpandedFamilyError):
-        tree_leq(a, b)
-
-
 def test_leaves_and_contains_unknown():
     t = Node("nor", (Leaf(1), Node("nor", (Unknown, Leaf(2)))))
     assert list(leaves(t)) == [1, 2]
     assert contains_unknown(t)
     assert not contains_unknown(Leaf(1))
-
-
-def test_family_single_value_under_concurrent_readers():
-    import threading
-
-    fam = NatFamily(lambda i: Leaf((i, object())), width=8)
-    seen = []
-    barrier = threading.Barrier(8)
-
-    def worker():
-        barrier.wait()
-        seen.append(fam.child(3))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(s is seen[0] for s in seen)
