@@ -24,12 +24,7 @@ from .equivalence import (
     find_distinguishing_formula,
 )
 from .formulas import parse_formula, print_formula
-from .laws import (
-    CONGRUENCE_NUMERALS,
-    LawParams,
-    run_law_suite,
-    standard_modalities,
-)
+from .laws import LawParams, run_law_suite, standard_modalities
 from .machine import eval_tree
 from .parser import parse_program
 from .satisfaction import Satisfier, satisfies_exact
@@ -252,9 +247,6 @@ def _default_constants(rt: Runtime):
 
 
 def cmd_laws(args) -> tuple[int, str]:
-    if args.numerals is not None:
-        pool = ", ".join(map(str, CONGRUENCE_NUMERALS))
-        raise ConfigError(f"--numerals: laws uses the fixed numeral pool {pool}")
     rt = _runtime(args)
     rep = Reporter(args.json)
     params = LawParams(
@@ -300,6 +292,14 @@ def cmd_laws(args) -> tuple[int, str]:
 # Entry point
 
 
+_FLAG_HELP = {
+    "signature": "effect signature selector",
+    "locations": "store locations, comma-separated",
+    "errors": "error labels, comma-separated",
+    "numerals": "numeral pool, comma-separated",
+}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     """A fresh parser for every verb and its flags."""
     p = argparse.ArgumentParser(
@@ -308,33 +308,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, fuel=True):
+    def common(sp, *settings):
+        """The output flags, the signature settings every verb reads, and
+        the further `settings` this verb reads, each a `--flag` of its own."""
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--config", help="configuration file (default ./cbpv-quant.toml if present)")
-        sp.add_argument("--signature", help="effect signature selector")
-        sp.add_argument("--locations", help="store locations, comma-separated")
-        sp.add_argument("--errors", help="error labels, comma-separated")
-        sp.add_argument("--value-bound", dest="value_bound")
-        sp.add_argument("--numerals", help="numeral pool, comma-separated")
-        sp.add_argument("--seed")
-        if fuel:
-            sp.add_argument("--fuel")
+        for key in ("signature", "locations", "errors", "value_bound", *settings):
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAG_HELP.get(key))
 
     sp = sub.add_parser("typecheck", help="infer the type of a program")
     sp.add_argument("program")
-    common(sp, fuel=False)
+    common(sp)
     sp.set_defaults(fn=cmd_typecheck)
 
     sp = sub.add_parser("eval", help="print a program's effect tree")
     sp.add_argument("program")
-    common(sp)
+    common(sp, "fuel")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("sat", help="degree to which a program satisfies a formula")
     sp.add_argument("program")
     sp.add_argument("formula")
     sp.add_argument("--exact", action="store_true", help="double the fuel until exact (capped)")
-    common(sp)
+    common(sp, "fuel")
     sp.set_defaults(fn=cmd_sat)
 
     sp = sub.add_parser("compare", help="behavioural comparison over a formula suite")
@@ -342,14 +338,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("right")
     sp.add_argument("--suite-size", dest="suite_size")
     sp.add_argument("--both", action="store_true", help="report each direction separately")
-    common(sp)
+    common(sp, "numerals", "fuel")
     sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("distinguish", help="search for a distinguishing formula")
     sp.add_argument("left")
     sp.add_argument("right")
     sp.add_argument("--max-size", dest="max_size", type=int, default=4)
-    common(sp)
+    common(sp, "numerals", "fuel")
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("laws", help="run the modality law suites")
@@ -359,7 +355,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100, help="congruence spot-check trials")
     sp.add_argument("--no-relator", action="store_true")
     sp.add_argument("--no-congruence", action="store_true")
-    common(sp)
+    common(sp, "seed", "fuel")
     sp.set_defaults(fn=cmd_laws)
     return p
 

@@ -21,9 +21,10 @@ set the same fields: `apply_flags` converts them with the same table,
 `SETTINGS`, and they win over file values.
 
 A file holds defaults that every verb shares, so a verb ignores the keys it
-does not use: `typecheck` ignores `fuel` and `laws` ignores `numerals`.  As
-flags, the same settings are refused by those verbs, and an unrecognized key
-is an error.
+does not use: `typecheck` ignores `fuel`, only `compare` and `distinguish`
+read `numerals`, and only `laws` reads `seed`.  A verb has a flag only for
+the settings it reads, so the others are refused as flags, and an
+unrecognized key is an error.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def check_formula(
             if not isinstance(ty, ArrowType):
                 raise FormulaTypeError(f"argument formulas live at arrow types, not {ty}")
             try:
-                tc.check_val(EMPTY, phi.arg, ty.dom)
+                tc.val(EMPTY, phi.arg, ty.dom)
             except TypeCheckError as e:
                 raise FormulaTypeError(f"formula argument {phi.arg}: {e}") from None
             return go(phi.body, ty.cod)
@@ -448,16 +448,19 @@ class FormulaParser(Parser):
                 text = f"{text}.{frac.text}"
         return float(text)
 
+    def _store_value(self) -> int:
+        tok = self.peek()
+        if tok.kind != "int":
+            raise ParseError("expected a store value", tok.line, tok.col)
+        self.next()
+        return int(tok.text)
+
     def _constraint(self) -> dict[str, int]:
         out: dict[str, int] = {}
         while not self.at("}"):
             loc = self.name()
             self.expect("=")
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ParseError("expected a store value", tok.line, tok.col)
-            self.next()
-            out[loc] = int(tok.text)
+            out[loc] = self._store_value()
             if not self.eat(","):
                 break
         return out
@@ -483,14 +486,13 @@ class FormulaParser(Parser):
         store = self.space.store
         out = []
         while self.eat("["):
-            binding = {}
+            state = [0] * len(store.locations)
             while not self.at("]"):
-                loc = self.name()
+                loc = store.index(self.name())
                 self.expect("=")
-                tok = self.next()
-                binding[loc] = int(tok.text)
+                state[loc] = self._store_value()
             self.expect("]")
-            out.append(tuple(binding.get(l, 0) for l in store.locations))
+            out.append(tuple(state))
             if not self.eat(","):
                 break
         self.expect("}")

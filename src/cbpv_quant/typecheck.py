@@ -1,9 +1,16 @@
-"""Bidirectional type checker for the two term judgements.
+r"""Bidirectional type checker for the two term judgements.
 
-Lambda binders carry full annotations, so synthesis is syntax-directed except
-at injections and nullary effect operators, which only check; checking
-positions (application arguments, return values against an expected producer
-type, ...) recover those.
+There is one value judgement, `TypeChecker.val`, and one computation
+judgement, `TypeChecker.com`.  Each takes an optional expected type `want`:
+without it the judgement synthesizes a type, with it the judgement checks
+against `want` and returns it.  Lambda binders carry full annotations, so
+synthesis is syntax-directed except at injections and nullary effect
+operators, which only check.  The expected type flows into the bodies of
+`to`, `let`, `case`, `pm`, nat-indexed effect nodes and `fix`, and into the
+redex heads `force (thunk M)`, `(\x. M) V` and `<..> # l`, which recovers
+those forms in checking positions (application arguments, return values
+against an expected producer type, ...).  Forms that only synthesize compare
+the synthesized type against `want` once, at the end.
 """
 
 from __future__ import annotations
@@ -86,117 +93,83 @@ class TypeChecker:
     def __init__(self, signature: EffectSignature):
         self.sig = signature
 
-    # ---- value terms
-
-    def infer_val(self, ctx: Context, v: ValTerm) -> ValType:
-        if isinstance(v, UnitVal):
-            return UNIT
-        if isinstance(v, Zero):
-            return NAT
-        if isinstance(v, Succ):
-            self.check_val(ctx, v.arg, NAT)
-            return NAT
-        if isinstance(v, Var):
-            ty = ctx.lookup(v.name)
-            if ty is None:
-                raise TypeCheckError(f"unbound variable {v.name}", "var")
-            return ty
-        if isinstance(v, Thunk):
-            return ThunkType(self.infer_com(ctx, v.com))
-        if isinstance(v, Pair):
-            return PairType(self.infer_val(ctx, v.fst), self.infer_val(ctx, v.snd))
+    def val(self, ctx: Context, v: ValTerm, want: Optional[ValType] = None) -> ValType:
+        """Synthesize the type of `v`, or check `v` against `want` and return it."""
         if isinstance(v, Inj):
-            raise TypeCheckError(
-                f"cannot synthesize a sum type for inj {v.label}; "
-                f"use it in a checking position (e.g. as a function argument)",
-                "inj",
-            )
-        raise TypeCheckError(f"unknown value term {v!r}")
-
-    def check_val(self, ctx: Context, v: ValTerm, ty: ValType) -> None:
-        if isinstance(v, Inj):
-            if not isinstance(ty, SumType):
-                raise TypeCheckError(f"inj {v.label} checked against non-sum type {ty}", "inj")
-            comp = ty.label_type(v.label)
+            if want is None:
+                raise TypeCheckError(
+                    f"cannot synthesize a sum type for inj {v.label}; "
+                    f"use it in a checking position (e.g. as a function argument)",
+                    "inj",
+                )
+            if not isinstance(want, SumType):
+                raise TypeCheckError(f"inj {v.label} checked against non-sum type {want}", "inj")
+            comp = want.label_type(v.label)
             if comp is None:
-                raise TypeCheckError(f"label {v.label} not in {ty}", "inj")
-            self.check_val(ctx, v.arg, comp)
-            return
-        if isinstance(v, Thunk) and isinstance(ty, ThunkType):
-            self.check_com(ctx, v.com, ty.com)
-            return
-        if isinstance(v, Pair) and isinstance(ty, PairType):
-            self.check_val(ctx, v.fst, ty.fst)
-            self.check_val(ctx, v.snd, ty.snd)
-            return
-        found = self.infer_val(ctx, v)
-        if found != ty:
-            raise TypeCheckError(f"expected {ty}, found {found} for {v}", "check")
+                raise TypeCheckError(f"label {v.label} not in {want}", "inj")
+            self.val(ctx, v.arg, comp)
+            return want
+        if isinstance(v, UnitVal):
+            found: ValType = UNIT
+        elif isinstance(v, Zero):
+            found = NAT
+        elif isinstance(v, Succ):
+            found = self.val(ctx, v.arg, NAT)
+        elif isinstance(v, Var):
+            found = ctx.lookup(v.name)
+            if found is None:
+                raise TypeCheckError(f"unbound variable {v.name}", "var")
+        elif isinstance(v, Thunk):
+            found = ThunkType(self.com(ctx, v.com, want.com if isinstance(want, ThunkType) else None))
+        elif isinstance(v, Pair):
+            pw = want if isinstance(want, PairType) else None
+            found = PairType(self.val(ctx, v.fst, pw and pw.fst), self.val(ctx, v.snd, pw and pw.snd))
+        else:
+            raise TypeCheckError(f"unknown value term {v!r}")
+        return _agree(found, want, v)
 
-    # ---- computation terms
-
-    def infer_com(self, ctx: Context, m: ComTerm) -> ComType:
+    def com(self, ctx: Context, m: ComTerm, want: Optional[ComType] = None) -> ComType:
+        """Synthesize the type of `m`, or check `m` against `want` and return it."""
         if isinstance(m, Return):
-            return ProducerType(self.infer_val(ctx, m.value))
+            if want is not None and not isinstance(want, ProducerType):
+                raise TypeCheckError(f"return checked against non-producer type {want}", "return")
+            return ProducerType(self.val(ctx, m.value, want and want.val))
+        if isinstance(m, Lambda):
+            if want is not None:
+                if not isinstance(want, ArrowType):
+                    raise TypeCheckError(f"lambda checked against non-arrow type {want}", "lam")
+                if m.dom != want.dom:
+                    raise TypeCheckError(
+                        f"lambda annotation {m.dom} differs from expected domain {want.dom}", "lam"
+                    )
+            return ArrowType(m.dom, self.com(ctx.extend(m.binder, m.dom), m.body, want and want.cod))
+        if isinstance(m, Record):
+            if want is None:
+                return ProductType(tuple((l, self.com(ctx, body)) for l, body in m.fields))
+            if not isinstance(want, ProductType):
+                raise TypeCheckError(f"record checked against non-product type {want}", "record")
+            have = sorted(l for l, _ in m.fields)
+            need = sorted(l for l, _ in want.fields)
+            if have != need:
+                raise TypeCheckError(f"record labels {have} do not match {need}", "record")
+            for l, body in m.fields:
+                self.com(ctx, body, want.label_type(l))
+            return want
         if isinstance(m, SeqTo):
-            mt = self.infer_com(ctx, m.com)
+            mt = self.com(ctx, m.com)
             if not isinstance(mt, ProducerType):
                 raise TypeCheckError(f"`to` sequences a producer, found {mt}", "to")
-            return self.infer_com(ctx.extend(m.binder, mt.val), m.body)
-        if isinstance(m, Force):
-            vt = self.infer_val(ctx, m.value)
-            if not isinstance(vt, ThunkType):
-                raise TypeCheckError(f"force expects a thunk, found {vt}", "force")
-            return vt.com
-        if isinstance(m, Lambda):
-            return ArrowType(m.dom, self.infer_com(ctx.extend(m.binder, m.dom), m.body))
-        if isinstance(m, Apply):
-            ft = self.infer_com(ctx, m.com)
-            if not isinstance(ft, ArrowType):
-                raise TypeCheckError(f"{ft} is not an arrow type; cannot apply", "app")
-            self.check_val(ctx, m.arg, ft.dom)
-            return ft.cod
+            return self.com(ctx.extend(m.binder, mt.val), m.body, want)
         if isinstance(m, LetVal):
-            vt = self.infer_val(ctx, m.value)
-            return self.infer_com(ctx.extend(m.binder, vt), m.body)
-        if isinstance(m, CaseNat):
-            self.check_val(ctx, m.scrutinee, NAT)
-            return self._shared_branch_type(
-                "case",
-                [(ctx, m.zero_branch), (ctx.extend(m.succ_binder, NAT), m.succ_branch)],
-            )
-        if isinstance(m, CaseSum):
-            st = self.infer_val(ctx, m.scrutinee)
-            if not isinstance(st, SumType):
-                raise TypeCheckError(f"pm over non-sum type {st}", "pm-sum")
-            labels = [l for l, _, _ in m.branches]
-            expected = [l for l, _ in st.variants]
-            if sorted(labels) != sorted(expected):
-                raise TypeCheckError(
-                    f"branches {labels} do not cover the sum labels {expected}", "pm-sum"
-                )
-            return self._shared_branch_type(
-                "pm-sum",
-                [(ctx.extend(x, st.label_type(l)), body) for l, x, body in m.branches],
-            )
+            return self.com(ctx.extend(m.binder, self.val(ctx, m.value)), m.body, want)
         if isinstance(m, CasePair):
-            st = self.infer_val(ctx, m.scrutinee)
+            st = self.val(ctx, m.scrutinee)
             if not isinstance(st, PairType):
                 raise TypeCheckError(f"pm over non-pair type {st}", "pm-pair")
             bctx = ctx.extend(m.fst_binder, st.fst).extend(m.snd_binder, st.snd)
-            return self.infer_com(bctx, m.body)
-        if isinstance(m, Record):
-            return ProductType(tuple((l, self.infer_com(ctx, body)) for l, body in m.fields))
-        if isinstance(m, Proj):
-            pt = self.infer_com(ctx, m.com)
-            if not isinstance(pt, ProductType):
-                raise TypeCheckError(f"projection from non-product type {pt}", "proj")
-            comp = pt.label_type(m.label)
-            if comp is None:
-                raise TypeCheckError(f"label {m.label} not in {pt}", "proj")
-            return comp
+            return self.com(bctx, m.body, want)
         if isinstance(m, Fix):
-            ft = self.infer_com(ctx, m.com)
+            ft = self.com(ctx, m.com, want and ArrowType(ThunkType(want), want))
             if (
                 not isinstance(ft, ArrowType)
                 or not isinstance(ft.dom, ThunkType)
@@ -206,42 +179,25 @@ class TypeChecker:
                     f"fix expects an argument of type U C -> C, found {ft}", "fix"
                 )
             return ft.cod
-        if isinstance(m, EffOp):
-            return self._infer_effop(ctx, m)
-        raise TypeCheckError(f"unknown computation term {m!r}")
-
-    def check_com(self, ctx: Context, m: ComTerm, ty: ComType) -> None:
-        if isinstance(m, Return):
-            if not isinstance(ty, ProducerType):
-                raise TypeCheckError(f"return checked against non-producer type {ty}", "return")
-            self.check_val(ctx, m.value, ty.val)
-            return
-        if isinstance(m, Lambda):
-            if not isinstance(ty, ArrowType):
-                raise TypeCheckError(f"lambda checked against non-arrow type {ty}", "lam")
-            if m.dom != ty.dom:
-                raise TypeCheckError(
-                    f"lambda annotation {m.dom} differs from expected domain {ty.dom}", "lam"
-                )
-            self.check_com(ctx.extend(m.binder, m.dom), m.body, ty.cod)
-            return
-        if isinstance(m, SeqTo):
-            mt = self.infer_com(ctx, m.com)
-            if not isinstance(mt, ProducerType):
-                raise TypeCheckError(f"`to` sequences a producer, found {mt}", "to")
-            self.check_com(ctx.extend(m.binder, mt.val), m.body, ty)
-            return
-        if isinstance(m, LetVal):
-            vt = self.infer_val(ctx, m.value)
-            self.check_com(ctx.extend(m.binder, vt), m.body, ty)
-            return
+        # the redex heads: an expected type reaches the body under them;
+        # synthesis types an application's or projection's head whole, first
+        if isinstance(m, Force) and isinstance(m.value, Thunk):
+            return self.com(ctx, m.value.com, want)
+        if want is not None and isinstance(m, Apply) and isinstance(m.com, Lambda):
+            self.val(ctx, m.arg, m.com.dom)
+            return self.com(ctx.extend(m.com.binder, m.com.dom), m.com.body, want)
+        if want is not None and isinstance(m, Proj) and isinstance(m.com, Record):
+            body = m.com.field(m.label)
+            if body is None:
+                raise TypeCheckError(f"label {m.label} not in record", "proj")
+            return self.com(ctx, body, want)
+        # forms with sibling branches
         if isinstance(m, CaseNat):
-            self.check_val(ctx, m.scrutinee, NAT)
-            self.check_com(ctx, m.zero_branch, ty)
-            self.check_com(ctx.extend(m.succ_binder, NAT), m.succ_branch, ty)
-            return
-        if isinstance(m, CaseSum):
-            st = self.infer_val(ctx, m.scrutinee)
+            self.val(ctx, m.scrutinee, NAT)
+            rule, label = "case", ""
+            branches = [(ctx, m.zero_branch), (ctx.extend(m.succ_binder, NAT), m.succ_branch)]
+        elif isinstance(m, CaseSum):
+            st = self.val(ctx, m.scrutinee)
             if not isinstance(st, SumType):
                 raise TypeCheckError(f"pm over non-sum type {st}", "pm-sum")
             labels = [l for l, _, _ in m.branches]
@@ -250,62 +206,47 @@ class TypeChecker:
                 raise TypeCheckError(
                     f"branches {labels} do not cover the sum labels {expected}", "pm-sum"
                 )
-            for l, x, body in m.branches:
-                self.check_com(ctx.extend(x, st.label_type(l)), body, ty)
-            return
-        if isinstance(m, CasePair):
-            st = self.infer_val(ctx, m.scrutinee)
-            if not isinstance(st, PairType):
-                raise TypeCheckError(f"pm over non-pair type {st}", "pm-pair")
-            self.check_com(ctx.extend(m.fst_binder, st.fst).extend(m.snd_binder, st.snd), m.body, ty)
-            return
-        if isinstance(m, Record):
-            if not isinstance(ty, ProductType):
-                raise TypeCheckError(f"record checked against non-product type {ty}", "record")
-            have = sorted(l for l, _ in m.fields)
-            want = sorted(l for l, _ in ty.fields)
-            if have != want:
-                raise TypeCheckError(f"record labels {have} do not match {want}", "record")
-            for l, body in m.fields:
-                self.check_com(ctx, body, ty.label_type(l))
-            return
-        if isinstance(m, Force) and isinstance(m.value, Thunk):
-            self.check_com(ctx, m.value.com, ty)
-            return
-        if isinstance(m, Apply) and isinstance(m.com, Lambda):
-            self.check_val(ctx, m.arg, m.com.dom)
-            self.check_com(ctx.extend(m.com.binder, m.com.dom), m.com.body, ty)
-            return
-        if isinstance(m, Proj) and isinstance(m.com, Record):
-            body = m.com.field(m.label)
-            if body is None:
-                raise TypeCheckError(f"label {m.label} not in record", "proj")
-            self.check_com(ctx, body, ty)
-            return
-        if isinstance(m, Fix):
-            self.check_com(ctx, m.com, ArrowType(ThunkType(ty), ty))
-            return
-        if isinstance(m, EffOp):
-            desc = self._descriptor(m)
-            self._check_effop_shape(ctx, m, desc)
+            rule, label = "pm-sum", ""
+            branches = [(ctx.extend(x, st.label_type(l)), body) for l, x, body in m.branches]
+        elif isinstance(m, EffOp):
+            self._check_effop(ctx, m)
             if m.body is not None:
-                self.check_com(ctx.extend(m.binder, NAT), m.body, ty)
-            for c in m.children:
-                self.check_com(ctx, c, ty)
-            return
-        found = self.infer_com(ctx, m)
-        if found != ty:
-            raise TypeCheckError(f"expected {ty}, found {found} for {m}", "check")
+                return self.com(ctx.extend(m.binder, NAT), m.body, want)
+            rule, label = "op", m.op
+            branches = [(ctx, c) for c in m.children]
+        # forms that only synthesize
+        elif isinstance(m, Force):
+            vt = self.val(ctx, m.value)
+            if not isinstance(vt, ThunkType):
+                raise TypeCheckError(f"force expects a thunk, found {vt}", "force")
+            return _agree(vt.com, want, m)
+        elif isinstance(m, Apply):
+            ft = self.com(ctx, m.com)
+            if not isinstance(ft, ArrowType):
+                raise TypeCheckError(f"{ft} is not an arrow type; cannot apply", "app")
+            self.val(ctx, m.arg, ft.dom)
+            return _agree(ft.cod, want, m)
+        elif isinstance(m, Proj):
+            pt = self.com(ctx, m.com)
+            if not isinstance(pt, ProductType):
+                raise TypeCheckError(f"projection from non-product type {pt}", "proj")
+            comp = pt.label_type(m.label)
+            if comp is None:
+                raise TypeCheckError(f"label {m.label} not in {pt}", "proj")
+            return _agree(comp, want, m)
+        else:
+            raise TypeCheckError(f"unknown computation term {m!r}")
+        if want is None:
+            return self._branches(rule, branches, label)
+        # checked here, not in a helper: one frame per level, as for the bodies above
+        for bctx, c in branches:
+            self.com(bctx, c, want)
+        return want
 
-    # ---- effect operators
-
-    def _descriptor(self, m: EffOp):
+    def _check_effop(self, ctx: Context, m: EffOp) -> None:
         desc = self.sig.get(m.op)
         if desc is None:
             raise TypeCheckError(f"unknown effect operator {m.op} for the active signature", "op")
-        return desc
-
-    def _check_effop_shape(self, ctx: Context, m: EffOp, desc) -> None:
         arity = desc.arity
         if isinstance(arity, NatIndexed):
             if m.body is None or m.param is not None or m.children:
@@ -315,20 +256,13 @@ class TypeChecker:
                 raise TypeCheckError(
                     f"{m.op} expects a nat parameter and {arity.n} children", "op"
                 )
-            self.check_val(ctx, m.param, NAT)
+            self.val(ctx, m.param, NAT)
         else:
             assert isinstance(arity, FiniteArity)
             if m.param is not None or m.body is not None or len(m.children) != arity.n:
                 raise TypeCheckError(f"{m.op} expects exactly {arity.n} children", "op")
 
-    def _infer_effop(self, ctx: Context, m: EffOp) -> ComType:
-        desc = self._descriptor(m)
-        self._check_effop_shape(ctx, m, desc)
-        if m.body is not None:
-            return self.infer_com(ctx.extend(m.binder, NAT), m.body)
-        return self._shared_branch_type("op", [(ctx, c) for c in m.children], label=m.op)
-
-    def _shared_branch_type(
+    def _branches(
         self,
         rule: str,
         branches: list[tuple[Context, ComTerm]],
@@ -341,7 +275,7 @@ class TypeChecker:
         candidates: list[ComType] = []
         for bctx, c in branches:
             try:
-                t = self.infer_com(bctx, c)
+                t = self.com(bctx, c)
             except TypeCheckError:
                 continue
             if t not in candidates:
@@ -352,7 +286,7 @@ class TypeChecker:
         for ty in candidates:
             try:
                 for bctx, c in branches:
-                    self.check_com(bctx, c, ty)
+                    self.com(bctx, c, ty)
                 return ty
             except TypeCheckError as e:
                 last_err = e
@@ -363,12 +297,19 @@ class TypeChecker:
         )
 
 
+def _agree(found, want, term):
+    """`found`, once it equals the expected type `want` (if any)."""
+    if want is not None and found != want:
+        raise TypeCheckError(f"expected {want}, found {found} for {term}", "check")
+    return found
+
+
 def infer_type(ctx: Context, term: GenTerm, signature: EffectSignature) -> GenType:
     """Synthesize the type of a value or computation term under `ctx`."""
     tc = TypeChecker(signature)
     if isinstance(term, ValTerm):
-        return tc.infer_val(ctx, term)
-    return tc.infer_com(ctx, term)
+        return tc.val(ctx, term)
+    return tc.com(ctx, term)
 
 
 def check_type(ctx: Context, term: GenTerm, ty: GenType, signature: EffectSignature) -> None:
@@ -376,8 +317,8 @@ def check_type(ctx: Context, term: GenTerm, ty: GenType, signature: EffectSignat
     if isinstance(term, ValTerm):
         if not isinstance(ty, ValType):
             raise TypeCheckError(f"value term checked against computation type {ty}")
-        tc.check_val(ctx, term, ty)
+        tc.val(ctx, term, ty)
     else:
         if not isinstance(ty, ComType):
             raise TypeCheckError(f"computation term checked against value type {ty}")
-        tc.check_com(ctx, term, ty)
+        tc.com(ctx, term, ty)

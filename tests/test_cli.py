@@ -104,6 +104,27 @@ def test_explore_width_flag_and_key_are_gone(tmp_path):
     assert report == "error: line 1: unknown key 'explore_width'"
 
 
+@pytest.mark.parametrize(
+    "literal, error",
+    [
+        ("{[l=x]}", "error: 1:16: expected a store value"),
+        ("{[q=1]}", "error: unknown store location q"),
+    ],
+)
+def test_explicit_state_literal_errors_exit_two(tmp_path, literal, error):
+    formula = tmp_path / "bad.qf"
+    formula.write_text(f"Gopt<const {literal}>\n")
+    code, report = run(["sat", COPIER, str(formula), "--signature", "store+nondet", "--fuel", "4"])
+    assert (code, report) == (2, error)
+
+
+def test_typecheck_deep_numeral(tmp_path):
+    # one frame per succ: 500 levels type well inside the default stack
+    prog = tmp_path / "big.cbpv"
+    prog.write_text("return 500\n")
+    assert run(["typecheck", str(prog), "--signature", "prob"]) == (0, "type: F nat")
+
+
 def test_sat_coin(progdir):
     code, report = run(
         ["sat", *_paths(progdir, "coin.cbpv", "emax1.qf"), "--signature", "prob+nondet", "--fuel", "8"]
@@ -404,9 +425,7 @@ def _on_costs(verb, d, *flags):
 
 
 _MALFORMED = {
-    "numerals-not-ints": lambda d: [
-        "sat", *_paths(d, "coin.cbpv", "emax1.qf"), "--signature", "prob+nondet", "--numerals", "a,b"
-    ],
+    "numerals-not-ints": lambda d: _on_costs("compare", d, "--numerals", "a,b"),
     "numerals-empty": lambda d: _on_costs("compare", d, "--numerals", ""),
     "program-is-directory": lambda d: ["typecheck", str(d), "--signature", "prob"],
     "program-not-utf8": lambda d: [
@@ -438,8 +457,8 @@ def test_list_flag_and_file_give_equal_configs(tmp_path, monkeypatch, key, items
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.toml").write_text(f"{key} = [{items}]\n")
     parser = cli.build_arg_parser()
-    from_flag = cli._runtime(parser.parse_args(["typecheck", "-", f"--{key}", items]))
-    from_file = cli._runtime(parser.parse_args(["typecheck", "-", "--config", "run.toml"]))
+    from_flag = cli._runtime(parser.parse_args(["compare", "a", "b", f"--{key}", items]))
+    from_file = cli._runtime(parser.parse_args(["compare", "a", "b", "--config", "run.toml"]))
     assert from_flag.config == from_file.config
 
 
@@ -468,16 +487,26 @@ def test_laws_modality_list_strips_whitespace():
     assert spaced == run(base + ["--modality", "E,Epes"])
 
 
-def test_laws_rejects_numerals_naming_the_fixed_pool():
-    from cbpv_quant.laws import CONGRUENCE_NUMERALS
+_UNREAD_FLAGS = {
+    "typecheck-fuel": ["typecheck", "-", "--fuel", "3"],
+    "typecheck-numerals": ["typecheck", "-", "--numerals", "3,4"],
+    "typecheck-seed": ["typecheck", "-", "--seed", "9"],
+    "eval-numerals": ["eval", "-", "--numerals", "3,4"],
+    "eval-seed": ["eval", "-", "--seed", "9"],
+    "sat-numerals": ["sat", "-", "f.qf", "--numerals", "3,4"],
+    "sat-seed": ["sat", "-", "f.qf", "--seed", "9"],
+    "compare-seed": ["compare", "a", "b", "--seed", "9"],
+    "distinguish-seed": ["distinguish", "a", "b", "--seed", "9"],
+    "laws-numerals": ["laws", "--numerals", "3,4", "--signature", "prob"],
+}
 
-    code, report = run(
-        ["laws", "--numerals", "3,4", "--modality", "E", "--samples", "1", "--trials", "1",
-         "--no-relator", "--signature", "prob"]
-    )
-    assert code == 2
-    assert report.startswith("error: --numerals: ") and "\n" not in report
-    assert ", ".join(map(str, CONGRUENCE_NUMERALS)) in report
+
+@pytest.mark.parametrize("case", list(_UNREAD_FLAGS))
+def test_verb_refuses_a_setting_flag_it_does_not_read(case):
+    # argparse refuses the flag before any input is read
+    with pytest.raises(SystemExit) as exc:
+        run(_UNREAD_FLAGS[case])
+    assert exc.value.code == 2
 
 
 def test_laws_ignores_a_config_files_numerals_but_refuses_the_flag(tmp_path):
@@ -489,5 +518,6 @@ def test_laws_ignores_a_config_files_numerals_but_refuses_the_flag(tmp_path):
     from_file = run(base + ["--config", str(conf)])
     assert from_file[0] == 0
     assert from_file == run(base + ["--signature", "prob"])
-    code, report = run(base + ["--signature", "prob", "--numerals", "3,4"])
-    assert code == 2 and report.startswith("error: --numerals: ")
+    with pytest.raises(SystemExit) as exc:
+        run(base + ["--signature", "prob", "--numerals", "3,4"])
+    assert exc.value.code == 2
