@@ -23,7 +23,7 @@ from .equivalence import (
     compare,
     find_distinguishing_formula,
 )
-from .formulas import parse_formula, print_formula
+from .formulas import is_positive, parse_formula, print_formula
 from .laws import LawParams, run_law_suite, standard_modalities
 from .machine import eval_tree
 from .parser import parse_program
@@ -153,7 +153,7 @@ def cmd_sat(args) -> tuple[int, str]:
     else:
         res = sat.satisfies(term, phi, fuel)
     iv = res.interval
-    fragment = "positive" if res.positive_fragment else "general"
+    fragment = "positive" if is_positive(phi) else "general"
     if iv.exact:
         rep.text(f"value = {rt.space.render(iv.lo)}")
     else:
@@ -222,11 +222,10 @@ def cmd_distinguish(args) -> tuple[int, str]:
     left = parse_program(_read_input(args.left), rt.signature)
     right = parse_program(_read_input(args.right), rt.signature)
     fuel = rt.config.fuel
-    pools = Pools(numerals=rt.config.numerals, constants=_default_constants(rt))
     # a cheap pass at a quarter of the fuel first, never above the reported fuel
     first = min(max(2, fuel // 4), fuel)
     schedule = (first, fuel) if first < fuel else (fuel,)
-    found = find_distinguishing_formula(left, right, args.max_size, sat, pools, fuel_schedule=schedule)
+    found = find_distinguishing_formula(left, right, args.max_size, sat, _pools(rt), fuel_schedule=schedule)
     if found is None:
         rep.text(f"no distinguishing formula up to size {args.max_size} at fuel {fuel}")
         rep.doc = {"witness": None, "max_size": args.max_size, "fuel": fuel}
@@ -238,6 +237,8 @@ def cmd_distinguish(args) -> tuple[int, str]:
 
 
 def _default_constants(rt: Runtime):
+    # step thresholds per truth space: no verb reads them, but
+    # bench/workloads.py still calls this
     space = rt.space
     if space.name == "unit":
         return (0.25, 0.5, 1.0)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
-from .formulas import Formula, NegF, StepF, formula_size
+from .formulas import Formula, formula_size
 from .lattice import BoolSpace, TruthSpace
 from .modality import Interval, ModalitySpec, evaluate_interval
 from .satisfaction import Satisfier
@@ -88,6 +88,8 @@ class NoDistinctionFound:
 
 Verdict = Union[Distinguished, RefinesUpTo, NoDistinctionFound]
 
+_TAGS = {"leq": "left_not_below_right", "geq": "right_not_below_left"}
+
 
 def compare(
     left: ComTerm,
@@ -121,17 +123,10 @@ def compare(
     inconclusive = 0
     for mode in passes:
         for phi, li, ri in evaluated:
-            if mode == "leq":
-                violated = not space.leq(li.lo, ri.hi)
-                settled = space.leq(li.hi, ri.lo)
-                tag = "left_not_below_right"
-            else:
-                violated = not space.leq(ri.lo, li.hi)
-                settled = space.leq(ri.hi, li.lo)
-                tag = "right_not_below_left"
-            if violated:
-                return Distinguished(phi, li, ri, tag)
-            if settled:
+            below, above = (li, ri) if mode == "leq" else (ri, li)
+            if not space.leq(below.lo, above.hi):
+                return Distinguished(phi, li, ri, _TAGS[mode])
+            if space.leq(below.hi, above.lo):
                 certified += 1
             else:
                 inconclusive += 1
@@ -149,8 +144,21 @@ def find_distinguishing_formula(
     pools: Pools,
     fuel_schedule: Sequence[int] = (4, 16),
 ) -> Optional[tuple[Formula, str]]:
-    """Iterative-deepening search for the smallest certified witness; basic
-    formulas are tried along with their step and negation closures."""
+    """Iterative-deepening search for the smallest certified witness: every
+    basic formula of one size, at each fuel of the schedule, before the next
+    size.
+
+    Negation and step closures of basic formulas are not tried: at a fixed
+    fuel they are never the first witness.  Say phi gives the intervals li
+    and ri and is no witness, so li.lo <= ri.hi and ri.lo <= li.hi.
+    - `not phi` is a witness only if neg(li.hi) is not below neg(ri.lo).
+      Since neg is antitone, that contradicts ri.lo <= li.hi.  The other
+      direction is symmetric.
+    - `step(phi, a)` is a witness only if its lower bound on one side is top
+      and its upper bound on the other side is bot: a <= li.lo and not
+      a <= ri.hi.  By transitivity li.lo is then not below ri.hi, so phi,
+      which is tried first, is already a witness.
+    """
     space = satisfier.space
     ty = satisfier.type_of(left)
     tc_ty = satisfier.type_of(right)
@@ -158,14 +166,7 @@ def find_distinguishing_formula(
         raise EquivalenceError("terms of different types are trivially distinguished")
     for size in range(1, max_size + 1):
         suite = enumerate_basic_formulas(ty, size, pools, satisfier.modalities)
-        candidates: list[Formula] = []
-        for phi in suite.formulas:
-            if formula_size(phi) != size:
-                continue
-            candidates.append(phi)
-            candidates.append(NegF(phi))
-            for a in pools.constants:
-                candidates.append(StepF(phi, a))
+        candidates = [phi for phi in suite.formulas if formula_size(phi) == size]
         for fuel in fuel_schedule:
             for phi in candidates:
                 li = satisfier.satisfies(left, phi, fuel).interval

@@ -3,7 +3,7 @@
 Concrete forms mirror the logic's constructors: `{7}`, `[U]phi`, `inj i phi`,
 `fst phi`, `snd phi`, `(V . phi)`, `proj i phi`, `q<phi>` for modalities,
 `or{...}`, `and{...}`, `step(phi, a)`, `const a`, `not phi`.  Derived
-constructors print as `wsum{...}(phi)` and `mix(phi, psi)`.
+constructors print and parse as `wsum[w0, ...](phi)` and `mix(phi, psi)`.
 
 Countable disjunctions and conjunctions are either explicit finite tuples or
 a generator with an enumeration bound; a generated family may be flagged
@@ -388,6 +388,16 @@ class FormulaParser(Parser):
             return ConstF(self.truth_value())
         if self.eat("not"):
             return NegF(self.formula())
+        if self.eat("wsum"):
+            self.expect("[")
+            weights = [self._number()]
+            while self.eat(","):
+                weights.append(self._number())
+            self.expect("]")
+            self.expect("(")
+            body = self.formula()
+            self.expect(")")
+            return SigmaMuF(tuple(weights), body)
         if self.eat("mix"):
             self.expect("(")
             a = self.formula()
@@ -475,7 +485,7 @@ class FormulaParser(Parser):
         store = self.space.store
         out = []
         for s in self.space.all_states:
-            if all(s[store.index(l)] == v % store.value_bound for l, v in constraint.items()):
+            if all(store.set_loc(s, store.index(l), v) == s for l, v in constraint.items()):
                 out.append(s)
         return frozenset(out)
 
@@ -486,13 +496,13 @@ class FormulaParser(Parser):
         store = self.space.store
         out = []
         while self.eat("["):
-            state = [0] * len(store.locations)
+            state = (0,) * len(store.locations)
             while not self.at("]"):
                 loc = store.index(self.name())
                 self.expect("=")
-                state[loc] = self._store_value()
+                state = store.set_loc(state, loc, self._store_value())
             self.expect("]")
-            out.append(tuple(state))
+            out.append(state)
             if not self.eat(","):
                 break
         self.expect("}")

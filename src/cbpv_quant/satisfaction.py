@@ -33,7 +33,6 @@ from .formulas import (
     StepF,
     ThunkF,
     check_formula,
-    is_positive,
 )
 from .lattice import StateSetSpace, StateTableSpace, TruthSpace
 from .machine import eval_tree
@@ -63,7 +62,6 @@ class SatisfactionError(CbpvError):
 @dataclass(frozen=True)
 class SatResult:
     interval: Interval
-    positive_fragment: bool
     fuel_used: int
 
 
@@ -135,7 +133,7 @@ class Satisfier:
             raise SatisfactionError("fuel must be positive")
         check_formula(phi, self.type_of(term), self.modalities, self.space, self.sig)
         iv = self._eval(term, phi, fuel)
-        return SatResult(iv, is_positive(phi), fuel)
+        return SatResult(iv, fuel)
 
     # ---- structural evaluation; typing is established before entry
 

@@ -59,10 +59,10 @@ class SuiteError(CbpvError):
 
 @dataclass(frozen=True)
 class Pools:
-    """Generation material: numerals for {n} tests and nat arguments, and
-    step thresholds."""
+    """Generation material: numerals for {n} tests and nat arguments."""
 
     numerals: tuple[int, ...] = (0, 1, 7)
+    # read by no library code, but bench/workloads.py still passes it
     constants: tuple[Any, ...] = ()
 
 

@@ -118,6 +118,27 @@ def test_explicit_state_literal_errors_exit_two(tmp_path, literal, error):
     assert (code, report) == (2, error)
 
 
+def test_explicit_state_literal_values_wrap(tmp_path):
+    # at value bound 3 the state [l=5 r=5] is [l=2 r=2]
+    formula = tmp_path / "wrap.qf"
+    argv = ["sat", COPIER, str(formula), "--signature", "store+nondet", "--value-bound", "3"]
+    reports = []
+    for literal in ("{[l=5 r=5]}", "{[l=2 r=2]}"):
+        formula.write_text(f"Gopt<const {literal}>\n")
+        reports.append(run(argv))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
+
+
+def test_sat_weighted_sum(tmp_path):
+    prog = tmp_path / "r0.cbpv"
+    prog.write_text("return 0\n")
+    formula = tmp_path / "wsum.qf"
+    formula.write_text("wsum[0.5, 0.5, 0, 0](EG<{0}>)\n")
+    argv = ["sat", str(prog), str(formula), "--signature", "prob+store", "--value-bound", "2"]
+    assert run(argv) == (0, "value = top\nfragment = positive")
+
+
 def test_typecheck_deep_numeral(tmp_path):
     # one frame per succ: 500 levels type well inside the default stack
     prog = tmp_path / "big.cbpv"

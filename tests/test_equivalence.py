@@ -1,7 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
+from cbpv_quant import cli
+from cbpv_quant.config import RunConfig, build_runtime
 from cbpv_quant.equivalence import (
     Distinguished,
     NoDistinctionFound,
@@ -14,13 +17,14 @@ from cbpv_quant.equivalence import (
     relator_check,
     right_set,
 )
-from cbpv_quant.formulas import Modal, NatEq, ThunkF, print_formula
+from cbpv_quant.formulas import Modal, NatEq, NegF, StepF, ThunkF, print_formula
+from cbpv_quant.generators import generate_program
 from cbpv_quant.lattice import BoolSpace, UnitIntervalSpace
 from cbpv_quant.modality import boolean_modality
 from cbpv_quant.parser import parse_ctype, parse_program
 from cbpv_quant.satisfaction import Satisfier
 from cbpv_quant.suites import Pools, enumerate_basic_formulas
-from cbpv_quant.syntax import Force, Thunk, numeral
+from cbpv_quant.syntax import CbpvError, Force, Thunk, numeral
 from cbpv_quant.trees import Node, eta
 
 
@@ -171,6 +175,85 @@ def test_find_distinguishing_cbn_cbv(prob_rt):
     ri = sat.satisfies(m2, phi, 16).interval
     assert {li.lo, ri.lo} == {0.0, 0.5}
     assert "and{" in print_formula(phi)
+
+
+def _program_pairs(rt, seed, ty, n=3):
+    """n seeded pairs of distinct programs at type ty, and one program
+    paired with itself."""
+    rng = random.Random(seed)
+    progs = [generate_program(rng, rt.signature, 3, parse_ctype(ty)) for _ in range(n + 1)]
+    return list(zip(progs, progs[1:])) + [(progs[0], progs[0])]
+
+
+def _witness(space, li, ri):
+    return not space.leq(li.lo, ri.hi) or not space.leq(ri.lo, li.hi)
+
+
+@pytest.mark.parametrize("name", ["prob+nondet", "cost+nondet", "store+nondet", "prob+store"])
+def test_closures_of_a_non_witness_are_no_witnesses(name):
+    # negation is antitone and step(phi, a) monotone in phi's value, so a
+    # formula that certifies no order violation has no closure that does
+    rt = build_runtime(RunConfig(signature=name))
+    space = rt.space
+    thresholds = (*cli._default_constants(rt), space.bot, space.top)
+    suite = enumerate_basic_formulas(parse_ctype("F nat"), 3, POOLS, rt.modalities)
+    checked = 0
+    for left, right in _program_pairs(rt, 1, "F nat") + _program_pairs(rt, 2, "F nat"):
+        for fuel in (4, 16):
+            sat = _sat(rt)
+            for phi in suite.formulas:
+                li = sat.satisfies(left, phi, fuel).interval
+                ri = sat.satisfies(right, phi, fuel).interval
+                if _witness(space, li, ri):
+                    continue
+                for closure in (NegF(phi), *(StepF(phi, a) for a in thresholds)):
+                    cl = sat.satisfies(left, closure, fuel).interval
+                    cr = sat.satisfies(right, closure, fuel).interval
+                    assert not _witness(space, cl, cr), print_formula(closure)
+                    checked += 1
+    assert checked > 100
+
+
+DIGEST_SIGNATURES = (
+    "prob",
+    "prob+nondet",
+    "cost",
+    "cost+nondet",
+    "store",
+    "store+nondet",
+    "prob+store",
+    "prob+nondet+error",
+)
+
+
+def test_search_witnesses_digest():
+    h = hashlib.sha256()
+    count = 0
+    for name in DIGEST_SIGNATURES:
+        rt = build_runtime(RunConfig(signature=name))
+        # the step thresholds the search once closed each basic formula
+        # under; the digest was recorded with them
+        pools = Pools(numerals=(0, 1, 2), constants=cli._default_constants(rt))
+        for seed in range(6):
+            for ty in ("F nat", "nat -> F nat"):
+                for left, right in _program_pairs(rt, seed, ty):
+                    for schedule in ((4, 16), (2,)):
+                        try:
+                            got = find_distinguishing_formula(
+                                left, right, 3, _sat(rt), pools, schedule
+                            )
+                        except (CbpvError, RecursionError) as e:
+                            out = type(e).__name__
+                        else:
+                            out = "none" if got is None else f"{print_formula(got[0])} {got[1]}"
+                        h.update(out.encode() + b"\n")
+                        count += 1
+    # recorded on the earlier search, which also tried every basic formula's
+    # negation and step closures: the first witness must stay the same
+    assert (count, h.hexdigest()) == (
+        768,
+        "624683fb14e032cac97aa0a5c2152050c97b80cf4a09fd78e85c743303ebc7b9",
+    )
 
 
 # ---------------------------------------------------------------- right sets

@@ -19,8 +19,7 @@ from cbpv_quant.parser import parse_ctype
 from cbpv_quant.syntax import numeral
 
 
-def test_parse_print_roundtrip(prob_nondet_rt):
-    rt = prob_nondet_rt
+def test_parse_print_roundtrip(prob_nondet_rt, prob_store_rt):
     texts = [
         "{7}",
         "[U]Eopt<{1}>",
@@ -36,7 +35,9 @@ def test_parse_print_roundtrip(prob_nondet_rt):
         "proj a {0}",
         "mix(Eopt<{1}>, Epes<{1}>)",
     ]
-    for text in texts:
+    cases = [(prob_nondet_rt, text) for text in texts]
+    cases.append((prob_store_rt, "wsum[0.5, 1](EG<{0}>)"))
+    for rt, text in cases:
         phi = parse_formula(text, rt.signature, rt.space)
         again = parse_formula(print_formula(phi), rt.signature, rt.space)
         assert phi == again, text
@@ -96,6 +97,10 @@ def test_state_set_literals(store_rt):
     assert v.value == frozenset(s for s in rt.space.all_states if s[0] == 1)
     explicit = parse_formula("const {[l=0 r=2], [l=1 r=0]}", rt.signature, rt.space)
     assert explicit.value == frozenset({(0, 2), (1, 0)})
+    # store values wrap mod the value bound 3 in both literals
+    wrapped = parse_formula("const {[l=5 r=4]}", rt.signature, rt.space)
+    assert wrapped == parse_formula("const {[l=2 r=1]}", rt.signature, rt.space)
+    assert parse_formula("const states{l=4}", rt.signature, rt.space) == v
 
 
 def test_step_threshold_must_inhabit_space(prob_nondet_rt):

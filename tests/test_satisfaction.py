@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cbpv_quant.formulas import (
@@ -519,3 +521,34 @@ def test_unhashable_formula_is_evaluated_unmemoised(prob_rt):
     sat = _sat(rt)
     for _ in range(2):
         assert sat.satisfies(prog, listed, 8).interval.lo == 1.0
+
+
+# ---- certified means certified: float rounding breaks both today
+
+SIX_SEVENTHS = (
+    r"fix (\f:U(F nat). por(return 0, por(return 0, "
+    r"por(fix (\g:U(F nat). force g), force f))))"
+)
+
+
+def _assert_certified(iv, truth):
+    assert Fraction(iv.lo) <= truth <= Fraction(iv.hi)
+    if iv.exact:
+        assert Fraction(iv.lo) == Fraction(iv.hi) == truth
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_six_sevenths_lower_bound_stays_below_the_truth(prob_rt):
+    term = parse_program(SIX_SEVENTHS, prob_rt.signature)
+    phi = parse_formula("E<const 1>", prob_rt.signature, prob_rt.space)
+    _assert_certified(_sat(prob_rt).satisfies(term, phi, 200).interval, Fraction(6, 7))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_deep_fair_choice_is_not_exact_one(prob_rt):
+    text = "return 0"
+    for _ in range(60):
+        text = f"por(return 1, {text})"
+    term = parse_program(text, prob_rt.signature)
+    phi = parse_formula("E<{1}>", prob_rt.signature, prob_rt.space)
+    _assert_certified(_sat(prob_rt).satisfies(term, phi, 200).interval, 1 - Fraction(1, 2**60))
