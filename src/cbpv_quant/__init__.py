@@ -27,8 +27,6 @@ from .modality import (
     Interval,
     ModalitySpec,
     denote_at_depth,
-    denote_interval,
-    lift,
     make_error_lift,
     make_nondet_variants,
 )

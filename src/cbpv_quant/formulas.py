@@ -438,7 +438,7 @@ class FormulaParser(Parser):
             return self.space.bot
         if self.eat("inf"):
             return math.inf
-        if t.kind == "int" or t.text == ".":
+        if t.kind in ("int", "exp") or t.text == ".":
             return self._number()
         if self.eat("states"):
             return self._state_set()
@@ -448,6 +448,8 @@ class FormulaParser(Parser):
 
     def _number(self) -> float:
         t = self.next()
+        if t.kind == "exp":
+            return float(t.text)
         if t.kind != "int":
             raise ParseError("expected a number", t.line, t.col)
         text = t.text

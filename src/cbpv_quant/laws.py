@@ -6,7 +6,10 @@ Laws checked:
      and reach the full tree's denotation;
   c. sequentiality: flattening a double tree commutes with denotation;
   d. unit: the denotation of a single leaf is its value;
-  e. the four relator laws, exhausted over small Boolean carriers;
+  e. the four relator laws, exhausted over small Boolean carriers: each
+     pool tree is folded once per Boolean valuation of its distinct leaves,
+     and each instance (t, r, R) is decided once from those tables, so every
+     instance is still checked and the check counts stay the same;
   f. decomposability consequence: flattening preserves the certified
      double-tree order on sampled valuation families;
   g. congruence spot-checks: pairs equivalent at bounds stay undistinguished
@@ -23,14 +26,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .config import Runtime
-from .equivalence import compare, Distinguished, right_set
+from .equivalence import compare, Distinguished
 from .lattice import BoolSpace, StateSetSpace, StateTableSpace, StoreConfig
 from .modality import (
     ModalitySpec,
     boolean_modality,
     cost_modality,
-    denote_interval,
     denote_limit,
+    evaluate_interval,
     expectation_modality,
     make_nondet_variants,
     prob_store_modality,
@@ -216,7 +219,7 @@ def law_unit(q: ModalitySpec, params: LawParams) -> LawResult:
     runs = min(params.samples, 100)
     for i in range(runs):
         a = space.sample(rng)
-        iv = denote_interval(q, eta(a))
+        iv = evaluate_interval(q, eta(a))
         if not (iv.exact and iv.lo == a):
             failures.append(f"sample {i}: eta({space.render(a)}) gave {space.render(iv.lo)}")
     return LawResult("d (unit)", q.name, runs, tuple(failures))
@@ -248,9 +251,10 @@ def law_decomposability(q: ModalitySpec, params: LawParams) -> LawResult:
         if not certified:
             continue
         checked += 1
+        flat_tt, flat_rr = mu(tt), mu(rr)
         for h in space.monotone_maps(rng, 4):
-            lo = denote_limit(q, mu(tt), h)
-            hi = denote_limit(q, mu(rr), h)
+            lo = denote_limit(q, flat_tt, h)
+            hi = denote_limit(q, flat_rr, h)
             if not space.leq(lo, hi):
                 failures.append(f"sample {i}: flattening broke the certified order")
                 break
@@ -277,120 +281,206 @@ def _tree_pool(carrier: Sequence) -> list[EffectTree]:
     return pool
 
 
-def _o_rel(t, r, pairs, mods, space, memo=None) -> bool:
-    """Exhaustive relator membership over a Boolean leaf carrier.
+class _Pool:
+    """A tree pool with its fold tables.
 
-    Pool trees are total objects here: a bottom leaf denotes bot exactly, so
-    membership uses exact denotations, not fuel intervals.
+    For tree i, `leaves[i]` lists its distinct leaves and `tables[i][m]` holds
+    each modality's exact denotation of the tree under the Boolean valuation
+    sending leaves[i][b] to bit b of m.  Pool trees are total objects here: a
+    bottom leaf denotes bot exactly, so the tables hold exact denotations, not
+    fuel intervals.
     """
-    key = None
-    if memo is not None:
-        key = (frozenset(pairs), id(t), id(r))
-        got = memo.get(key)
-        if got is not None:
-            return got
-    out = True
-    lefts = sorted({a for a, _ in pairs} | set(_leaf_set(t)))
-    for bits in itertools.product((False, True), repeat=len(lefts)):
-        h = dict(zip(lefts, bits))
-        rh = right_set(pairs, h, space)
-        for q in mods.values():
-            lv = denote_limit(q, t, h.__getitem__)
-            rv = denote_limit(q, r, rh)
-            if not space.leq(lv, rv):
-                out = False
-                break
-        if not out:
-            break
-    if memo is not None:
-        memo[key] = out
-    return out
+
+    def __init__(self, trees: list[EffectTree], mods: Sequence[ModalitySpec]):
+        self.trees = trees
+        self.leaves = [tuple(dict.fromkeys(leaves(t))) for t in trees]
+        self.tables = [
+            [
+                tuple(denote_limit(q, t, _bit_valuation(ls, m)) for q in mods)
+                for m in range(1 << len(ls))
+            ]
+            for t, ls in zip(trees, self.leaves)
+        ]
 
 
-def _leaf_set(t) -> list:
-    return list(dict.fromkeys(leaves(t)))
+def _bit_valuation(xs: tuple, m: int) -> Callable[[object], bool]:
+    return {x: bool(m >> b & 1) for b, x in enumerate(xs)}.__getitem__
+
+
+def _reach(tl: tuple, pres: tuple) -> frozenset:
+    """The table index pairs (i, j) that Boolean valuations h of the left
+    elements reach, where bit b of i is h(tl[b]) and bit b of j is the join
+    of h over pres[b] (`equivalence.right_set`: a right element is valued at
+    the join of h over its preimages).  Only the elements of tl and of pres
+    move i or j, so h ranges over those alone."""
+    deps = list(dict.fromkeys([*tl, *(a for p in pres for a in p)]))
+    out = set()
+    for bits in itertools.product((False, True), repeat=len(deps)):
+        h = dict(zip(deps, bits))
+        i = sum(1 << b for b, a in enumerate(tl) if h[a])
+        j = sum(1 << b for b, p in enumerate(pres) if any(h[a] for a in p))
+        out.add((i, j))
+    return frozenset(out)
+
+
+class _RelatorTables:
+    """The decision tables of one relator law; nothing here outlives it.
+
+    (t, r) lies in the relator of R iff no valuation h reaches a pair (i, j)
+    of table indices at which some modality's value of t is not below its
+    value of r.  So each pool pair gets the violating pairs of every (t, r)
+    once, each leaf shape and preimage family gets its reached pairs once,
+    and each instance is one disjointness test.  The violation and decision
+    caches hold their pools in the key, never an `id`, so no key outlives or
+    mistakes its pool.
+    """
+
+    def __init__(self):
+        self.leq = BoolSpace().leq
+        self.reached: dict = {}
+        self.violations: dict = {}
+        self.decided: dict = {}
+
+    def _violations(self, left: _Pool, right: _Pool) -> list[list[frozenset]]:
+        got = self.violations.get((left, right))
+        if got is None:
+            leq = self.leq
+            got = self.violations[left, right] = [
+                [
+                    frozenset(
+                        (i, j)
+                        for i, tv in enumerate(ttab)
+                        for j, rv in enumerate(rtab)
+                        if not all(map(leq, tv, rv))
+                    )
+                    for rtab in right.tables
+                ]
+                for ttab in left.tables
+            ]
+        return got
+
+    def decide(self, left: _Pool, right: _Pool, rel) -> tuple[tuple[bool, ...], ...]:
+        """Relator membership of every (t, r) in left x right, rows over t."""
+        pre: dict = {}
+        for a, b in rel:
+            pre.setdefault(b, set()).add(a)
+        rows = []
+        for tl, bad_row in zip(left.leaves, self._violations(left, right)):
+            row = []
+            for rl, bad in zip(right.leaves, bad_row):
+                key = (tl, tuple(frozenset(pre.get(y, ())) for y in rl))
+                reach = self.reached.get(key)
+                if reach is None:
+                    reach = self.reached[key] = _reach(*key)
+                row.append(reach.isdisjoint(bad))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def member(self, left: _Pool, right: _Pool, rel) -> tuple[tuple[bool, ...], ...]:
+        """`decide`, once per (left, right, rel)."""
+        key = (left, right, frozenset(rel))
+        got = self.decided.get(key)
+        if got is None:
+            got = self.decided[key] = self.decide(left, right, rel)
+        return got
 
 
 def law_relator(max_carrier: int = 3) -> list[LawResult]:
-    space = BoolSpace()
-    mods = _bool_modalities()
+    """The four relator laws, every instance (t, r, R) over the tree pools of
+    small carriers decided exhaustively.  Each pool tree is folded once per
+    Boolean valuation of its distinct leaves, and each instance is decided
+    once from those tables (`_RelatorTables`)."""
+    mods = list(_bool_modalities().values())
     results = []
+
+    def pool(carrier: Sequence) -> _Pool:
+        return _Pool(_tree_pool(carrier), mods)
 
     # law 1: reflexive relations lift to reflexive relators
     runs, fails = 0, []
-    memo: dict = {}
+    tables = _RelatorTables()  # one per law: each law has its own pools
     for n in range(1, max_carrier + 1):
         carrier = list(range(n))
+        p = pool(carrier)
         ident = {(x, x) for x in carrier}
         off_diag = [(x, y) for x in carrier for y in carrier if x != y]
         for k in range(len(off_diag) + 1):
             for extra in itertools.combinations(off_diag, k):
                 rel = ident | set(extra)
-                for t in _tree_pool(carrier):
+                m = tables.member(p, p, rel)
+                for i in range(len(p.trees)):
                     runs += 1
-                    if not _o_rel(t, t, rel, mods, space, memo):
+                    if not m[i][i]:
                         fails.append(f"reflexivity broke at carrier {n}, rel {sorted(rel)}")
     results.append(LawResult("e1 (relator reflexive)", "may/must", runs, tuple(fails)))
 
     # law 2: monotone in the relation
     runs, fails = 0, []
-    memo = {}
+    tables = _RelatorTables()
     for nx, ny in ((2, 2), (3, 2)):
         X, Y = list(range(nx)), list(range(100, 100 + ny))
         cells = [(x, y) for x in X for y in Y]
-        pool_x, pool_y = _tree_pool(X), _tree_pool(Y)
+        pool_x, pool_y = pool(X), pool(Y)
+        pairs = list(itertools.product(range(len(pool_x.trees)), range(len(pool_y.trees))))
         for assignment in itertools.product((0, 1, 2), repeat=len(cells)):
             # 0: in neither, 1: in S only, 2: in both R and S  (so R subset of S)
             R = {c for c, a in zip(cells, assignment) if a == 2}
             S = {c for c, a in zip(cells, assignment) if a >= 1}
-            for t, r in itertools.product(pool_x, pool_y):
+            in_r, in_s = tables.member(pool_x, pool_y, R), tables.member(pool_x, pool_y, S)
+            for i, j in pairs:
                 runs += 1
-                if _o_rel(t, r, R, mods, space, memo) and not _o_rel(t, r, S, mods, space, memo):
+                if in_r[i][j] and not in_s[i][j]:
                     fails.append(f"monotonicity broke: R={sorted(R)} S={sorted(S)}")
     results.append(LawResult("e2 (relator monotone)", "may/must", runs, tuple(fails)))
 
     # law 3: composition
     runs, fails = 0, []
-    memo = {}
+    tables = _RelatorTables()
     X, Y, Z = [0, 1], [10, 11], [20, 21]
     cells_r = [(x, y) for x in X for y in Y]
     cells_s = [(y, z) for y in Y for z in Z]
-    pool_x, pool_y, pool_z = _tree_pool(X), _tree_pool(Y), _tree_pool(Z)
+    pool_x, pool_y, pool_z = pool(X), pool(Y), pool(Z)
+    triples = list(
+        itertools.product(
+            range(len(pool_x.trees)), range(len(pool_y.trees)), range(len(pool_z.trees))
+        )
+    )
     for rbits in itertools.product((0, 1), repeat=4):
         R = {c for c, b in zip(cells_r, rbits) if b}
+        in_r = tables.member(pool_x, pool_y, R)
         for sbits in itertools.product((0, 1), repeat=4):
             S = {c for c, b in zip(cells_s, sbits) if b}
             RS = {(x, z) for (x, y) in R for (y2, z) in S if y == y2}
-            for t, u, r in itertools.product(pool_x, pool_y, pool_z):
+            in_s, in_rs = tables.member(pool_y, pool_z, S), tables.member(pool_x, pool_z, RS)
+            for t, u, r in triples:
                 runs += 1
-                if (
-                    _o_rel(t, u, R, mods, space, memo)
-                    and _o_rel(u, r, S, mods, space, memo)
-                    and not _o_rel(t, r, RS, mods, space, memo)
-                ):
+                if in_r[t][u] and in_s[u][r] and not in_rs[t][r]:
                     fails.append(f"composition broke: R={sorted(R)} S={sorted(S)}")
     results.append(LawResult("e3 (relator composition)", "may/must", runs, tuple(fails)))
 
     # law 4: inverse images
     runs, fails = 0, []
-    memo = {}
+    tables = _RelatorTables()
     X, Y, Z, W = [0, 1], [10, 11], [20, 21], [30, 31]
-    pool_x, pool_y = _tree_pool(X), _tree_pool(Y)
+    pool_x, pool_y = pool(X), pool(Y)
+    pairs = list(itertools.product(range(len(pool_x.trees)), range(len(pool_y.trees))))
     cells = [(z, w) for z in Z for w in W]
-    for fbits in itertools.product(Z, repeat=2):
-        f = dict(zip(X, fbits))
-        for gbits in itertools.product(W, repeat=2):
-            g = dict(zip(Y, gbits))
+    fs = [dict(zip(X, fbits)) for fbits in itertools.product(Z, repeat=2)]
+    gs = [dict(zip(Y, gbits)) for gbits in itertools.product(W, repeat=2)]
+    # the pools mapped by each f and by each g, shared by all their instances
+    f_pools = [_Pool([map_leaves(t, f.__getitem__) for t in pool_x.trees], mods) for f in fs]
+    g_pools = [_Pool([map_leaves(r, g.__getitem__) for r in pool_y.trees], mods) for g in gs]
+    for f, f_pool in zip(fs, f_pools):
+        for g, g_pool in zip(gs, g_pools):
             for rbits in itertools.product((0, 1), repeat=4):
                 R = {c for c, b in zip(cells, rbits) if b}
                 pre = {(x, y) for x in X for y in Y if (f[x], g[y]) in R}
-                for t, r in itertools.product(pool_x, pool_y):
+                lhs = tables.member(pool_x, pool_y, pre)
+                # each (f, g, R) comes up once, so its images are not cached
+                rhs = tables.decide(f_pool, g_pool, R)
+                for i, j in pairs:
                     runs += 1
-                    lhs = _o_rel(t, r, pre, mods, space, memo)
-                    rhs = _o_rel(
-                        map_leaves(t, lambda x: f[x]), map_leaves(r, lambda y: g[y]), R, mods, space
-                    )
-                    if lhs != rhs:
+                    if lhs[i][j] != rhs[i][j]:
                         fails.append(f"inverse image broke: f={f} g={g} R={sorted(R)}")
     results.append(LawResult("e4 (relator inverse image)", "may/must", runs, tuple(fails)))
     return results

@@ -37,14 +37,10 @@ from .lattice import (
     assert_interval_order,
 )
 from .syntax import CbpvError
-from .trees import EffectTree, Leaf, Node, _Unknown, leaves
+from .trees import EffectTree, Leaf, Node, _Unknown
 
 
 class ModalityError(CbpvError):
-    pass
-
-
-class ValuationError(CbpvError):
     pass
 
 
@@ -187,23 +183,6 @@ def evaluate_interval(
     exact = lo == hi
     assert_interval_order(q.space, lo, hi)
     return Interval(lo, hi, exact)
-
-
-def denote_interval(q: ModalitySpec, t: EffectTree) -> Interval:
-    """Certified bounds for a tree whose leaves already carry truth values."""
-    return evaluate_interval(q, t)
-
-
-def lift(q: ModalitySpec, valuation, t: EffectTree) -> Interval:
-    """Substitute a leaf valuation into the tree and take certified bounds."""
-    if isinstance(valuation, Mapping):
-        for x in leaves(t):
-            if x not in valuation:
-                raise ValuationError(f"valuation is not total: missing leaf {x!r}")
-        fn = lambda x: valuation[x]
-    else:
-        fn = valuation
-    return evaluate_interval(q, t, fn, fn)
 
 
 def denote_limit(q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], Any] = lambda v: v):

@@ -72,7 +72,7 @@ class ParseError(CbpvError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # 'name', 'int', 'punct', 'eof'
+    kind: str  # 'name', 'int', 'exp' (a number in exponent notation), 'punct', 'eof'
     text: str
     line: int
     col: int
@@ -89,7 +89,8 @@ KEYWORDS = {
 }
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<nl>\n)|(?P<int>\d+)"
+    r"(?P<ws>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<nl>\n)"
+    r"|(?P<exp>\d+(?:\.\d+)?[eE][+-]?\d+)|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + r")"
 )

@@ -6,8 +6,12 @@ from cbpv_quant.formulas import (
     ConstF,
     Family,
     FormulaTypeError,
+    MixF,
     Modal,
     NatEq,
+    NegF,
+    OrF,
+    SigmaMuF,
     StepF,
     check_formula,
     formula_size,
@@ -41,6 +45,59 @@ def test_parse_print_roundtrip(prob_nondet_rt, prob_store_rt):
         phi = parse_formula(text, rt.signature, rt.space)
         again = parse_formula(print_formula(phi), rt.signature, rt.space)
         assert phi == again, text
+
+
+def _seeded_number(rng):
+    # plain decimals, integers, and magnitudes down to 1e-12 that print in
+    # exponent notation
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((1e-05, 5e-05, 1.5e-07, 2.5e-10, 1e-12))
+    if kind == 1:
+        return rng.random() * 10.0 ** -rng.randrange(5, 13)
+    if kind == 2:
+        return float(rng.randrange(3))
+    return rng.random()
+
+
+def _seeded_formula(rng, depth):
+    kind = rng.randrange(9) if depth > 0 else rng.randrange(2)
+    if kind == 0:
+        return NatEq(rng.randrange(4))
+    if kind == 1:
+        return ConstF(_seeded_number(rng))
+    sub = lambda: _seeded_formula(rng, depth - 1)
+    if kind == 2:
+        return Modal(rng.choice(("E", "EG")), sub())
+    if kind == 3:
+        return StepF(sub(), _seeded_number(rng))
+    if kind == 4:
+        return SigmaMuF(tuple(_seeded_number(rng) for _ in range(2)), sub())
+    if kind == 5:
+        return NegF(sub())
+    if kind == 6:
+        return MixF(sub(), sub())
+    family = Family(members=tuple(sub() for _ in range(rng.randrange(1, 3))))
+    return AndF(family) if kind == 7 else OrF(family)
+
+
+def test_parse_print_roundtrip_seeded_numbers(prob_store_rt):
+    # printing renders small numbers as `1e-05`; parsing must read them back
+    import random
+
+    rt = prob_store_rt
+    rng = random.Random(7)
+    small = 0
+    for _ in range(300):
+        phi = _seeded_formula(rng, 3)
+        text = print_formula(phi)
+        again = parse_formula(text, rt.signature, rt.space)
+        assert again == phi, text
+        assert print_formula(again) == text
+        small += "e-" in text
+    assert small > 100
+    for text in ("const 1e-05", "step(E<{0}>, 1e-05)", "wsum[1e-05, 1.0](EG<{0}>)"):
+        assert print_formula(parse_formula(text, rt.signature, rt.space)) == text
 
 
 def test_positive_fragment_flag(prob_nondet_rt):

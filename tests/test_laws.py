@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cbpv_quant.config import RunConfig, build_runtime
@@ -107,3 +109,178 @@ def test_random_value_tree_draws_are_pinned():
                 h.update(_tree_text(t).encode())
         h.update(repr(rng.random()).encode())
     assert h.hexdigest() == "056e44f4d579ad1c76996bb5299ea09a029ae865f78d6741434ded7386e1e511"
+
+
+# ---------------------------------------------------------------- law e tables
+
+
+def _o_rel(t, r, pairs, mods):
+    """Reference relator membership, decided as before law e had tables:
+    quantify h over every Boolean valuation of the pairs' left elements and
+    t's leaves, and fold both trees afresh per valuation and modality."""
+    import itertools
+
+    from cbpv_quant.equivalence import right_set
+    from cbpv_quant.lattice import BoolSpace
+    from cbpv_quant.modality import denote_limit
+    from cbpv_quant.trees import leaves, map_leaves
+
+    space = BoolSpace()
+    lefts = sorted({a for a, _ in pairs} | set(leaves(t)))
+    for bits in itertools.product((False, True), repeat=len(lefts)):
+        h = dict(zip(lefts, bits))
+        rh = right_set(pairs, h, space)
+        for q in mods.values():
+            lv = denote_limit(q, map_leaves(t, h.__getitem__))
+            if not space.leq(lv, denote_limit(q, map_leaves(r, rh))):
+                return False
+    return True
+
+
+def _reference_law_relator(max_carrier, mods):
+    """Law e's instance loops and failure texts, each instance decided by
+    `_o_rel` with no tables."""
+    import itertools
+
+    from cbpv_quant.laws import LawResult, _tree_pool
+    from cbpv_quant.trees import map_leaves
+
+    memo = {}
+
+    def rel(t, r, pairs):
+        # keyed by the trees' texts: an id could be reused by a later pool
+        key = (frozenset(pairs), _tree_text(t), _tree_text(r))
+        if key not in memo:
+            memo[key] = _o_rel(t, r, pairs, mods)
+        return memo[key]
+
+    results = []
+    runs, fails = 0, []
+    for n in range(1, max_carrier + 1):
+        carrier = list(range(n))
+        pool = _tree_pool(carrier)
+        ident = {(x, x) for x in carrier}
+        off_diag = [(x, y) for x in carrier for y in carrier if x != y]
+        for k in range(len(off_diag) + 1):
+            for extra in itertools.combinations(off_diag, k):
+                R = ident | set(extra)
+                for t in pool:
+                    runs += 1
+                    if not rel(t, t, R):
+                        fails.append(f"reflexivity broke at carrier {n}, rel {sorted(R)}")
+    results.append(LawResult("e1 (relator reflexive)", "may/must", runs, tuple(fails)))
+
+    runs, fails = 0, []
+    for nx, ny in ((2, 2), (3, 2)):
+        X, Y = list(range(nx)), list(range(100, 100 + ny))
+        cells = [(x, y) for x in X for y in Y]
+        pool_x, pool_y = _tree_pool(X), _tree_pool(Y)
+        for assignment in itertools.product((0, 1, 2), repeat=len(cells)):
+            R = {c for c, a in zip(cells, assignment) if a == 2}
+            S = {c for c, a in zip(cells, assignment) if a >= 1}
+            for t, r in itertools.product(pool_x, pool_y):
+                runs += 1
+                if rel(t, r, R) and not rel(t, r, S):
+                    fails.append(f"monotonicity broke: R={sorted(R)} S={sorted(S)}")
+    results.append(LawResult("e2 (relator monotone)", "may/must", runs, tuple(fails)))
+
+    runs, fails = 0, []
+    X, Y, Z = [0, 1], [10, 11], [20, 21]
+    cells_r = [(x, y) for x in X for y in Y]
+    cells_s = [(y, z) for y in Y for z in Z]
+    pool_x, pool_y, pool_z = _tree_pool(X), _tree_pool(Y), _tree_pool(Z)
+    for rbits in itertools.product((0, 1), repeat=4):
+        R = {c for c, b in zip(cells_r, rbits) if b}
+        for sbits in itertools.product((0, 1), repeat=4):
+            S = {c for c, b in zip(cells_s, sbits) if b}
+            RS = {(x, z) for (x, y) in R for (y2, z) in S if y == y2}
+            for t, u, r in itertools.product(pool_x, pool_y, pool_z):
+                runs += 1
+                if rel(t, u, R) and rel(u, r, S) and not rel(t, r, RS):
+                    fails.append(f"composition broke: R={sorted(R)} S={sorted(S)}")
+    results.append(LawResult("e3 (relator composition)", "may/must", runs, tuple(fails)))
+
+    runs, fails = 0, []
+    X, Y, Z, W = [0, 1], [10, 11], [20, 21], [30, 31]
+    pool_x, pool_y = _tree_pool(X), _tree_pool(Y)
+    cells = [(z, w) for z in Z for w in W]
+    for fbits in itertools.product(Z, repeat=2):
+        f = dict(zip(X, fbits))
+        for gbits in itertools.product(W, repeat=2):
+            g = dict(zip(Y, gbits))
+            for rbits in itertools.product((0, 1), repeat=4):
+                R = {c for c, b in zip(cells, rbits) if b}
+                pre = {(x, y) for x in X for y in Y if (f[x], g[y]) in R}
+                for t, r in itertools.product(pool_x, pool_y):
+                    runs += 1
+                    lhs = rel(t, r, pre)
+                    ft, gr = map_leaves(t, f.__getitem__), map_leaves(r, g.__getitem__)
+                    rhs = _o_rel(ft, gr, R, mods)
+                    if lhs != rhs:
+                        fails.append(f"inverse image broke: f={f} g={g} R={sorted(R)}")
+    results.append(LawResult("e4 (relator inverse image)", "may/must", runs, tuple(fails)))
+    return results
+
+
+def test_relator_tables_decide_every_instance_as_the_reference(monkeypatch):
+    # every relator instance e1-e4 read is a cell of a matrix `decide` made;
+    # each cell must match the table-free reference decision
+    from cbpv_quant import laws
+
+    mods = laws._bool_modalities()
+    made = []
+    decide = laws._RelatorTables.decide
+
+    def recording(self, left, right, rel):
+        out = decide(self, left, right, rel)
+        made.append((left, right, set(rel), out))
+        return out
+
+    monkeypatch.setattr(laws._RelatorTables, "decide", recording)
+    assert all(r.passed for r in laws.law_relator(max_carrier=2))
+    cells = 0
+    for left, right, rel, out in made:
+        for i, t in enumerate(left.trees):
+            for j, r in enumerate(right.trees):
+                cells += 1
+                assert out[i][j] == _o_rel(t, r, rel, mods), (t, r, sorted(rel))
+    assert cells == 25 * len(made) and len(made) == 5 + 80 + 48 + 16 + 256
+
+
+def test_relator_runs_are_pinned():
+    runs = [r.runs for r in law_relator(3)]
+    assert runs == [345, 20250, 32000, 6400]
+    assert [r.runs for r in law_relator(2)] == [25, 20250, 32000, 6400]
+
+
+def test_broken_must_fails_the_relator_laws_as_the_reference(monkeypatch):
+    # a `must` that is not monotone in its second child breaks the relator
+    # laws; the tables must report the reference's failures, in its order
+    from cbpv_quant import laws
+    from cbpv_quant.modality import OpRule
+
+    good = laws._bool_modalities()
+    broken = dict(good)
+    bad_nor = OpRule(lambda node, kids: kids[0] and not kids[1])
+    broken["must"] = replace(good["must"], rules={"nor": bad_nor})
+    monkeypatch.setattr(laws, "_bool_modalities", lambda: broken)
+    got = laws.law_relator(max_carrier=2)
+    want = _reference_law_relator(2, broken)
+    assert [(r.law, r.runs) for r in got] == [(r.law, r.runs) for r in want]
+    # composition survives this mutation; the other three laws break
+    assert [bool(r.failures) for r in got] == [True, True, False, True]
+    for g, w in zip(got, want):
+        assert g.failures == w.failures, g.law
+
+
+def test_relator_folds_every_pool_tree_on_every_call(monkeypatch):
+    # no fold table outlives a law_relator call
+    from cbpv_quant import laws
+
+    calls = []
+    fold = laws.denote_limit
+    monkeypatch.setattr(laws, "denote_limit", lambda *a: calls.append(1) or fold(*a))
+    laws.law_relator()
+    first = len(calls)
+    laws.law_relator()
+    assert first > 0 and len(calls) == 2 * first

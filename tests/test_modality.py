@@ -11,11 +11,9 @@ from cbpv_quant.modality import (
     ModalityError,
     cost_modality,
     denote_at_depth,
-    denote_interval,
     denote_limit,
     evaluate_interval,
     expectation_modality,
-    lift,
     make_error_lift,
     make_nondet_variants,
     prob_store_modality,
@@ -87,12 +85,12 @@ def test_depth_monotone(q, space, mk):
 
 
 def test_interval_with_unknown_branch():
-    iv = denote_interval(E, por(eta(1.0), Unknown))
+    iv = evaluate_interval(E, por(eta(1.0), Unknown))
     assert iv == Interval(0.5, 1.0, False)
 
 
 def test_interval_exact_on_full_tree():
-    iv = denote_interval(E, por(eta(1.0), eta(0.0)))
+    iv = evaluate_interval(E, por(eta(1.0), eta(0.0)))
     assert iv == Interval(0.5, 0.5, True)
 
 
@@ -100,7 +98,7 @@ def test_unit_law_unit_interval():
     rng = random.Random(1)
     for _ in range(50):
         a = E.space.sample(rng)
-        iv = denote_interval(E, eta(a))
+        iv = evaluate_interval(E, eta(a))
         assert iv.exact and iv.lo == a
 
 
@@ -109,15 +107,15 @@ def test_interval_refused_without_leaf_monotonicity():
 
     weird = replace(E, leaf_monotone=False)
     with pytest.raises(ModalityError, match="leaf-monotone"):
-        denote_interval(weird, eta(0.5))
+        evaluate_interval(weird, eta(0.5))
 
 
 def test_bounds_tighten_along_tree_extension():
     # prune a subtree, bounds must widen
     full = por(eta(1.0), por(eta(0.0), eta(1.0)))
     pruned = por(eta(1.0), Unknown)
-    fi = denote_interval(E, full)
-    pi = denote_interval(E, pruned)
+    fi = evaluate_interval(E, full)
+    pi = evaluate_interval(E, pruned)
     assert E.space.leq(pi.lo, fi.lo)
     assert E.space.leq(fi.hi, pi.hi)
 
@@ -213,33 +211,28 @@ def test_exact_denotation_is_not_bounded_by_sufficient_depth():
     assert denote_limit(C, chain) == 400.0
 
 
-# ---------------------------------------------------------------- lift
+# ---------------------------------------------------------------- leaf maps
 
 
 def test_lift_constant_one():
     t = por(eta("a"), por(eta("b"), eta("c")))
-    iv = lift(E, lambda _: 1.0, t)
+    one = lambda _: 1.0
+    iv = evaluate_interval(E, t, one, one)
     assert iv.exact and iv.lo == 1.0
 
 
 def test_lift_cost_sums_nodes():
     t = cost(2, cost(3, eta("x")))
-    iv = lift(C, {"x": 0.0}, t)
+    zero = {"x": 0.0}.__getitem__
+    iv = evaluate_interval(C, t, zero, zero)
     assert iv.exact and iv.lo == 5.0
 
 
 def test_lift_update_total_target():
     t = Node("update[l]", (eta("w"),), param=1)
-    iv = lift(G, {"w": GSPACE.top}, t)
+    top = {"w": GSPACE.top}.__getitem__
+    iv = evaluate_interval(G, t, top, top)
     assert iv.exact and iv.lo == GSPACE.top
-
-
-def test_lift_requires_total_valuation():
-    from cbpv_quant.modality import ValuationError
-
-    t = por(eta("a"), eta("b"))
-    with pytest.raises(ValuationError):
-        lift(E, {"a": 1.0}, t)
 
 
 # ---------------------------------------------------------------- E oracle
@@ -417,11 +410,11 @@ def test_bounds_soundness_under_truncation_all_modalities():
         space = q.space
         for _ in range(25):
             t = random_value_tree(q, rng, 4, lambda: space.sample(rng), p_unknown=0.0)
-            full = denote_interval(q, t)
+            full = evaluate_interval(q, t)
             for k in range(tree_depth(t) + 1):
                 part = truncate(t, k)
                 assert tree_leq(part, t)
-                iv = denote_interval(q, part)
+                iv = evaluate_interval(q, part)
                 assert space.leq(iv.lo, full.lo), f"lower bound unsound for {name}"
                 assert space.leq(full.hi, iv.hi), f"upper bound unsound for {name}"
 
@@ -431,6 +424,6 @@ def test_coin_tree_lift_with_indicator():
     # an indicator of the leaf "one"
     eo, ep = make_nondet_variants(E)
     coin = por(eta("zero"), por(nor(eta("zero"), eta("one")), eta("one")))
-    ind = {"zero": 0.0, "one": 1.0}
-    assert lift(eo, ind, coin) == Interval(0.5, 0.5, True)
-    assert lift(ep, ind, coin) == Interval(0.25, 0.25, True)
+    ind = {"zero": 0.0, "one": 1.0}.__getitem__
+    assert evaluate_interval(eo, coin, ind, ind) == Interval(0.5, 0.5, True)
+    assert evaluate_interval(ep, coin, ind, ind) == Interval(0.25, 0.25, True)
