@@ -185,14 +185,14 @@ def cmd_compare(args) -> tuple[int, str]:
         if isinstance(v, Distinguished):
             code = 1
             rep.text(
-                f"distinguished: witness {print_formula(v.formula)} "
+                f"distinguished: witness {print_formula(v.formula, rt.space)} "
                 f"left {rt.space.render(v.left.lo)} right {rt.space.render(v.right.lo)} "
                 f"({v.direction})"
             )
             docs.append(
                 {
                     "verdict": "distinguished",
-                    "witness": print_formula(v.formula),
+                    "witness": print_formula(v.formula, rt.space),
                     "left": _interval_json(rt.space, v.left),
                     "right": _interval_json(rt.space, v.right),
                     "direction": v.direction,
@@ -231,8 +231,9 @@ def cmd_distinguish(args) -> tuple[int, str]:
         rep.doc = {"witness": None, "max_size": args.max_size, "fuel": fuel}
         return 0, rep.flush()
     phi, direction = found
-    rep.text(f"witness {print_formula(phi)} ({direction})")
-    rep.doc = {"witness": print_formula(phi), "direction": direction}
+    witness = print_formula(phi, rt.space)
+    rep.text(f"witness {witness} ({direction})")
+    rep.doc = {"witness": witness, "direction": direction}
     return 1, rep.flush()
 
 
@@ -250,12 +251,7 @@ def _default_constants(rt: Runtime):
 def cmd_laws(args) -> tuple[int, str]:
     rt = _runtime(args)
     rep = Reporter(args.json)
-    params = LawParams(
-        samples=args.samples,
-        seed=rt.config.seed,
-        depth=args.depth,
-        tolerance=rt.config.tolerance,
-    )
+    params = LawParams(samples=args.samples, seed=rt.config.seed, depth=args.depth)
     mods = standard_modalities(rt.store)
     if args.modality:
         wanted = _items(args.modality)

@@ -10,7 +10,6 @@ The configuration document is key-value text (one `key = value` per line,
     value_bound     = 3
     errors          = [e1, e2]
     error_valuation.<q>.<e> = <truth value>   # e.g. states{l=1}, 0.5, top
-    tolerance       = 1e-9
     fuel            = 16
     suite_size      = 3
     seed            = 0
@@ -34,7 +33,6 @@ from typing import Any, Callable, Mapping, Optional
 
 from .formulas import FormulaParser
 from .lattice import (
-    BoolSpace,
     CostSpace,
     StateSetSpace,
     StateTableSpace,
@@ -44,7 +42,7 @@ from .lattice import (
 )
 from .modality import (
     ModalitySpec,
-    boolean_modality,
+    bool_modalities,
     cost_modality,
     expectation_modality,
     make_error_lift,
@@ -77,7 +75,6 @@ class RunConfig:
     value_bound: int = 3
     errors: tuple[str, ...] = ("e",)
     error_valuations: tuple[tuple[str, str, str], ...] = ()  # (modality, label, literal)
-    tolerance: float = 1e-9
     fuel: int = 16
     suite_size: int = 3
     seed: int = 0
@@ -127,7 +124,6 @@ SETTINGS: dict[str, Callable[[str], Any]] = {
     "locations": _items,
     "value_bound": int,
     "errors": _items,
-    "tolerance": float,
     "fuel": int,
     "suite_size": _positive,
     "seed": int,
@@ -240,12 +236,8 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     space: TruthSpace
     auto = cfg.truth_space in ("auto", "")
     if not auto and cfg.truth_space == "bool":
-        space = BoolSpace()
-        mods = {
-            "may": boolean_modality(space, _binary_ops(signature), "may", "may"),
-            "must": boolean_modality(space, _binary_ops(signature), "must", "must"),
-        }
-        return Runtime(cfg, signature, space, mods, store)
+        mods = bool_modalities(signature.binary_ops())
+        return Runtime(cfg, signature, mods["may"].space, mods, store)
 
     if base == "prob":
         space = UnitIntervalSpace()
@@ -277,18 +269,18 @@ def build_runtime(cfg: RunConfig) -> Runtime:
             mods[q.name] = q
 
     if error:
+        for q, e, _ in cfg.error_valuations:
+            if q not in mods:
+                raise ConfigError(
+                    f"error_valuation.{q}.{e}: signature {cfg.signature!r} has no "
+                    f"modality {q!r} to lift (it has {', '.join(mods)})"
+                )
         lifted: dict[str, ModalitySpec] = {}
         for name, q in mods.items():
             f = _error_valuation(cfg, name, space)
             lifted[name + "f"] = make_error_lift(q, f, cfg.errors)
         mods.update(lifted)
     return Runtime(cfg, signature, space, mods, store)
-
-
-def _binary_ops(signature: EffectSignature) -> tuple[str, ...]:
-    return tuple(
-        d.name for d in signature if isinstance(d.arity, FiniteArity) and d.arity.n == 2
-    )
 
 
 def _error_valuation(cfg: RunConfig, modality: str, space: TruthSpace) -> dict[str, Any]:

@@ -281,60 +281,50 @@ def check_formula(
 # Printing
 
 
-def print_formula(phi: Formula) -> str:
-    if isinstance(phi, NatEq):
-        return "{" + str(phi.n) + "}"
-    if isinstance(phi, ThunkF):
-        return f"[U]{print_formula(phi.body)}"
-    if isinstance(phi, InjF):
-        return f"inj {phi.label} {print_formula(phi.body)}"
-    if isinstance(phi, FstF):
-        return f"fst {print_formula(phi.body)}"
-    if isinstance(phi, SndF):
-        return f"snd {print_formula(phi.body)}"
-    if isinstance(phi, ArgF):
-        return f"({phi.arg} . {print_formula(phi.body)})"
-    if isinstance(phi, ProjF):
-        return f"proj {phi.label} {print_formula(phi.body)}"
-    if isinstance(phi, Modal):
-        return f"{phi.modality}<{print_formula(phi.body)}>"
-    if isinstance(phi, OrF):
-        return "or{" + _print_family(phi.family) + "}"
-    if isinstance(phi, AndF):
-        return "and{" + _print_family(phi.family) + "}"
-    if isinstance(phi, StepF):
-        return f"step({print_formula(phi.body)}, {render_value(phi.threshold)})"
-    if isinstance(phi, ConstF):
-        return f"const {render_value(phi.value)}"
-    if isinstance(phi, NegF):
-        return f"not {print_formula(phi.body)}"
-    if isinstance(phi, SigmaMuF):
-        ws = ", ".join(repr(w) for w in phi.weights)
-        return f"wsum[{ws}]({print_formula(phi.body)})"
-    if isinstance(phi, MixF):
-        return f"mix({print_formula(phi.opt)}, {print_formula(phi.pess)})"
-    raise FormulaTypeError(f"unknown formula {phi!r}")
+def print_formula(phi: Formula, space: Optional[TruthSpace] = None) -> str:
+    """The concrete syntax of `phi`, which `parse_formula` reads back under
+    `space`: truth values print through `space.render`.  Without a space they
+    print as Python reprs, for `str(phi)` and formulas that hold no truth
+    value, such as the basic formulas of a suite."""
+    value = repr if space is None else space.render
 
+    def go(phi: Formula) -> str:
+        if isinstance(phi, NatEq):
+            return "{" + str(phi.n) + "}"
+        if isinstance(phi, ThunkF):
+            return f"[U]{go(phi.body)}"
+        if isinstance(phi, InjF):
+            return f"inj {phi.label} {go(phi.body)}"
+        if isinstance(phi, FstF):
+            return f"fst {go(phi.body)}"
+        if isinstance(phi, SndF):
+            return f"snd {go(phi.body)}"
+        if isinstance(phi, ArgF):
+            return f"({phi.arg} . {go(phi.body)})"
+        if isinstance(phi, ProjF):
+            return f"proj {phi.label} {go(phi.body)}"
+        if isinstance(phi, Modal):
+            return f"{phi.modality}<{go(phi.body)}>"
+        if isinstance(phi, (OrF, AndF)):
+            fam = phi.family
+            parts = [go(p) for p in fam.members]
+            if fam.generator is not None:
+                parts.append(f"...generated x{fam.bound}{'' if fam.complete else ' (partial)'}")
+            return ("or{" if isinstance(phi, OrF) else "and{") + ", ".join(parts) + "}"
+        if isinstance(phi, StepF):
+            return f"step({go(phi.body)}, {value(phi.threshold)})"
+        if isinstance(phi, ConstF):
+            return f"const {value(phi.value)}"
+        if isinstance(phi, NegF):
+            return f"not {go(phi.body)}"
+        if isinstance(phi, SigmaMuF):
+            ws = ", ".join(repr(w) for w in phi.weights)
+            return f"wsum[{ws}]({go(phi.body)})"
+        if isinstance(phi, MixF):
+            return f"mix({go(phi.opt)}, {go(phi.pess)})"
+        raise FormulaTypeError(f"unknown formula {phi!r}")
 
-def _print_family(fam: Family) -> str:
-    parts = [print_formula(p) for p in fam.members]
-    if fam.generator is not None:
-        parts.append(f"...generated x{fam.bound}{'' if fam.complete else ' (partial)'}")
-    return ", ".join(parts)
-
-
-def render_value(v: Any) -> str:
-    if v is True:
-        return "top"
-    if v is False:
-        return "bot"
-    if isinstance(v, float) and v == math.inf:
-        return "inf"
-    if isinstance(v, (int, float)):
-        return str(int(v)) if float(v) == int(v) else repr(float(v))
-    if isinstance(v, frozenset):
-        return "{" + ", ".join(sorted(map(str, v))) + "}"
-    return str(v)
+    return go(phi)
 
 
 # --------------------------------------------------------------------------

@@ -5,12 +5,12 @@ powerset of a finite store-state space, state-indexed unit-interval tables,
 and the extended non-negative reals under the REVERSED order (smaller cost is
 higher truth: leq(a, b) iff a >= b numerically, top = 0, bot = inf).
 
-Order comparisons are exact; the configurable tolerance is consulted only by
-approx_eq.  Values are double-precision floats.  The shipped example
-programs produce shallow dyadic rationals, which floats represent exactly,
-but that does not hold in general: arithmetic on other values rounds to
-nearest, so a bound can land on the wrong side of the true value (the
-lower bound of a program worth 6/7 rounds above 6/7 from fuel 140).
+Order comparisons and equality are exact.  Values are double-precision
+floats.  The shipped example programs produce shallow dyadic rationals,
+which floats represent exactly, but that does not hold in general:
+arithmetic on other values rounds to nearest, so a bound can land on the
+wrong side of the true value (the lower bound of a program worth 6/7 rounds
+above 6/7 from fuel 140).
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class TruthSpace:
     def neg(self, a):
         raise NotImplementedError
 
-    def approx_eq(self, a, b, tol: float = 1e-9) -> bool:
-        return a == b
-
     def contains(self, v) -> bool:
         raise NotImplementedError
 
@@ -167,9 +164,6 @@ class UnitIntervalSpace(TruthSpace):
     def neg(self, a):
         return 1.0 - a
 
-    def approx_eq(self, a, b, tol: float = 1e-9):
-        return abs(a - b) <= tol
-
     def contains(self, v):
         return isinstance(v, (int, float)) and 0.0 <= v <= 1.0
 
@@ -220,11 +214,6 @@ class CostSpace(TruthSpace):
         if a == math.inf:
             return 0.0
         return 1.0 / a
-
-    def approx_eq(self, a, b, tol: float = 1e-9):
-        if a == math.inf or b == math.inf:
-            return a == b
-        return abs(a - b) <= tol
 
     def contains(self, v):
         return isinstance(v, (int, float)) and v >= 0.0
@@ -334,9 +323,6 @@ class StateTableSpace(TruthSpace):
 
     def neg(self, a):
         return tuple(1.0 - x for x in a)
-
-    def approx_eq(self, a, b, tol: float = 1e-9):
-        return all(abs(x - y) <= tol for x, y in zip(a, b))
 
     def contains(self, v):
         return (

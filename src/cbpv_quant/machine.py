@@ -88,18 +88,6 @@ class Config:
     focus: ComTerm
 
 
-def stack_apply(stack: Stack, m: ComTerm) -> ComTerm:
-    """S{M}: rebuild the computation the stack denotes around M."""
-    for frame in reversed(stack):
-        if isinstance(frame, ToFrame):
-            m = SeqTo(m, frame.binder, frame.body)
-        elif isinstance(frame, ArgFrame):
-            m = Apply(m, frame.value)
-        else:
-            m = Proj(m, frame.label)
-    return m
-
-
 # --------------------------------------------------------------------------
 # Direct reduction
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Optional
 
 from .lattice import (
+    BoolSpace,
     CostSpace,
     StateSetSpace,
     StateTableSpace,
@@ -64,7 +65,6 @@ class ModalitySpec:
     space: TruthSpace
     rules: Mapping[str, OpRule]
     leaf_monotone: bool = True
-    two_valued_errors: Optional[bool] = None
 
     def rule(self, op: str) -> OpRule:
         r = self.rules.get(op)
@@ -200,24 +200,22 @@ def denote_limit(q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], Any] = la
 # The shipped modality families
 
 
-def expectation_modality(name: str = "E", space: Optional[UnitIntervalSpace] = None) -> ModalitySpec:
+def expectation_modality() -> ModalitySpec:
     """E over [0,1]: fair coin average at probabilistic-choice nodes."""
-    space = space or UnitIntervalSpace()
 
     def por(node: Node, kids: list):
         return (kids[0] + kids[1]) / 2.0
 
-    return ModalitySpec(name, space, {"por": OpRule(por)})
+    return ModalitySpec("E", UnitIntervalSpace(), {"por": OpRule(por)})
 
 
-def cost_modality(name: str = "C", space: Optional[CostSpace] = None) -> ModalitySpec:
+def cost_modality() -> ModalitySpec:
     """C over [0, inf] reversed: node costs accumulate along the branch."""
-    space = space or CostSpace()
 
     def cost(node: Node, kids: list):
         return node.param + kids[0]
 
-    return ModalitySpec(name, space, {"cost": OpRule(cost)})
+    return ModalitySpec("C", CostSpace(), {"cost": OpRule(cost)})
 
 
 def _update_targets(store: StoreConfig, states: tuple, li: int) -> list[tuple]:
@@ -226,7 +224,7 @@ def _update_targets(store: StoreConfig, states: tuple, li: int) -> list[tuple]:
     return [tuple(store.set_loc(s, li, v) for s in states) for v in range(store.value_bound)]
 
 
-def store_modality(store_space: StateSetSpace, name: str = "G") -> ModalitySpec:
+def store_modality(store_space: StateSetSpace) -> ModalitySpec:
     """G over P(S): the set of starting states leading to a satisfying end state."""
     store = store_space.store
     states = store_space.all_states
@@ -242,10 +240,10 @@ def store_modality(store_space: StateSetSpace, name: str = "G") -> ModalitySpec:
 
         rules[f"lookup[{loc}]"] = OpRule(lookup, family_consult=store.value_bound)
         rules[f"update[{loc}]"] = OpRule(update)
-    return ModalitySpec(name, store_space, rules)
+    return ModalitySpec("G", store_space, rules)
 
 
-def prob_store_modality(table_space: StateTableSpace, name: str = "EG") -> ModalitySpec:
+def prob_store_modality(table_space: StateTableSpace) -> ModalitySpec:
     """EG over [0,1]^S: per-state probability, threading the store."""
     store = table_space.store
     states = table_space.all_states
@@ -267,7 +265,7 @@ def prob_store_modality(table_space: StateTableSpace, name: str = "EG") -> Modal
 
         rules[f"lookup[{loc}]"] = OpRule(lookup, family_consult=store.value_bound)
         rules[f"update[{loc}]"] = OpRule(update)
-    return ModalitySpec(name, table_space, rules)
+    return ModalitySpec("EG", table_space, rules)
 
 
 def make_nondet_variants(q: ModalitySpec) -> tuple[ModalitySpec, ModalitySpec]:
@@ -290,11 +288,7 @@ def make_nondet_variants(q: ModalitySpec) -> tuple[ModalitySpec, ModalitySpec]:
 def make_error_lift(
     q: ModalitySpec, f: Mapping[str, Any], error_labels: tuple[str, ...]
 ) -> ModalitySpec:
-    """q_f: inherit q's rules and value each raise[e] node at f(e).
-
-    The returned spec records whether f's range lies in {bot, top}; only those
-    lifts are blind to effects already performed before the error.
-    """
+    """q_f: inherit q's rules and value each raise[e] node at f(e)."""
     for e in error_labels:
         if e not in f:
             raise ModalityError(f"error valuation is not total: missing label {e}")
@@ -308,19 +302,15 @@ def make_error_lift(
             raise ModalityError(f"modality {q.name} already interprets {op}")
         v = f[e]
         rules[op] = OpRule(lambda node, kids, v=v: v)
-    two_valued = all(f[e] in (q.space.bot, q.space.top) for e in error_labels)
-    return replace(q, name=q.name + "f", rules=rules, two_valued_errors=two_valued)
+    return replace(q, name=q.name + "f", rules=rules)
 
 
-def boolean_modality(space, ops: tuple[str, ...], mode: str, name: str = "") -> ModalitySpec:
-    """A Boolean may/must modality: join (may) or meet (must) at each listed
-    binary operator.  Used by the exhaustive relator law checks."""
-    combine = space.join2 if mode == "may" else space.meet2
-
-    def fn(node: Node, kids: list):
-        out = space.bot if mode == "may" else space.top
-        for v in kids:
-            out = combine(out, v)
-        return out
-
-    return ModalitySpec(name or mode, space, {op: OpRule(fn) for op in ops})
+def bool_modalities(ops: tuple[str, ...]) -> dict[str, ModalitySpec]:
+    """The Boolean may/must pair: join (may) or meet (must) at each listed
+    binary operator.  A `truth_space = bool` runtime and the relator laws
+    use it."""
+    space = BoolSpace()
+    return {
+        mode: ModalitySpec(mode, space, {op: OpRule(lambda node, kids, fold=fold: fold(kids)) for op in ops})
+        for mode, fold in (("may", space.join), ("must", space.meet))
+    }

@@ -179,9 +179,6 @@ class Parser:
     def parse_program(self) -> ComTerm:
         return self.whole(self.com_term)
 
-    def parse_value(self) -> ValTerm:
-        return self.whole(self.val_term)
-
     def parse_vtype(self) -> ValType:
         return self.whole(self.vtype)
 
@@ -461,10 +458,6 @@ class Parser:
 def parse_program(text: str, signature: EffectSignature) -> ComTerm:
     """Parse a computation term in the concrete grammar."""
     return Parser(text, signature).parse_program()
-
-
-def parse_value(text: str, signature: EffectSignature) -> ValTerm:
-    return Parser(text, signature).parse_value()
 
 
 def parse_vtype(text: str) -> ValType:

@@ -34,7 +34,7 @@ from .formulas import (
     ThunkF,
     check_formula,
 )
-from .lattice import StateSetSpace, StateTableSpace, TruthSpace
+from .lattice import StateTableSpace, TruthSpace
 from .machine import eval_tree
 from .modality import Interval, ModalitySpec, evaluate_interval, exact_interval
 from .syntax import (
@@ -267,57 +267,3 @@ def satisfies_exact(
             return res
         fuel = min(fuel * 2, fuel_cap)
 
-
-# --------------------------------------------------------------------------
-# Derived formula constructors
-
-
-def hoare(pre: frozenset, post: frozenset, space: TruthSpace) -> Formula:
-    """A Hoare-style formula: top iff execution from any state in `pre`
-    terminates in a state from `post`."""
-    if not isinstance(space, StateSetSpace):
-        raise FormulaTypeError("Hoare formulas need the powerset-of-states space")
-    if not space.contains(pre) or not space.contains(post):
-        raise FormulaTypeError("pre/post conditions must be state sets")
-    return StepF(Modal("G", ConstF(post)), pre)
-
-
-def sigma_mu(weights, phi: Formula, space: TruthSpace) -> Formula:
-    """Weighted-sum formula over a sub-distribution of starting states."""
-    if not isinstance(space, StateTableSpace):
-        raise FormulaTypeError("weighted sums need the state-table space")
-    ws = tuple(float(w) for w in weights)
-    if len(ws) != len(space.all_states):
-        raise FormulaTypeError("weight vector does not match the state space")
-    if any(w < 0 for w in ws):
-        raise FormulaTypeError("weights must be non-negative")
-    return SigmaMuF(ws, phi)
-
-
-def scheduler_mix(phi_opt: Formula, phi_pess: Formula, space: TruthSpace) -> Formula:
-    """Average of an optimistic and a pessimistic satisfaction degree, i.e. a
-    half-helpful half-antagonistic scheduler."""
-    if space.name != "unit":
-        raise FormulaTypeError("scheduler mixes need the unit-interval space")
-    return MixF(phi_opt, phi_pess)
-
-
-def scheduler_mix_grid(phi_opt: Formula, phi_pess: Formula, steps: int = 64) -> Formula:
-    """The countable-disjunction encoding of the scheduler mix, enumerated on
-    a grid of thresholds; its lower bound approaches the native mix."""
-    grid = [k / steps for k in range(steps + 1)]
-    pairs = [(a, b) for a in grid for b in grid]
-
-    def gen(i: int) -> Formula:
-        a, b = pairs[i]
-        return AndF(
-            Family(
-                members=(
-                    StepF(phi_opt, a),
-                    StepF(phi_pess, b),
-                    ConstF((a + b) / 2.0),
-                )
-            )
-        )
-
-    return OrF(Family(generator=gen, bound=len(pairs), complete=False))

@@ -71,7 +71,6 @@ class FormulaSuite:
     target: GenType
     formulas: tuple[Formula, ...]
     size: int
-    pools: Pools
 
 
 def default_val(ty: ValType) -> ValTerm:
@@ -169,4 +168,4 @@ def enumerate_basic_formulas(
         return uniq
 
     formulas = tuple(go(ty, size, True))
-    return FormulaSuite(ty, formulas, size, pools)
+    return FormulaSuite(ty, formulas, size)

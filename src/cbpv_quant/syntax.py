@@ -455,6 +455,12 @@ class EffectSignature:
     def __iter__(self):
         return iter(self.ops.values())
 
+    def binary_ops(self) -> tuple[str, ...]:
+        """The operators of arity 2, in declaration order."""
+        return tuple(
+            d.name for d in self.ops.values() if isinstance(d.arity, FiniteArity) and d.arity.n == 2
+        )
+
     def __repr__(self):
         return f"EffectSignature({self.name or sorted(self.ops)})"
 

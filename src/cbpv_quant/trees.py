@@ -10,7 +10,7 @@ divergence.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterator, Optional
 
 from .syntax import CbpvError
 
@@ -82,23 +82,6 @@ def map_leaves(t: EffectTree, f: Callable[[Any], Any]) -> EffectTree:
         return t
     assert isinstance(t, Node)
     return Node(t.op, tuple(map_leaves(c, f) for c in t.children), t.param)
-
-
-def leaf_substitute(t: EffectTree, valuation: Union[Mapping[Any, Any], Callable[[Any], Any]]) -> EffectTree:
-    """t[P]: replace each non-Unknown leaf x by P(x).
-
-    With a mapping, a missing leaf raises; with a callable, totality is the
-    caller's obligation.
-    """
-    if callable(valuation) and not isinstance(valuation, Mapping):
-        return map_leaves(t, valuation)
-
-    def apply(x):
-        if x not in valuation:
-            raise TreeError(f"valuation is not total: no value for leaf {x!r}")
-        return valuation[x]
-
-    return map_leaves(t, apply)
 
 
 def graft(t: EffectTree) -> EffectTree:

@@ -311,14 +311,3 @@ def infer_type(ctx: Context, term: GenTerm, signature: EffectSignature) -> GenTy
         return tc.val(ctx, term)
     return tc.com(ctx, term)
 
-
-def check_type(ctx: Context, term: GenTerm, ty: GenType, signature: EffectSignature) -> None:
-    tc = TypeChecker(signature)
-    if isinstance(term, ValTerm):
-        if not isinstance(ty, ValType):
-            raise TypeCheckError(f"value term checked against computation type {ty}")
-        tc.val(ctx, term, ty)
-    else:
-        if not isinstance(ty, ComType):
-            raise TypeCheckError(f"computation term checked against value type {ty}")
-        tc.com(ctx, term, ty)

@@ -104,6 +104,42 @@ def test_explore_width_flag_and_key_are_gone(tmp_path):
     assert report == "error: line 1: unknown key 'explore_width'"
 
 
+def test_tolerance_key_is_gone(tmp_path):
+    # law c compares exactly, so no setting reads a tolerance
+    conf = tmp_path / "run.toml"
+    conf.write_text("signature = prob\ntolerance = 1e-9\n")
+    code, report = run(["laws", "--samples", "1", "--no-relator", "--config", str(conf)])
+    assert (code, report) == (2, "error: line 2: unknown key 'tolerance'")
+
+
+@pytest.mark.parametrize(
+    "signature, key, error",
+    [
+        (
+            "store+nondet+error",
+            "error_valuation.G.e",
+            "error: error_valuation.G.e: signature 'store+nondet+error' has no "
+            "modality 'G' to lift (it has Gopt, Gpes)",
+        ),
+        (
+            "store+error",
+            "error_valuation.g.e",
+            "error: error_valuation.g.e: signature 'store+error' has no "
+            "modality 'g' to lift (it has G)",
+        ),
+    ],
+)
+def test_error_valuation_for_a_missing_modality_is_an_error(tmp_path, signature, key, error):
+    prog = tmp_path / "r.cbpv"
+    prog.write_text("return 0\n")
+    conf = tmp_path / "run.toml"
+    conf.write_text(f"signature = {signature}\nlocations = [l]\n{key} = states{{l=1}}\n")
+    assert run(["typecheck", str(prog), "--config", str(conf)]) == (2, error)
+    # without +error the runtime lifts nothing, so the key is ignored
+    conf.write_text(f"signature = store\nlocations = [l]\n{key} = states{{l=1}}\n")
+    assert run(["typecheck", str(prog), "--config", str(conf)]) == (0, "type: F nat")
+
+
 @pytest.mark.parametrize(
     "literal, error",
     [

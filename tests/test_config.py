@@ -23,7 +23,6 @@ def test_parse_config_document():
         value_bound = 3
         errors = [e1, e2]
         error_valuation.G.e1 = states{l=1}
-        tolerance = 1e-9
         fuel = 12
         numerals = [0, 1, 7]
         """

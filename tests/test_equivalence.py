@@ -20,7 +20,7 @@ from cbpv_quant.equivalence import (
 from cbpv_quant.formulas import Modal, NatEq, NegF, StepF, ThunkF, print_formula
 from cbpv_quant.generators import generate_program
 from cbpv_quant.lattice import BoolSpace, UnitIntervalSpace
-from cbpv_quant.modality import boolean_modality
+from cbpv_quant.modality import bool_modalities
 from cbpv_quant.parser import parse_ctype, parse_program
 from cbpv_quant.satisfaction import Satisfier
 from cbpv_quant.suites import Pools, enumerate_basic_formulas
@@ -293,7 +293,7 @@ def test_right_set_monotone():
 
 
 BOOL = BoolSpace()
-MAY = {"may": boolean_modality(BOOL, ("nor",), "may", "may")}
+MAY = {"may": bool_modalities(("nor",))["may"]}
 
 
 def _brute_bool_relator(t, r, pairs):

@@ -23,7 +23,7 @@ from cbpv_quant.parser import parse_ctype
 from cbpv_quant.syntax import numeral
 
 
-def test_parse_print_roundtrip(prob_nondet_rt, prob_store_rt):
+def test_parse_print_roundtrip(prob_nondet_rt, prob_store_rt, store_nondet_rt):
     texts = [
         "{7}",
         "[U]Eopt<{1}>",
@@ -41,10 +41,32 @@ def test_parse_print_roundtrip(prob_nondet_rt, prob_store_rt):
     ]
     cases = [(prob_nondet_rt, text) for text in texts]
     cases.append((prob_store_rt, "wsum[0.5, 1](EG<{0}>)"))
+    # state sets and state tables print through the truth space's render
+    cases += [
+        (store_nondet_rt, "Gopt<const top>"),
+        (store_nondet_rt, "Gpes<const bot>"),
+        (store_nondet_rt, "step(Gopt<{0}>, states{l=1})"),
+        (store_nondet_rt, "not Gopt<const {[l=0 r=1], [l=2 r=0]}>"),
+        (prob_store_rt, "EG<const top>"),
+        (prob_store_rt, "step(EG<{0}>, bot)"),
+    ]
     for rt, text in cases:
         phi = parse_formula(text, rt.signature, rt.space)
-        again = parse_formula(print_formula(phi), rt.signature, rt.space)
+        printed = print_formula(phi, rt.space)
+        again = parse_formula(printed, rt.signature, rt.space)
         assert phi == again, text
+        assert print_formula(again, rt.space) == printed, text
+
+
+def test_state_values_print_as_literals(store_nondet_rt, prob_store_rt):
+    def printed(rt, text):
+        return print_formula(parse_formula(text, rt.signature, rt.space), rt.space)
+
+    assert printed(store_nondet_rt, "Gopt<const top>") == "Gopt<const top>"
+    assert printed(store_nondet_rt, "step(Gopt<{0}>, states{l=1})") == (
+        "step(Gopt<{0}>, {[l=1 r=0], [l=1 r=1], [l=1 r=2]})"
+    )
+    assert printed(prob_store_rt, "EG<const top>") == "EG<const top>"
 
 
 def _seeded_number(rng):

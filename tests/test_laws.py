@@ -14,6 +14,7 @@ from cbpv_quant.laws import (
     law_unit,
     standard_modalities,
 )
+from cbpv_quant.modality import bool_modalities
 
 MODS = standard_modalities()
 SMALL = LawParams(samples=60, seed=11, depth=4)
@@ -227,7 +228,7 @@ def test_relator_tables_decide_every_instance_as_the_reference(monkeypatch):
     # each cell must match the table-free reference decision
     from cbpv_quant import laws
 
-    mods = laws._bool_modalities()
+    mods = bool_modalities(("nor",))
     made = []
     decide = laws._RelatorTables.decide
 
@@ -259,11 +260,11 @@ def test_broken_must_fails_the_relator_laws_as_the_reference(monkeypatch):
     from cbpv_quant import laws
     from cbpv_quant.modality import OpRule
 
-    good = laws._bool_modalities()
+    good = bool_modalities(("nor",))
     broken = dict(good)
     bad_nor = OpRule(lambda node, kids: kids[0] and not kids[1])
     broken["must"] = replace(good["must"], rules={"nor": bad_nor})
-    monkeypatch.setattr(laws, "_bool_modalities", lambda: broken)
+    monkeypatch.setattr(laws, "bool_modalities", lambda ops: broken)
     got = laws.law_relator(max_carrier=2)
     want = _reference_law_relator(2, broken)
     assert [(r.law, r.runs) for r in got] == [(r.law, r.runs) for r in want]

@@ -308,13 +308,6 @@ def test_error_lift_example_with_store():
     t_bad = Node("update[l]", (Node("raise[e]", ()),), param=0)
     assert denote_limit(gf, t_good) == GSPACE.top
     assert denote_limit(gf, t_bad) == GSPACE.bot
-    assert gf.two_valued_errors is False
-
-
-def test_error_lift_two_valued_flag():
-    ef = make_error_lift(E, {"e": 0.0}, ("e",))
-    assert ef.two_valued_errors is True
-    assert denote_limit(ef, Node("raise[e]", ())) == 0.0
 
 
 def test_error_lift_agrees_on_raise_free_trees():

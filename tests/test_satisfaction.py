@@ -6,23 +6,18 @@ from cbpv_quant.formulas import (
     AndF,
     ConstF,
     Family,
+    FormulaTypeError,
+    MixF,
     Modal,
     NatEq,
     NegF,
     OrF,
+    SigmaMuF,
     StepF,
     parse_formula,
 )
 from cbpv_quant.parser import parse_program
-from cbpv_quant.satisfaction import (
-    SatisfactionError,
-    Satisfier,
-    hoare,
-    satisfies_exact,
-    scheduler_mix,
-    scheduler_mix_grid,
-    sigma_mu,
-)
+from cbpv_quant.satisfaction import SatisfactionError, Satisfier, satisfies_exact
 from cbpv_quant.syntax import numeral
 
 
@@ -180,6 +175,12 @@ def test_satisfies_exact_retries(prob_rt):
 # ---------------------------------------------------------------- derived formulas
 
 
+def hoare(pre, post):
+    """A Hoare-style formula: top iff execution from any state in `pre`
+    terminates in a state from `post`."""
+    return StepF(Modal("G", ConstF(post)), pre)
+
+
 def test_hoare_triples(store_rt):
     rt = store_rt
     sat = _sat(rt)
@@ -187,10 +188,10 @@ def test_hoare_triples(store_rt):
     prog = parse_program("update[l](1, return ())", rt.signature)
     post = frozenset(s for s in space.all_states if s[0] == 1)
     # single update node: G<const post> computes {s | s[l:=1] in post} = S
-    assert sat.satisfies(prog, hoare(space.top, post, space), 8).interval.lo == space.top
+    assert sat.satisfies(prog, hoare(space.top, post), 8).interval.lo == space.top
     wrong = frozenset(s for s in space.all_states if s[0] == 0)
-    assert sat.satisfies(prog, hoare(space.top, wrong, space), 8).interval.lo == space.bot
-    empty_pre = hoare(space.bot, wrong, space)
+    assert sat.satisfies(prog, hoare(space.top, wrong), 8).interval.lo == space.bot
+    empty_pre = hoare(space.bot, wrong)
     assert sat.satisfies(prog, empty_pre, 8).interval.lo == space.top
 
 
@@ -200,7 +201,7 @@ def test_sigma_mu_point_mass(prob_store_rt):
     space = rt.space
     prog = parse_program("return ()", rt.signature)
     table = tuple(1.0 if i == 0 else 0.0 for i in range(len(space.all_states)))
-    phi = sigma_mu(table, ConstF(table), space)
+    phi = SigmaMuF(table, ConstF(table))
     got = sat.satisfies(prog, phi, 4).interval
     # point mass at state 0 picks the body's entry there, at every state
     assert got.exact and got.lo == tuple(1.0 for _ in space.all_states)
@@ -212,7 +213,7 @@ def test_sigma_mu_uniform_average(prob_store_rt):
     space = rt.space
     prog = parse_program("return ()", rt.signature)
     body_table = (1.0, 0.0)
-    phi = sigma_mu((0.5, 0.5), ConstF(body_table), space)
+    phi = SigmaMuF((0.5, 0.5), ConstF(body_table))
     got = sat.satisfies(prog, phi, 4).interval
     assert got.exact and got.lo == (0.5, 0.5)
 
@@ -222,7 +223,7 @@ def test_sigma_mu_clips_at_one(prob_store_rt):
     sat = _sat(rt)
     space = rt.space
     prog = parse_program("return ()", rt.signature)
-    phi = sigma_mu((2.0, 0.0), ConstF(space.top), space)
+    phi = SigmaMuF((2.0, 0.0), ConstF(space.top))
     got = sat.satisfies(prog, phi, 4).interval
     assert got.exact and got.lo == (1.0, 1.0)
 
@@ -230,12 +231,24 @@ def test_sigma_mu_clips_at_one(prob_store_rt):
 def test_scheduler_mix_values(prob_nondet_rt):
     rt = prob_nondet_rt
     sat = _sat(rt)
-    space = rt.space
     one = ConstF(1.0)
     zero = ConstF(0.0)
     prog = parse_program("return 0", rt.signature)
-    assert sat.satisfies(prog, scheduler_mix(one, one, space), 4).interval.lo == 1.0
-    assert sat.satisfies(prog, scheduler_mix(one, zero, space), 4).interval.lo == 0.5
+    assert sat.satisfies(prog, MixF(one, one), 4).interval.lo == 1.0
+    assert sat.satisfies(prog, MixF(one, zero), 4).interval.lo == 0.5
+
+
+def scheduler_mix_grid(phi_opt, phi_pess, steps):
+    """The countable-disjunction encoding of the scheduler mix, enumerated on
+    a grid of thresholds; its lower bound approaches the native mix."""
+    grid = [k / steps for k in range(steps + 1)]
+    pairs = [(a, b) for a in grid for b in grid]
+
+    def gen(i):
+        a, b = pairs[i]
+        return AndF(Family(members=(StepF(phi_opt, a), StepF(phi_pess, b), ConstF((a + b) / 2.0))))
+
+    return OrF(Family(generator=gen, bound=len(pairs), complete=False))
 
 
 def test_scheduler_grid_oracle(prob_nondet_rt):
@@ -247,7 +260,7 @@ def test_scheduler_grid_oracle(prob_nondet_rt):
     prog = parse_program("nor(por(return 0, return 1), return 1)", rt.signature)
     opt = parse_formula("Eopt<{1}>", rt.signature, rt.space)
     pes = parse_formula("Epes<{1}>", rt.signature, rt.space)
-    native = sat.satisfies(prog, scheduler_mix(opt, pes, space), 16).interval
+    native = sat.satisfies(prog, MixF(opt, pes), 16).interval
     grid = sat.satisfies(prog, scheduler_mix_grid(opt, pes, steps=64), 16).interval
     assert native.exact
     assert space.leq(grid.lo, native.lo)
@@ -255,16 +268,19 @@ def test_scheduler_grid_oracle(prob_nondet_rt):
 
 
 def test_derived_formula_validations(prob_rt, store_rt, prob_store_rt):
-    from cbpv_quant.formulas import FormulaTypeError
+    # the satisfier's formula check refuses each derived formula outside its
+    # truth space
+    def refuse(rt, phi, match):
+        prog = parse_program("return ()", rt.signature)
+        with pytest.raises(FormulaTypeError, match=match):
+            _sat(rt).satisfies(prog, phi, 4)
 
-    with pytest.raises(FormulaTypeError, match="powerset"):
-        hoare(frozenset(), frozenset(), prob_rt.space)
-    with pytest.raises(FormulaTypeError, match="state-table"):
-        sigma_mu((0.5,), ConstF(0.5), prob_rt.space)
-    with pytest.raises(FormulaTypeError, match="non-negative"):
-        sigma_mu((-1.0, 0.5), ConstF(prob_store_rt.space.top), prob_store_rt.space)
-    with pytest.raises(FormulaTypeError, match="unit-interval"):
-        scheduler_mix(ConstF(store_rt.space.top), ConstF(store_rt.space.top), store_rt.space)
+    refuse(prob_rt, hoare(frozenset(), frozenset()), "outside the truth space")
+    refuse(prob_rt, SigmaMuF((0.5,), ConstF(0.5)), "state-table")
+    refuse(prob_store_rt, SigmaMuF((0.5,), ConstF(prob_store_rt.space.top)), "weight vector")
+    refuse(prob_store_rt, SigmaMuF((-1.0, 0.5), ConstF(prob_store_rt.space.top)), "non-negative")
+    top = ConstF(store_rt.space.top)
+    refuse(store_rt, MixF(top, top), "unit-interval")
 
 
 def test_nested_modal_intervals_stay_sound(prob_rt):

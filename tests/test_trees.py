@@ -8,7 +8,6 @@ from cbpv_quant.trees import (
     Unknown,
     contains_unknown,
     eta,
-    leaf_substitute,
     leaves,
     map_leaves,
     mu,
@@ -42,18 +41,6 @@ def test_map_leaves_passes_unknown():
     assert map_leaves(Unknown, lambda x: x + 1) == Unknown
     t = Node("nor", (Leaf(1), Unknown))
     assert map_leaves(t, lambda x: x + 1) == Node("nor", (Leaf(2), Unknown))
-
-
-def test_leaf_substitute_replaces_each_leaf():
-    t = Node("por", (Leaf("a"), Leaf("b")))
-    got = leaf_substitute(t, {"a": 0.25, "b": 1.0})
-    assert got == Node("por", (Leaf(0.25), Leaf(1.0)))
-
-
-def test_leaf_substitute_totality():
-    t = Node("por", (Leaf("a"), Leaf("b")))
-    with pytest.raises(Exception, match="not total"):
-        leaf_substitute(t, {"a": 0.25})
 
 
 def test_tree_leq_bottom_least():

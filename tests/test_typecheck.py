@@ -6,7 +6,7 @@ import pytest
 
 from cbpv_quant.config import RunConfig, build_signature
 from cbpv_quant.generators import generate_program
-from cbpv_quant.machine import Config, Done, Effect, machine_step, reduce, stack_apply
+from cbpv_quant.machine import Config, Done, Effect, machine_step, reduce
 from cbpv_quant.parser import parse_program
 from cbpv_quant.syntax import (
     UNIT,
@@ -41,10 +41,18 @@ from cbpv_quant.syntax import (
     free_vars,
     numeral,
 )
-from cbpv_quant.typecheck import EMPTY, Context, TypeCheckError, check_type, infer_type
+from cbpv_quant.typecheck import EMPTY, Context, TypeChecker, TypeCheckError, infer_type
+from stacks import stack_apply
 
 SIG = build_signature(RunConfig(signature="prob+nondet"))
 FULL = build_signature(RunConfig(signature="prob+store+nondet+error"))
+
+
+def check_type(ctx, term, ty, signature):
+    """Check `term` against `ty` in the judgement of its category; None on
+    success, as the digest below records."""
+    tc = TypeChecker(signature)
+    (tc.val if isinstance(term, ValTerm) else tc.com)(ctx, term, ty)
 
 
 def test_return_numeral():
