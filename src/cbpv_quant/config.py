@@ -108,10 +108,12 @@ def _positive(text: str) -> int:
 
 def _numerals(text: str) -> tuple[int, ...]:
     # with no numerals a suite at type F nat is empty, and an empty suite
-    # distinguishes nothing
+    # distinguishes nothing; no term returns a negative numeral
     numerals = tuple(int(x) for x in _items(text))
     if not numerals:
         raise ValueError("needs at least one numeral")
+    if min(numerals) < 0:
+        raise ValueError(f"must be non-negative, got {min(numerals)}")
     return numerals
 
 

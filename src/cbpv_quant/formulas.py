@@ -433,6 +433,8 @@ class FormulaParser(Parser):
         if self.eat("states"):
             return self._state_set()
         if self.eat("{"):
+            if isinstance(self.space, StateTableSpace):
+                return self._state_table()
             return self._explicit_states()
         self.fail("expected a truth value")
 
@@ -485,20 +487,40 @@ class FormulaParser(Parser):
         if not isinstance(self.space, StateSetSpace):
             t = self.peek()
             raise ParseError("state-set literals need the powerset truth space", t.line, t.col)
-        store = self.space.store
         out = []
-        while self.eat("["):
-            state = (0,) * len(store.locations)
-            while not self.at("]"):
-                loc = store.index(self.name())
-                self.expect("=")
-                state = store.set_loc(state, loc, self._store_value())
-            self.expect("]")
-            out.append(state)
+        while self.at("["):
+            out.append(self._state())
             if not self.eat(","):
                 break
         self.expect("}")
         return frozenset(out)
+
+    def _state_table(self) -> tuple:
+        """`{[l=v ...]: number, ...}`: the listed states' values, 0 elsewhere."""
+        values = {}
+        while self.at("["):
+            t = self.peek()
+            state = self._state()
+            if state in values:
+                raise ParseError(f"state {self.space.store.render_state(state)} listed twice", t.line, t.col)
+            self.expect(":")
+            values[state] = self._number()
+            if not self.eat(","):
+                break
+        self.expect("}")
+        return tuple(values.get(s, 0.0) for s in self.space.all_states)
+
+    def _state(self) -> tuple[int, ...]:
+        """`[l=v ...]`; unlisted locations hold 0, values wrap mod V."""
+        store = self.space.store
+        self.expect("[")
+        state = (0,) * len(store.locations)
+        while not self.at("]"):
+            loc = store.index(self.name())
+            self.expect("=")
+            state = store.set_loc(state, loc, self._store_value())
+        self.expect("]")
+        return state
 
 
 def parse_formula(text: str, signature: EffectSignature, space: TruthSpace) -> Formula:

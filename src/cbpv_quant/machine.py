@@ -1,6 +1,9 @@
 """CK-machine small-step semantics and fuel-bounded effect-tree construction.
 
 A configuration pairs a stack of evaluation frames with a focused computation.
+A machine step is silent: `machine_step` gives the next configuration, and
+refuses an effect node or a terminal under the empty stack, which are read
+off the focus instead (`continuations` gives an effect node's children).
 `eval_tree` builds the depth-n approximation of a term's effect tree: fuel 0
 yields Unknown, a terminal under the empty stack yields a leaf, and every
 machine step or effect node consumes one fuel unit, with effect children
@@ -19,7 +22,7 @@ O(cycle) steps, not O(fuel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .syntax import (
     Apply,
@@ -129,67 +132,44 @@ def reduce(m: ComTerm) -> Optional[ComTerm]:
 # Machine steps
 
 
-@dataclass(frozen=True)
-class Stepped:
-    config: Config
-
-
-@dataclass(frozen=True)
-class Done:
-    terminal: ComTerm
-
-
-@dataclass
-class Effect:
-    op: str
-    param: Optional[int]
-    conts: Optional[tuple[Config, ...]] = None
-    cont_fn: Optional[Callable[[int], Config]] = None
-
-
-StepOutcome = Union[Stepped, Done, Effect]
-
-
-def machine_step(c: Config) -> StepOutcome:
-    """One small step of the stack machine; exactly one outcome applies."""
+def machine_step(c: Config) -> Config:
+    """The configuration one silent step after `c`.  An effect node or a
+    terminal under the empty stack is read off the focus instead, so `c`
+    holding one is a StuckError here, as is any other stuck state."""
     m = c.focus
-    if isinstance(m, EffOp):
-        if m.body is not None:
-            binder, body, stack = m.binder, m.body, c.stack
-            return Effect(
-                m.op, None, None,
-                lambda k: Config(stack, substitute(body, {binder: numeral(k)})),
-            )
-        param = None
-        if m.param is not None:
-            param = numeral_value(m.param)
-            if param is None:
-                raise StuckError(f"effect parameter of {m.op} is not a numeral: {m.param}")
-        return Effect(m.op, param, tuple(Config(c.stack, child) for child in m.children))
-    if is_terminal(m):
-        if not c.stack:
-            return Done(m)
+    if is_terminal(m) and c.stack:
         top = c.stack[-1]
         rest = c.stack[:-1]
         if isinstance(m, Return) and isinstance(top, ToFrame):
-            return Stepped(Config(rest, substitute(top.body, {top.binder: m.value})))
+            return Config(rest, substitute(top.body, {top.binder: m.value}))
         if isinstance(m, Lambda) and isinstance(top, ArgFrame):
-            return Stepped(Config(rest, substitute(m.body, {m.binder: top.value})))
+            return Config(rest, substitute(m.body, {m.binder: top.value}))
         if isinstance(m, Record) and isinstance(top, ProjFrame):
             body = m.field(top.label)
             if body is not None:
-                return Stepped(Config(rest, body))
+                return Config(rest, body)
         raise StuckError(f"terminal {m} under incompatible frame {top}")
     if isinstance(m, SeqTo):
-        return Stepped(Config(c.stack + (ToFrame(m.binder, m.body),), m.com))
+        return Config(c.stack + (ToFrame(m.binder, m.body),), m.com)
     if isinstance(m, Apply):
-        return Stepped(Config(c.stack + (ArgFrame(m.arg),), m.com))
+        return Config(c.stack + (ArgFrame(m.arg),), m.com)
     if isinstance(m, Proj):
-        return Stepped(Config(c.stack + (ProjFrame(m.label),), m.com))
+        return Config(c.stack + (ProjFrame(m.label),), m.com)
     reduced = reduce(m)
     if reduced is not None:
-        return Stepped(Config(c.stack, reduced))
+        return Config(c.stack, reduced)
     raise StuckError(f"no rule applies to {m}")
+
+
+def continuations(c: Config, sig: EffectSignature, width: int) -> tuple[Config, ...]:
+    """The configurations an effect node's children continue with: one per
+    child, or, for an operator the signature marks nat-indexed, one per
+    value 0..width-1 substituted for the binder."""
+    m = c.focus
+    desc = sig.get(m.op)
+    if desc is not None and isinstance(desc.arity, NatIndexed):
+        return tuple(Config(c.stack, substitute(m.body, {m.binder: numeral(k)})) for k in range(width))
+    return tuple(Config(c.stack, child) for child in m.children)
 
 
 # --------------------------------------------------------------------------
@@ -222,19 +202,16 @@ def _approx(c: Config, n: int, sig: EffectSignature, width: int) -> EffectTree:
             return Unknown
         m = c.focus
         if isinstance(m, EffOp):
-            out = machine_step(c)
-            assert isinstance(out, Effect)
-            desc = sig.get(m.op)
-            if desc is not None and isinstance(desc.arity, NatIndexed):
-                conts = map(out.cont_fn, range(width))
-            else:
-                conts = out.conts
-            return Node(m.op, tuple(_approx(cc, n - 1, sig, width) for cc in conts), out.param)
+            param = None
+            if m.param is not None:
+                param = numeral_value(m.param)
+                if param is None:
+                    raise StuckError(f"effect parameter of {m.op} is not a numeral: {m.param}")
+            conts = continuations(c, sig, width)
+            return Node(m.op, tuple(_approx(cc, n - 1, sig, width) for cc in conts), param)
         if not c.stack and is_terminal(m):
             return Leaf(m)
-        out = machine_step(c)
-        assert isinstance(out, Stepped)
-        c = out.config
+        c = machine_step(c)
         n -= 1
         # every term a configuration holds was part of some focus, so hashing
         # each focus keeps all their hashes cached and `==` rejects unequal

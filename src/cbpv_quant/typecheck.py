@@ -15,7 +15,8 @@ the synthesized type against `want` once, at the end.
 
 from __future__ import annotations
 
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .syntax import (
     Apply,
@@ -66,34 +67,16 @@ class TypeCheckError(CbpvError):
         self.rule = rule
 
 
-class Context:
-    """An ordered typing context of value-typed variables with distinct names."""
-
-    def __init__(self, entries: tuple[tuple[str, ValType], ...] = ()):
-        self.entries = entries
-        self._map = dict(entries)
-        if len(self._map) != len(entries):
-            raise TypeCheckError("context names must be distinct", "ctx")
-
-    def lookup(self, name: str) -> Optional[ValType]:
-        return self._map.get(name)
-
-    def extend(self, name: str, ty: ValType) -> "Context":
-        kept = tuple((n, t) for n, t in self.entries if n != name)
-        return Context(kept + ((name, ty),))
-
-    def __repr__(self):
-        return "Context(" + ", ".join(f"{n}: {t}" for n, t in self.entries) + ")"
-
-
-EMPTY = Context()
+# A typing context is a read-only mapping from each variable in scope to its
+# value type; a binder extends a copy, shadowing an earlier binder of its name.
+EMPTY: Mapping[str, ValType] = MappingProxyType({})
 
 
 class TypeChecker:
     def __init__(self, signature: EffectSignature):
         self.sig = signature
 
-    def val(self, ctx: Context, v: ValTerm, want: Optional[ValType] = None) -> ValType:
+    def val(self, ctx: Mapping[str, ValType], v: ValTerm, want: Optional[ValType] = None) -> ValType:
         """Synthesize the type of `v`, or check `v` against `want` and return it."""
         if isinstance(v, Inj):
             if want is None:
@@ -116,7 +99,7 @@ class TypeChecker:
         elif isinstance(v, Succ):
             found = self.val(ctx, v.arg, NAT)
         elif isinstance(v, Var):
-            found = ctx.lookup(v.name)
+            found = ctx.get(v.name)
             if found is None:
                 raise TypeCheckError(f"unbound variable {v.name}", "var")
         elif isinstance(v, Thunk):
@@ -128,7 +111,7 @@ class TypeChecker:
             raise TypeCheckError(f"unknown value term {v!r}")
         return _agree(found, want, v)
 
-    def com(self, ctx: Context, m: ComTerm, want: Optional[ComType] = None) -> ComType:
+    def com(self, ctx: Mapping[str, ValType], m: ComTerm, want: Optional[ComType] = None) -> ComType:
         """Synthesize the type of `m`, or check `m` against `want` and return it."""
         if isinstance(m, Return):
             if want is not None and not isinstance(want, ProducerType):
@@ -142,7 +125,7 @@ class TypeChecker:
                     raise TypeCheckError(
                         f"lambda annotation {m.dom} differs from expected domain {want.dom}", "lam"
                     )
-            return ArrowType(m.dom, self.com(ctx.extend(m.binder, m.dom), m.body, want and want.cod))
+            return ArrowType(m.dom, self.com({**ctx, m.binder: m.dom}, m.body, want and want.cod))
         if isinstance(m, Record):
             if want is None:
                 return ProductType(tuple((l, self.com(ctx, body)) for l, body in m.fields))
@@ -159,15 +142,14 @@ class TypeChecker:
             mt = self.com(ctx, m.com)
             if not isinstance(mt, ProducerType):
                 raise TypeCheckError(f"`to` sequences a producer, found {mt}", "to")
-            return self.com(ctx.extend(m.binder, mt.val), m.body, want)
+            return self.com({**ctx, m.binder: mt.val}, m.body, want)
         if isinstance(m, LetVal):
-            return self.com(ctx.extend(m.binder, self.val(ctx, m.value)), m.body, want)
+            return self.com({**ctx, m.binder: self.val(ctx, m.value)}, m.body, want)
         if isinstance(m, CasePair):
             st = self.val(ctx, m.scrutinee)
             if not isinstance(st, PairType):
                 raise TypeCheckError(f"pm over non-pair type {st}", "pm-pair")
-            bctx = ctx.extend(m.fst_binder, st.fst).extend(m.snd_binder, st.snd)
-            return self.com(bctx, m.body, want)
+            return self.com({**ctx, m.fst_binder: st.fst, m.snd_binder: st.snd}, m.body, want)
         if isinstance(m, Fix):
             ft = self.com(ctx, m.com, want and ArrowType(ThunkType(want), want))
             if (
@@ -185,7 +167,7 @@ class TypeChecker:
             return self.com(ctx, m.value.com, want)
         if want is not None and isinstance(m, Apply) and isinstance(m.com, Lambda):
             self.val(ctx, m.arg, m.com.dom)
-            return self.com(ctx.extend(m.com.binder, m.com.dom), m.com.body, want)
+            return self.com({**ctx, m.com.binder: m.com.dom}, m.com.body, want)
         if want is not None and isinstance(m, Proj) and isinstance(m.com, Record):
             body = m.com.field(m.label)
             if body is None:
@@ -195,7 +177,7 @@ class TypeChecker:
         if isinstance(m, CaseNat):
             self.val(ctx, m.scrutinee, NAT)
             rule, label = "case", ""
-            branches = [(ctx, m.zero_branch), (ctx.extend(m.succ_binder, NAT), m.succ_branch)]
+            branches = [(ctx, m.zero_branch), ({**ctx, m.succ_binder: NAT}, m.succ_branch)]
         elif isinstance(m, CaseSum):
             st = self.val(ctx, m.scrutinee)
             if not isinstance(st, SumType):
@@ -207,11 +189,11 @@ class TypeChecker:
                     f"branches {labels} do not cover the sum labels {expected}", "pm-sum"
                 )
             rule, label = "pm-sum", ""
-            branches = [(ctx.extend(x, st.label_type(l)), body) for l, x, body in m.branches]
+            branches = [({**ctx, x: st.label_type(l)}, body) for l, x, body in m.branches]
         elif isinstance(m, EffOp):
             self._check_effop(ctx, m)
             if m.body is not None:
-                return self.com(ctx.extend(m.binder, NAT), m.body, want)
+                return self.com({**ctx, m.binder: NAT}, m.body, want)
             rule, label = "op", m.op
             branches = [(ctx, c) for c in m.children]
         # forms that only synthesize
@@ -243,7 +225,7 @@ class TypeChecker:
             self.com(bctx, c, want)
         return want
 
-    def _check_effop(self, ctx: Context, m: EffOp) -> None:
+    def _check_effop(self, ctx: Mapping[str, ValType], m: EffOp) -> None:
         desc = self.sig.get(m.op)
         if desc is None:
             raise TypeCheckError(f"unknown effect operator {m.op} for the active signature", "op")
@@ -265,7 +247,7 @@ class TypeChecker:
     def _branches(
         self,
         rule: str,
-        branches: list[tuple[Context, ComTerm]],
+        branches: list[tuple[Mapping[str, ValType], ComTerm]],
         label: str = "",
     ) -> ComType:
         """The common type of sibling computations: try every type that some
@@ -304,7 +286,7 @@ def _agree(found, want, term):
     return found
 
 
-def infer_type(ctx: Context, term: GenTerm, signature: EffectSignature) -> GenType:
+def infer_type(ctx: Mapping[str, ValType], term: GenTerm, signature: EffectSignature) -> GenType:
     """Synthesize the type of a value or computation term under `ctx`."""
     tc = TypeChecker(signature)
     if isinstance(term, ValTerm):

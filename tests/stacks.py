@@ -1,8 +1,13 @@
-"""S{M}: rebuild the computation a machine stack denotes around a focus, so
-the subject-reduction tests can type every intermediate configuration."""
+"""Test helpers over machine configurations.
 
-from cbpv_quant.machine import ArgFrame, ToFrame
-from cbpv_quant.syntax import Apply, Proj, SeqTo
+`stack_apply` is S{M}: it rebuilds the computation a machine stack denotes
+around a focus, so the subject-reduction tests can type every intermediate
+configuration.  `settle` runs the silent steps the test-side semantics share
+with the pipeline; what a settled configuration does next is read off its
+focus."""
+
+from cbpv_quant.machine import ArgFrame, ToFrame, machine_step
+from cbpv_quant.syntax import Apply, EffOp, Proj, SeqTo, is_terminal
 
 
 def stack_apply(stack, m):
@@ -14,3 +19,14 @@ def stack_apply(stack, m):
         else:
             m = Proj(m, frame.label)
     return m
+
+
+def settle(c, max_steps):
+    """The silent run from `c`: `c` and every configuration a machine step
+    reaches from it, up to the first whose focus is an effect node or a
+    terminal under the empty stack, or up to `max_steps` steps."""
+    run = [c]
+    while len(run) <= max_steps and not isinstance(c.focus, EffOp) and (c.stack or not is_terminal(c.focus)):
+        c = machine_step(c)
+        run.append(c)
+    return run

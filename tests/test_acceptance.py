@@ -18,13 +18,13 @@ from cbpv_quant.laws import (
     law_unit,
     standard_modalities,
 )
-from cbpv_quant.machine import Config, Done, Effect, eval_tree, machine_step
+from cbpv_quant.machine import Config, eval_tree
 from cbpv_quant.parser import parse_ctype, parse_program
 from cbpv_quant.satisfaction import Satisfier
 from cbpv_quant.suites import Pools, enumerate_basic_formulas
 from cbpv_quant.trees import contains_unknown, tree_leq
 from cbpv_quant.typecheck import EMPTY, infer_type
-from stacks import stack_apply
+from stacks import settle, stack_apply
 
 
 def _sat(rt):
@@ -203,12 +203,7 @@ def test_criterion_9_machine_invariants():
                 for later in trees[j + 1 :]:
                     assert later == t, f"fuel soundness failed on program {i}"
                 break
-        c = Config((), prog)
-        for _ in range(12):
-            out = machine_step(c)
-            if isinstance(out, (Done, Effect)):
-                break
-            c = out.config
+        for c in settle(Config((), prog), 12)[1:]:
             assert infer_type(EMPTY, stack_apply(c.stack, c.focus), sig) == ty, (
                 f"subject reduction failed on program {i}"
             )

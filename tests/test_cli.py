@@ -484,6 +484,10 @@ def _on_costs(verb, d, *flags):
 _MALFORMED = {
     "numerals-not-ints": lambda d: _on_costs("compare", d, "--numerals", "a,b"),
     "numerals-empty": lambda d: _on_costs("compare", d, "--numerals", ""),
+    "numerals-negative": lambda d: _on_costs("compare", d, "--numerals", "-1"),
+    "config-numerals-negative": lambda d: _on_costs(
+        "compare", d, "--config", _write(d / "neg.toml", b"numerals = [0, -1]\n")
+    ),
     "program-is-directory": lambda d: ["typecheck", str(d), "--signature", "prob"],
     "program-not-utf8": lambda d: [
         "typecheck", _write(d / "latin1.cbpv", b"return 0 // caf\xe9\n"), "--signature", "prob"

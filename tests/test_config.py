@@ -11,7 +11,8 @@ from cbpv_quant.config import (
     parse_config,
     parse_truth_value,
 )
-from cbpv_quant.lattice import StateSetSpace, StoreConfig
+from cbpv_quant.lattice import StateSetSpace, StateTableSpace, StoreConfig
+from cbpv_quant.parser import ParseError
 
 
 def test_parse_config_document():
@@ -94,6 +95,21 @@ def test_parse_truth_values():
     assert parse_truth_value("0.5", UnitIntervalSpace()) == 0.5
 
 
+def test_parse_state_table_values():
+    # a state table reads back as it prints: unlisted states take 0, store
+    # values wrap mod V, and a state listed twice is an error
+    sp = StateTableSpace(StoreConfig(("l", "r"), 2))
+    assert parse_truth_value("{[l=1 r=0]: 0.5, [r=1]: 1e-05}", sp) == (0.0, 1e-05, 0.5, 0.0)
+    assert parse_truth_value("{[l=3]: 1}", sp) == (0.0, 0.0, 1.0, 0.0)
+    assert parse_truth_value("{}", sp) == sp.bot
+    table = (0.25, 0.0, 1.0, 0.5)
+    assert parse_truth_value(sp.render(table), sp) == table
+    with pytest.raises(ParseError, match="listed twice"):
+        parse_truth_value("{[l=1]: 0.5, [l=1 r=0]: 1}", sp)
+    with pytest.raises(ConfigError, match="outside the statetable space"):
+        parse_truth_value("{[l=1]: 2}", sp)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -101,6 +117,7 @@ def test_parse_truth_values():
         ("\nsuite_size = 0", "line 2: suite_size: must be at least 1, got 0"),
         ("numerals = [0, x]", "line 1: numerals: invalid literal"),
         ("numerals = []", "line 1: numerals: needs at least one numeral"),
+        ("numerals = [0, -1]", "line 1: numerals: must be non-negative, got -1"),
         ("locations = l, r", "line 1: expected a [a, b] list"),
     ],
 )

@@ -49,6 +49,8 @@ def test_parse_print_roundtrip(prob_nondet_rt, prob_store_rt, store_nondet_rt):
         (store_nondet_rt, "not Gopt<const {[l=0 r=1], [l=2 r=0]}>"),
         (prob_store_rt, "EG<const top>"),
         (prob_store_rt, "step(EG<{0}>, bot)"),
+        (prob_store_rt, "EG<const {[l=0]: 0.5, [l=1]: 1}>"),
+        (prob_store_rt, "step(EG<{0}>, {[l=1]: 0.25})"),
     ]
     for rt, text in cases:
         phi = parse_formula(text, rt.signature, rt.space)
@@ -82,17 +84,18 @@ def _seeded_number(rng):
     return rng.random()
 
 
-def _seeded_formula(rng, depth):
+def _seeded_formula(rng, depth, value=_seeded_number):
+    # `value` draws the truth values of constants and thresholds
     kind = rng.randrange(9) if depth > 0 else rng.randrange(2)
     if kind == 0:
         return NatEq(rng.randrange(4))
     if kind == 1:
-        return ConstF(_seeded_number(rng))
-    sub = lambda: _seeded_formula(rng, depth - 1)
+        return ConstF(value(rng))
+    sub = lambda: _seeded_formula(rng, depth - 1, value)
     if kind == 2:
         return Modal(rng.choice(("E", "EG")), sub())
     if kind == 3:
-        return StepF(sub(), _seeded_number(rng))
+        return StepF(sub(), value(rng))
     if kind == 4:
         return SigmaMuF(tuple(_seeded_number(rng) for _ in range(2)), sub())
     if kind == 5:
@@ -120,6 +123,16 @@ def test_parse_print_roundtrip_seeded_numbers(prob_store_rt):
     assert small > 100
     for text in ("const 1e-05", "step(E<{0}>, 1e-05)", "wsum[1e-05, 1.0](EG<{0}>)"):
         assert print_formula(parse_formula(text, rt.signature, rt.space)) == text
+    # state tables print through the truth space's render and read back
+    tables = 0
+    for _ in range(300):
+        phi = _seeded_formula(rng, 3, lambda rng: tuple(_seeded_number(rng) for _ in rt.space.all_states))
+        text = print_formula(phi, rt.space)
+        again = parse_formula(text, rt.signature, rt.space)
+        assert again == phi, text
+        assert print_formula(again, rt.space) == text
+        tables += "]: " in text
+    assert tables > 100
 
 
 def test_positive_fragment_flag(prob_nondet_rt):

@@ -1,14 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
-from cbpv_quant.config import RunConfig, build_signature
+from cbpv_quant.config import RunConfig, build_runtime, build_signature
 from cbpv_quant.generators import generate_program
 from cbpv_quant.machine import (
     Config,
-    Done,
-    Effect,
-    Stepped,
+    StuckError,
+    continuations,
     eval_tree,
     machine_step,
     reduce,
@@ -22,15 +22,16 @@ from cbpv_quant.syntax import (
     Force,
     Lambda,
     NAT,
-    NatIndexed,
     Return,
     SeqTo,
     Thunk,
     Var,
-    is_terminal,
     numeral,
+    numeral_value,
+    print_com,
 )
 from cbpv_quant.trees import Leaf, Node, Unknown, contains_unknown, tree_leq
+from stacks import settle
 
 PROB = build_signature(RunConfig(signature="prob"))
 STORE = build_signature(RunConfig(signature="store", locations=("l",)))
@@ -54,31 +55,36 @@ def test_reduce_terminal_is_none():
 def test_machine_beta_steps():
     prog = parse_program(r"(\x:nat. return x) 3", PROB)
     c = Config((), prog)
-    out = machine_step(c)  # push the argument
-    assert isinstance(out, Stepped)
-    out2 = machine_step(out.config)  # pop into the lambda
-    assert isinstance(out2, Stepped)
-    assert out2.config.focus == Return(numeral(3))
-    assert machine_step(out2.config) == Done(Return(numeral(3)))
+    c1 = machine_step(c)  # push the argument
+    c2 = machine_step(c1)  # pop into the lambda
+    assert c2 == Config((), Return(numeral(3)))
+    with pytest.raises(StuckError):  # a result: read off the focus
+        machine_step(c2)
 
 
 def test_machine_pops_to_frame():
     prog = parse_program("return 5 to y. return y", PROB)
     c = Config((), prog)
-    out = machine_step(c)
-    assert isinstance(out, Stepped)
-    out2 = machine_step(out.config)
-    assert isinstance(out2, Stepped)
-    assert out2.config == Config((), Return(numeral(5)))
+    assert machine_step(machine_step(c)) == Config((), Return(numeral(5)))
 
 
 def test_machine_effect_outcome_carries_continuations():
     prog = parse_program("lookup[l](x. return x)", STORE)
-    out = machine_step(Config((), prog))
-    assert isinstance(out, Effect)
-    assert out.op == "lookup[l]"
-    cont = out.cont_fn(2)
-    assert cont == Config((), Return(numeral(2)))
+    conts = continuations(Config((), prog), STORE, 3)
+    assert conts == tuple(Config((), Return(numeral(k))) for k in range(3))
+    prog = parse_program("por(return 0, return 2) to x. return x", PROB)
+    c = machine_step(Config((), prog))  # push the to-frame
+    assert continuations(c, PROB, 3) == tuple(Config(c.stack, Return(numeral(k))) for k in (0, 2))
+
+
+@pytest.mark.parametrize(
+    "sig, src",
+    [(PROB, "por(return 0, return 1)"), (STORE, "lookup[l](x. return x)"), (PROB, "return 3")],
+)
+def test_machine_step_refuses_effects_and_results(sig, src):
+    # an effect node and a terminal under the empty stack are normal forms
+    with pytest.raises(StuckError):
+        machine_step(Config((), parse_program(src, sig)))
 
 
 def test_machine_determinism():
@@ -154,22 +160,16 @@ def test_monotone_approximation_and_fuel_soundness(seed):
 def _naive_approx(c, n, sig, width):
     """The machine loop without cycle detection: every silent stretch runs
     until it reaches an effect, a terminal or the end of its fuel."""
-    while True:
-        if n == 0:
-            return Unknown
-        m = c.focus
-        if isinstance(m, EffOp):
-            out = machine_step(c)
-            desc = sig.get(m.op)
-            if desc is not None and isinstance(desc.arity, NatIndexed):
-                conts = map(out.cont_fn, range(width))
-            else:
-                conts = out.conts
-            return Node(m.op, tuple(_naive_approx(cc, n - 1, sig, width) for cc in conts), out.param)
-        if not c.stack and is_terminal(m):
-            return Leaf(m)
-        c = machine_step(c).config
-        n -= 1
+    run = settle(c, n)
+    c, n = run[-1], n - (len(run) - 1)
+    if n == 0:
+        return Unknown
+    m = c.focus
+    if isinstance(m, EffOp):
+        conts = continuations(c, sig, width)
+        param = None if m.param is None else numeral_value(m.param)
+        return Node(m.op, tuple(_naive_approx(cc, n - 1, sig, width) for cc in conts), param)
+    return Leaf(m)
 
 
 def _naive_tree(m, fuel, sig, width):
@@ -259,3 +259,51 @@ def test_never_repeating_loop_runs_to_the_end_of_its_fuel(monkeypatch):
     sig, src = SILENT_LOOPS["growing value"]
     assert eval_tree(parse_program(src, sig), 20_000, sig) is Unknown
     assert calls[0] == 20_000
+
+
+@pytest.mark.parametrize(
+    "sig, src", [(PROB, "por(return 0, return 1)"), (STORE, "lookup[l](x. return x)")]
+)
+def test_effect_nodes_are_read_off_the_focus(monkeypatch, sig, src):
+    # an effect node and the results below it take no machine step
+    calls = _counting_steps(monkeypatch)
+    eval_tree(parse_program(src, sig), 4, sig)
+    assert calls[0] == 0
+
+
+# ---------------------------------------------------------------- pinned trees
+
+TREE_DIGEST_SIGNATURES = ("prob", "prob+nondet", "cost+nondet", "store+nondet", "prob+store", "store+error")
+TREE_DIGEST_FUELS = (0, 1, 2, 3, 5, 9, 16, 64)
+
+
+def _render_preorder(t, out):
+    if t is Unknown:
+        out.append("?")
+    elif isinstance(t, Leaf):
+        out.append(print_com(t.value))
+    else:
+        out.append(f"{t.op} {t.param} {len(t.children)}")
+        for child in t.children:
+            _render_preorder(child, out)
+
+
+def test_tree_digest():
+    # recorded when effect nodes still went through `machine_step`: reading
+    # them off the focus must leave every tree as it was
+    h = hashlib.sha256()
+    count = 0
+    for name in TREE_DIGEST_SIGNATURES:
+        rt = build_runtime(RunConfig(signature=name))
+        rng = random.Random(name)
+        for _ in range(60):
+            prog = generate_program(rng, rt.signature, depth=5)
+            for fuel in TREE_DIGEST_FUELS:
+                out = []
+                _render_preorder(eval_tree(prog, fuel, rt.signature, rt.width), out)
+                h.update("\n".join(out).encode() + b"\n\n")
+                count += len(out)
+    assert (count, h.hexdigest()) == (
+        13908,
+        "e943e84fae44969dd74ec85443a083860d8e4ca0bbd7f9a4e3566fe5ba4ffd25",
+    )

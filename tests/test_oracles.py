@@ -1,7 +1,7 @@
 """Whole-pipeline oracles: run programs under a DIRECT stateful semantics
 (a real store, explicit scheduler branching, explicit path probabilities) and
 compare with the effect-tree + modality route.  The two paths share no code
-beyond the machine stepper."""
+beyond the machine stepper and `continuations`."""
 
 import math
 import random
@@ -12,9 +12,10 @@ import pytest
 from cbpv_quant.config import RunConfig, build_runtime
 from cbpv_quant.formulas import Modal, NatEq
 from cbpv_quant.generators import generate_program
-from cbpv_quant.machine import Config, Done, Effect, Stepped, machine_step
+from cbpv_quant.machine import Config, continuations
 from cbpv_quant.satisfaction import Satisfier
-from cbpv_quant.syntax import numeral_value
+from cbpv_quant.syntax import Return, numeral_value
+from stacks import settle
 
 
 def _sat(rt):
@@ -25,38 +26,40 @@ class Diverged(Exception):
     pass
 
 
-def stateful_runs(config, state, store, max_steps=400):
+def settled(config, max_steps):
+    """The configuration the silent run from `config` settles on, an effect
+    node or a returned value, and the step budget left below it; raises
+    Diverged when the run takes more than `max_steps` steps."""
+    if max_steps <= 0:
+        raise Diverged
+    run = settle(config, max_steps + 1)
+    if len(run) > max_steps + 1:
+        raise Diverged
+    return run[-1], max_steps - len(run)
+
+
+def stateful_runs(config, state, sig, store, max_steps=400):
     """All scheduler resolutions of a store+nondet program from one starting
     state: a list of (returned numeral, end state); raises on fuel exhaustion
     so callers can skip unsettled samples."""
-    if max_steps <= 0:
-        raise Diverged
-    out = machine_step(config)
-    steps = 0
-    while isinstance(out, Stepped):
-        config = out.config
-        out = machine_step(config)
-        steps += 1
-        if steps > max_steps:
-            raise Diverged
-    if isinstance(out, Done):
-        v = numeral_value(out.terminal.value)
-        return [(v, state)]
-    assert isinstance(out, Effect)
-    budget = max_steps - steps - 1
-    if out.op.startswith("lookup["):
-        loc = store.index(out.op[len("lookup[") : -1])
-        return stateful_runs(out.cont_fn(state[loc]), state, store, budget)
-    if out.op.startswith("update["):
-        loc = store.index(out.op[len("update[") : -1])
-        new_state = store.set_loc(state, loc, out.param)
-        return stateful_runs(out.conts[0], new_state, store, budget)
-    if out.op == "nor":
+    config, budget = settled(config, max_steps)
+    m = config.focus
+    if isinstance(m, Return):
+        return [(numeral_value(m.value), state)]
+    conts = continuations(config, sig, store.value_bound)
+    if m.op.startswith("lookup["):
+        loc = store.index(m.op[len("lookup[") : -1])
+        return stateful_runs(conts[state[loc]], state, sig, store, budget)
+    if m.op.startswith("update["):
+        loc = store.index(m.op[len("update[") : -1])
+        new_state = store.set_loc(state, loc, numeral_value(m.param))
+        return stateful_runs(conts[0], new_state, sig, store, budget)
+    if m.op == "nor":
         runs = []
-        for cont in out.conts:
-            runs.extend(stateful_runs(cont, state, store, budget))
+        for cont in conts:
+            runs.extend(stateful_runs(cont, state, sig, store, budget))
         return runs
-    raise AssertionError(f"unexpected operator {out.op}")
+    raise AssertionError(f"unexpected operator {m.op}")
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -75,7 +78,7 @@ def test_store_modalities_match_stateful_simulation(seed):
     may, must = [], []
     for s in rt.space.all_states:
         try:
-            runs = stateful_runs(Config((), prog), s, rt.store)
+            runs = stateful_runs(Config((), prog), s, rt.signature, rt.store)
         except Diverged:
             pytest.skip("sample not settled under direct simulation")
         if any(v == k for v, _ in runs):
@@ -86,26 +89,17 @@ def test_store_modalities_match_stateful_simulation(seed):
     assert rpes.interval.lo == frozenset(must)
 
 
-def prob_outcomes(config, weight, max_steps=600):
+def prob_outcomes(config, sig, weight, max_steps=600):
     """Exact path distribution of a por-only program: list of (numeral,
     probability) with Fraction weights."""
-    if max_steps <= 0:
-        raise Diverged
-    out = machine_step(config)
-    steps = 0
-    while isinstance(out, Stepped):
-        config = out.config
-        out = machine_step(config)
-        steps += 1
-        if steps > max_steps:
-            raise Diverged
-    if isinstance(out, Done):
-        return [(numeral_value(out.terminal.value), weight)]
-    assert isinstance(out, Effect) and out.op == "por"
-    budget = max_steps - steps - 1
+    config, budget = settled(config, max_steps)
+    m = config.focus
+    if isinstance(m, Return):
+        return [(numeral_value(m.value), weight)]
+    assert m.op == "por"
     runs = []
-    for cont in out.conts:
-        runs.extend(prob_outcomes(cont, weight / 2, budget))
+    for cont in continuations(config, sig, 0):  # width 0: no lookups here
+        runs.extend(prob_outcomes(cont, sig, weight / 2, budget))
     return runs
 
 
@@ -120,35 +114,26 @@ def test_expectation_matches_path_distribution(seed):
     if not res.interval.exact:
         pytest.skip("sample not settled at this fuel")
     try:
-        runs = prob_outcomes(Config((), prog), Fraction(1))
+        runs = prob_outcomes(Config((), prog), rt.signature, Fraction(1))
     except Diverged:
         pytest.skip("sample not settled under direct simulation")
     expected = sum(w for v, w in runs if v == k)
     assert abs(res.interval.lo - float(expected)) <= 1e-12
 
 
-def cost_ranges(config, acc, max_steps=600):
+def cost_ranges(config, sig, acc, max_steps=600):
     """All (returned numeral, accumulated cost) runs over nor/cost programs."""
-    if max_steps <= 0:
-        raise Diverged
-    out = machine_step(config)
-    steps = 0
-    while isinstance(out, Stepped):
-        config = out.config
-        out = machine_step(config)
-        steps += 1
-        if steps > max_steps:
-            raise Diverged
-    if isinstance(out, Done):
-        return [(numeral_value(out.terminal.value), acc)]
-    assert isinstance(out, Effect)
-    budget = max_steps - steps - 1
-    if out.op == "cost":
-        return cost_ranges(out.conts[0], acc + out.param, budget)
-    assert out.op == "nor"
+    config, budget = settled(config, max_steps)
+    m = config.focus
+    if isinstance(m, Return):
+        return [(numeral_value(m.value), acc)]
+    conts = continuations(config, sig, 0)  # width 0: no lookups here
+    if m.op == "cost":
+        return cost_ranges(conts[0], sig, acc + numeral_value(m.param), budget)
+    assert m.op == "nor"
     runs = []
-    for cont in out.conts:
-        runs.extend(cost_ranges(cont, acc, budget))
+    for cont in conts:
+        runs.extend(cost_ranges(cont, sig, acc, budget))
     return runs
 
 
@@ -164,7 +149,7 @@ def test_cost_modalities_match_best_and_worst_schedules(seed):
     if not (ropt.interval.exact and rpes.interval.exact):
         pytest.skip("sample not settled at this fuel")
     try:
-        runs = cost_ranges(Config((), prog), 0)
+        runs = cost_ranges(Config((), prog), rt.signature, 0)
     except Diverged:
         pytest.skip("sample not settled under direct simulation")
     # a leaf contributes its accumulated cost when it returns k, else bottom
@@ -185,7 +170,7 @@ def test_copier_against_stateful_simulation():
     )
     may, must = [], []
     for s in rt.space.all_states:
-        runs = stateful_runs(Config((), prog), s, rt.store)
+        runs = stateful_runs(Config((), prog), s, rt.signature, rt.store)
         if any(v == 0 for v, _ in runs):
             may.append(s)
         if all(v == 0 for v, _ in runs):
@@ -196,34 +181,25 @@ def test_copier_against_stateful_simulation():
     assert got_pes == frozenset(must) and len(must) == 1
 
 
-def prob_store_outcomes(config, state, weight, store, max_steps=600):
+def prob_store_outcomes(config, state, weight, sig, store, max_steps=600):
     """Path distribution of a por/lookup/update program from one state:
     list of (returned numeral, end state, probability)."""
-    if max_steps <= 0:
-        raise Diverged
-    out = machine_step(config)
-    steps = 0
-    while isinstance(out, Stepped):
-        config = out.config
-        out = machine_step(config)
-        steps += 1
-        if steps > max_steps:
-            raise Diverged
-    if isinstance(out, Done):
-        return [(numeral_value(out.terminal.value), state, weight)]
-    assert isinstance(out, Effect)
-    budget = max_steps - steps - 1
-    if out.op == "por":
+    config, budget = settled(config, max_steps)
+    m = config.focus
+    if isinstance(m, Return):
+        return [(numeral_value(m.value), state, weight)]
+    conts = continuations(config, sig, store.value_bound)
+    if m.op == "por":
         runs = []
-        for cont in out.conts:
-            runs.extend(prob_store_outcomes(cont, state, weight / 2, store, budget))
+        for cont in conts:
+            runs.extend(prob_store_outcomes(cont, state, weight / 2, sig, store, budget))
         return runs
-    if out.op.startswith("lookup["):
-        loc = store.index(out.op[len("lookup[") : -1])
-        return prob_store_outcomes(out.cont_fn(state[loc]), state, weight, store, budget)
-    assert out.op.startswith("update[")
-    loc = store.index(out.op[len("update[") : -1])
-    return prob_store_outcomes(out.conts[0], store.set_loc(state, loc, out.param), weight, store, budget)
+    if m.op.startswith("lookup["):
+        loc = store.index(m.op[len("lookup[") : -1])
+        return prob_store_outcomes(conts[state[loc]], state, weight, sig, store, budget)
+    assert m.op.startswith("update[")
+    new_state = store.set_loc(state, store.index(m.op[len("update[") : -1]), numeral_value(m.param))
+    return prob_store_outcomes(conts[0], new_state, weight, sig, store, budget)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -239,7 +215,7 @@ def test_state_indexed_probability_matches_simulation(seed):
     expected = []
     for s in rt.space.all_states:
         try:
-            runs = prob_store_outcomes(Config((), prog), s, Fraction(1), rt.store)
+            runs = prob_store_outcomes(Config((), prog), s, Fraction(1), rt.signature, rt.store)
         except Diverged:
             pytest.skip("sample not settled under direct simulation")
         expected.append(float(sum(w for v, _, w in runs if v == k)))
