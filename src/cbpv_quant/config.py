@@ -33,12 +33,10 @@ from typing import Any, Callable, Mapping, Optional
 
 from .formulas import FormulaParser
 from .lattice import (
-    CostSpace,
     StateSetSpace,
     StateTableSpace,
     StoreConfig,
     TruthSpace,
-    UnitIntervalSpace,
 )
 from .modality import (
     ModalitySpec,
@@ -235,24 +233,20 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     if base in ("store", "prob+store"):
         store = StoreConfig(cfg.locations, cfg.value_bound)
 
-    space: TruthSpace
     auto = cfg.truth_space in ("auto", "")
     if not auto and cfg.truth_space == "bool":
         mods = bool_modalities(signature.binary_ops())
         return Runtime(cfg, signature, mods["may"].space, mods, store)
 
     if base == "prob":
-        space = UnitIntervalSpace()
-        bases = [expectation_modality()]
+        q = expectation_modality()
     elif base == "store":
-        space = StateSetSpace(store)
-        bases = [store_modality(space)]
+        q = store_modality(StateSetSpace(store))
     elif base == "prob+store":
-        space = StateTableSpace(store)
-        bases = [prob_store_modality(space)]
+        q = prob_store_modality(StateTableSpace(store))
     else:
-        space = CostSpace()
-        bases = [cost_modality()]
+        q = cost_modality()
+    space = q.space
 
     if not auto and cfg.truth_space != space.name:
         raise ConfigError(
@@ -260,15 +254,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
             f"{cfg.signature!r} (expected {space.name!r})"
         )
 
-    mods: dict[str, ModalitySpec] = {}
-    if nondet:
-        for q in bases:
-            opt, pes = make_nondet_variants(q)
-            mods[opt.name] = opt
-            mods[pes.name] = pes
-    else:
-        for q in bases:
-            mods[q.name] = q
+    mods = {m.name: m for m in (make_nondet_variants(q) if nondet else (q,))}
 
     if error:
         for q, e, _ in cfg.error_valuations:

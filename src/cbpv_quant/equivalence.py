@@ -302,8 +302,8 @@ def relator_check(
                 raise EquivalenceError(f"valuation {tag} does not cover left leaf {x!r}")
         rh = right_set(pairs, h, space)
         for qname, q in modalities.items():
-            li = evaluate_interval(q, t, leaf_lo=lambda x: h[x], leaf_hi=lambda x: h[x])
-            ri = evaluate_interval(q, r, leaf_lo=rh, leaf_hi=rh)
+            li = evaluate_interval(q, t, lambda x: (h[x],) * 2)
+            ri = evaluate_interval(q, r, lambda x: (rh(x),) * 2)
             if not space.leq(li.lo, ri.hi):
                 return RelatorOutcome("refuted", (qname, tag))
             if not (li.exact and ri.exact):

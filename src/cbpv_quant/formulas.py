@@ -5,16 +5,14 @@ Concrete forms mirror the logic's constructors: `{7}`, `[U]phi`, `inj i phi`,
 `or{...}`, `and{...}`, `step(phi, a)`, `const a`, `not phi`.  Derived
 constructors print and parse as `wsum[w0, ...](phi)` and `mix(phi, psi)`.
 
-Countable disjunctions and conjunctions are either explicit finite tuples or
-a generator with an enumeration bound; a generated family may be flagged
-complete when the generator provably exhausts it.
+Disjunctions and conjunctions range over a finite tuple of members.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Optional
 
 from .lattice import StateSetSpace, StateTableSpace, TruthSpace
 from .modality import ModalitySpec
@@ -44,23 +42,6 @@ class Formula:
 
     def __str__(self) -> str:
         return print_formula(self)
-
-
-@dataclass(frozen=True)
-class Family:
-    """A countable formula family: finite members plus an optional generator
-    tail; `complete` asserts the bounded enumeration covers the whole set."""
-
-    members: tuple[Formula, ...] = ()
-    generator: Optional[Callable[[int], Formula]] = None
-    bound: int = 0
-    complete: bool = True
-
-    def enumerate(self) -> Iterable[Formula]:
-        yield from self.members
-        if self.generator is not None:
-            for i in range(self.bound):
-                yield self.generator(i)
 
 
 @dataclass(frozen=True)
@@ -109,12 +90,12 @@ class Modal(Formula):
 
 @dataclass(frozen=True)
 class OrF(Formula):
-    family: Family
+    members: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
 class AndF(Formula):
-    family: Family
+    members: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
@@ -160,7 +141,7 @@ def is_positive(phi: Formula) -> bool:
     if isinstance(phi, StepF):
         return is_positive(phi.body)
     if isinstance(phi, (OrF, AndF)):
-        return all(is_positive(p) for p in phi.family.enumerate())
+        return all(is_positive(p) for p in phi.members)
     if isinstance(phi, SigmaMuF):
         return is_positive(phi.body)
     if isinstance(phi, MixF):
@@ -174,7 +155,7 @@ def formula_size(phi: Formula) -> int:
     if isinstance(phi, (ThunkF, InjF, FstF, SndF, ArgF, ProjF, Modal, NegF, StepF, SigmaMuF)):
         return 1 + formula_size(phi.body)
     if isinstance(phi, (OrF, AndF)):
-        return 1 + sum(formula_size(p) for p in phi.family.enumerate())
+        return 1 + sum(formula_size(p) for p in phi.members)
     if isinstance(phi, MixF):
         return 1 + formula_size(phi.opt) + formula_size(phi.pess)
     raise FormulaTypeError(f"unknown formula {phi!r}")
@@ -245,7 +226,7 @@ def check_formula(
                 )
             return go(phi.body, ty.val)
         if isinstance(phi, (OrF, AndF)):
-            for p in phi.family.enumerate():
+            for p in phi.members:
                 go(p, ty)
             return
         if isinstance(phi, StepF):
@@ -306,11 +287,7 @@ def print_formula(phi: Formula, space: Optional[TruthSpace] = None) -> str:
         if isinstance(phi, Modal):
             return f"{phi.modality}<{go(phi.body)}>"
         if isinstance(phi, (OrF, AndF)):
-            fam = phi.family
-            parts = [go(p) for p in fam.members]
-            if fam.generator is not None:
-                parts.append(f"...generated x{fam.bound}{'' if fam.complete else ' (partial)'}")
-            return ("or{" if isinstance(phi, OrF) else "and{") + ", ".join(parts) + "}"
+            return ("or{" if isinstance(phi, OrF) else "and{") + ", ".join(map(go, phi.members)) + "}"
         if isinstance(phi, StepF):
             return f"step({go(phi.body)}, {value(phi.threshold)})"
         if isinstance(phi, ConstF):
@@ -364,9 +341,9 @@ class FormulaParser(Parser):
         if self.eat("proj"):
             return ProjF(self.label(), self.formula())
         if self.eat("or"):
-            return OrF(self._family())
+            return OrF(self._members())
         if self.eat("and"):
-            return AndF(self._family())
+            return AndF(self._members())
         if self.eat("step"):
             self.expect("(")
             body = self.formula()
@@ -409,7 +386,7 @@ class FormulaParser(Parser):
             return Modal(name, body)
         self.fail("expected a formula")
 
-    def _family(self) -> Family:
+    def _members(self) -> tuple[Formula, ...]:
         self.expect("{")
         members = []
         if not self.at("}"):
@@ -418,7 +395,7 @@ class FormulaParser(Parser):
                 if not self.eat(","):
                     break
         self.expect("}")
-        return Family(members=tuple(members))
+        return tuple(members)
 
     def truth_value(self) -> Any:
         t = self.peek()

@@ -25,19 +25,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .config import Runtime
+from .config import RunConfig, Runtime, build_runtime
 from .equivalence import compare, Distinguished
-from .lattice import BoolSpace, StateSetSpace, StateTableSpace, StoreConfig
+from .lattice import BoolSpace, StoreConfig
 from .modality import (
     ModalitySpec,
     bool_modalities,
-    cost_modality,
     denote_limit,
     evaluate_interval,
-    expectation_modality,
-    make_nondet_variants,
-    prob_store_modality,
-    store_modality,
 )
 from .satisfaction import Satisfier
 from .suites import Pools, enumerate_basic_formulas
@@ -78,6 +73,8 @@ class LawParams:
     def __post_init__(self):
         if self.samples < 1:
             raise LawError(f"law samples must be at least 1, got {self.samples}")
+        if self.depth < 0:
+            raise LawError(f"law depth must be at least 0, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -583,22 +580,15 @@ def law_congruence(
 
 
 def standard_modalities(store: Optional[StoreConfig] = None) -> dict[str, ModalitySpec]:
-    """The ten shipped modalities: E, C, G, EG and their nondeterministic
-    variants (EG itself stays plain, matching the worked examples)."""
+    """The ten shipped modalities: E, C, G, EG and the nondeterministic
+    variants of the first three (EG itself stays plain, matching the worked
+    examples), as the runtimes of their signatures wire them at `store`'s
+    locations and value bound."""
     store = store or StoreConfig(("l", "r"), 3)
-    sset = StateSetSpace(store)
-    stab = StateTableSpace(store)
-    e = expectation_modality()
-    c = cost_modality()
-    g = store_modality(sset)
-    eg = prob_store_modality(stab)
     out: dict[str, ModalitySpec] = {}
-    for q in (e, c, g):
-        out[q.name] = q
-        opt, pes = make_nondet_variants(q)
-        out[opt.name] = opt
-        out[pes.name] = pes
-    out[eg.name] = eg
+    for sig in ("prob", "prob+nondet", "cost", "cost+nondet", "store", "store+nondet", "prob+store"):
+        cfg = RunConfig(signature=sig, locations=store.locations, value_bound=store.value_bound)
+        out.update(build_runtime(cfg).modalities)
     return out
 
 

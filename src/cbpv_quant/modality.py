@@ -14,10 +14,11 @@ values in index order, never the children themselves, so each consulted child
 is evaluated once per walk.  Exact denotations run the recurrence once at an unbounded
 index.  Certified intervals take one walk at an index deep enough for the
 whole tree (`sufficient_depth`) that computes both bounds per node: the lower
-bound sends Unknown to bot, the upper bound to top, and each node applies its
-combinator to the lower and then to the upper values of its children.  Both
-bounds are sound for every leaf-monotone modality, and the evaluator refuses
-interval mode for specs not declared leaf-monotone.
+bound sends Unknown to bot, the upper bound to top, each leaf payload x is
+valued once, by one leaf valuation returning its (lo, hi) pair, and each node
+applies its combinator to the lower and then to the upper values of its
+children.  Both bounds are sound for every leaf-monotone modality, which law
+a of `laws` checks for the shipped ones.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class ModalitySpec:
     name: str
     space: TruthSpace
     rules: Mapping[str, OpRule]
-    leaf_monotone: bool = True
 
     def rule(self, op: str) -> OpRule:
         r = self.rules.get(op)
@@ -80,15 +80,16 @@ class ModalitySpec:
 
 @dataclass(frozen=True)
 class Interval:
-    """Certified bounds on a truth value; exact implies lo == hi."""
+    """Certified bounds on a truth value."""
 
     lo: Any
     hi: Any
-    exact: bool
 
-
-def exact_interval(v) -> Interval:
-    return Interval(v, v, True)
+    @property
+    def exact(self) -> bool:
+        """Equal bounds pin the true value; an unexplored part of the tree
+        always shows as a strict gap, since only there do the bounds differ."""
+        return self.lo == self.hi
 
 
 def child_at(children: tuple[EffectTree, ...], i: int) -> EffectTree:
@@ -120,25 +121,24 @@ def _denote(q: ModalitySpec, t: EffectTree, n: float, leaf: Callable[[Any], Any]
     return rule.fn(t, kids)
 
 
-def _bounds(q: ModalitySpec, t: EffectTree, n: int, leaf_lo, leaf_hi, bot, top) -> tuple:
+def _bounds(q: ModalitySpec, t: EffectTree, n: int, leaf, bot, top) -> tuple:
     """The recurrence at index n for both bounds in one walk: (lo, hi) with
-    Unknown and index 0 at (bot, top) and each leaf payload x at
-    (leaf_lo(x), leaf_hi(x))."""
+    Unknown and index 0 at (bot, top) and each leaf payload x at the pair
+    leaf(x)."""
     if isinstance(t, _Unknown) or n <= 0:
         return bot, top
     if isinstance(t, Leaf):
-        x = t.value
-        return leaf_lo(x), leaf_hi(x)
+        return leaf(t.value)
     rule = q.rule(t.op)
     ch = t.children
     if rule.family_consult is None:
         kids = [
-            _bounds(q, child_at(ch, i), n - 1, leaf_lo, leaf_hi, bot, top)
+            _bounds(q, child_at(ch, i), n - 1, leaf, bot, top)
             for i in range(len(ch))
         ]
     else:
         kids = [
-            _bounds(q, child_at(ch, v), max(0, n - 1 - v), leaf_lo, leaf_hi, bot, top)
+            _bounds(q, child_at(ch, v), max(0, n - 1 - v), leaf, bot, top)
             for v in range(rule.family_consult)
         ]
     fn = rule.fn
@@ -163,26 +163,15 @@ def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
 
 
 def evaluate_interval(
-    q: ModalitySpec,
-    t: EffectTree,
-    leaf_lo: Callable[[Any], Any] = lambda v: v,
-    leaf_hi: Callable[[Any], Any] = lambda v: v,
+    q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], tuple] = lambda v: (v, v)
 ) -> Interval:
     """Certified bounds: one walk at `sufficient_depth` computing (lo, hi) per
-    node, with Unknown at (bot, top) and each leaf payload x at
-    (leaf_lo(x), leaf_hi(x)); at every leaf leaf_lo runs before leaf_hi."""
-    if not q.leaf_monotone:
-        raise ModalityError(
-            f"modality {q.name} is not declared leaf-monotone; "
-            f"interval bounds would be unsound"
-        )
+    node, with Unknown at (bot, top) and each leaf payload x at the pair
+    leaf(x), which is called once per consulted leaf."""
     d = sufficient_depth(q, t)
-    lo, hi = _bounds(q, t, d, leaf_lo, leaf_hi, q.space.bot, q.space.top)
-    # equal bounds pin the true value exactly; unexplored parts always show up
-    # as a strict gap because the two bounds only differ there
-    exact = lo == hi
+    lo, hi = _bounds(q, t, d, leaf, q.space.bot, q.space.top)
     assert_interval_order(q.space, lo, hi)
-    return Interval(lo, hi, exact)
+    return Interval(lo, hi)
 
 
 def denote_limit(q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], Any] = lambda v: v):

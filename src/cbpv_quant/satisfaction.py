@@ -5,7 +5,7 @@ tree at the given fuel, built once per term and fuel by `Satisfier.tree`, in
 one walk that carries a lower and an upper bound per node; leaf-monotonicity
 of the shipped modalities makes the sandwich sound.  Each modal subformula is
 measured once per term and fuel, however many formulas share it.
-On recursion-free programs with complete families every result is exact.
+On recursion-free programs every result is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .formulas import (
     AndF,
     ArgF,
     ConstF,
-    Family,
     Formula,
     FormulaTypeError,
     FstF,
@@ -36,7 +35,7 @@ from .formulas import (
 )
 from .lattice import StateTableSpace, TruthSpace
 from .machine import eval_tree
-from .modality import Interval, ModalitySpec, evaluate_interval, exact_interval
+from .modality import Interval, ModalitySpec, evaluate_interval
 from .syntax import (
     Apply,
     CbpvError,
@@ -140,13 +139,14 @@ class Satisfier:
     def _eval(self, term: GenTerm, phi: Formula, fuel: int) -> Interval:
         space = self.space
         if isinstance(phi, NatEq):
-            return exact_interval(space.top if numeral_value(term) == phi.n else space.bot)
+            v = space.top if numeral_value(term) == phi.n else space.bot
+            return Interval(v, v)
         if isinstance(phi, ThunkF):
             return self._eval(Force(term), phi.body, fuel)
         if isinstance(phi, InjF):
             assert isinstance(term, Inj)
             if term.label != phi.label:
-                return exact_interval(space.bot)
+                return Interval(space.bot, space.bot)
             return self._eval(term.arg, phi.body, fuel)
         if isinstance(phi, FstF):
             assert isinstance(term, Pair)
@@ -160,31 +160,29 @@ class Satisfier:
             return self._eval(Proj(term, phi.label), phi.body, fuel)
         if isinstance(phi, Modal):
             return self._modal(term, phi, fuel)
-        if isinstance(phi, OrF):
-            return self._family(term, phi.family, fuel, is_or=True)
-        if isinstance(phi, AndF):
-            return self._family(term, phi.family, fuel, is_or=False)
+        if isinstance(phi, (OrF, AndF)):
+            ivs = [self._eval(term, p, fuel) for p in phi.members]
+            bound = space.join if isinstance(phi, OrF) else space.meet
+            return Interval(bound([iv.lo for iv in ivs]), bound([iv.hi for iv in ivs]))
         if isinstance(phi, StepF):
             r = self._eval(term, phi.body, fuel)
             a = phi.threshold
             if space.leq(a, r.lo):
-                return exact_interval(space.top)
+                return Interval(space.top, space.top)
             if not space.leq(a, r.hi):
-                return exact_interval(space.bot)
-            return Interval(space.bot, space.top, False)
+                return Interval(space.bot, space.bot)
+            return Interval(space.bot, space.top)
         if isinstance(phi, ConstF):
-            return exact_interval(phi.value)
+            return Interval(phi.value, phi.value)
         if isinstance(phi, NegF):
             r = self._eval(term, phi.body, fuel)
-            return Interval(space.neg(r.hi), space.neg(r.lo), r.exact)
+            return Interval(space.neg(r.hi), space.neg(r.lo))
         if isinstance(phi, SigmaMuF):
             return self._sigma_mu(term, phi, fuel)
         if isinstance(phi, MixF):
             a = self._eval(term, phi.opt, fuel)
             b = self._eval(term, phi.pess, fuel)
-            lo = (a.lo + b.lo) / 2.0
-            hi = (a.hi + b.hi) / 2.0
-            return Interval(lo, hi, lo == hi)
+            return Interval((a.lo + b.lo) / 2.0, (a.hi + b.hi) / 2.0)
         raise FormulaTypeError(f"unknown formula {phi!r}")
 
     def _modal(self, term: ComTerm, phi: Modal, fuel: int) -> Interval:
@@ -199,45 +197,23 @@ class Satisfier:
         body = phi.body
         cache: dict = {}
 
-        def leaf_interval(leaf) -> Interval:
+        def leaf_bounds(leaf) -> tuple:
             got = cache.get(leaf)
             if got is None:
                 if not isinstance(leaf, Return):
                     raise SatisfactionError(
                         f"modal formula over a non-producing terminal {leaf}"
                     )
-                got = self._eval(leaf.value, body, fuel)
-                cache[leaf] = got
+                iv = self._eval(leaf.value, body, fuel)
+                got = cache[leaf] = (iv.lo, iv.hi)
             return got
 
         # folded in this frame, so the fold starts at the same stack depth
         # as without the memo
-        iv = evaluate_interval(
-            self.modalities[phi.modality],
-            tree,
-            leaf_lo=lambda x: leaf_interval(x).lo,
-            leaf_hi=lambda x: leaf_interval(x).hi,
-        )
+        iv = evaluate_interval(self.modalities[phi.modality], tree, leaf_bounds)
         if key is not None:
             self._modals[key] = iv
         return iv
-
-    def _family(self, term: GenTerm, fam: Family, fuel: int, is_or: bool) -> Interval:
-        space = self.space
-        los, his = [], []
-        for p in fam.enumerate():
-            iv = self._eval(term, p, fuel)
-            los.append(iv.lo)
-            his.append(iv.hi)
-        if is_or:
-            lo, hi = space.join(los), space.join(his)
-            if not fam.complete:
-                hi = space.top
-        else:
-            lo, hi = space.meet(los), space.meet(his)
-            if not fam.complete:
-                lo = space.bot
-        return Interval(lo, hi, lo == hi)
 
     def _sigma_mu(self, term: GenTerm, phi: SigmaMuF, fuel: int) -> Interval:
         space = self.space
@@ -248,8 +224,7 @@ class Satisfier:
             v = min(1.0, sum(w * x for w, x in zip(phi.weights, table)))
             return tuple(v for _ in space.all_states)
 
-        lo, hi = mixed(r.lo), mixed(r.hi)
-        return Interval(lo, hi, lo == hi)
+        return Interval(mixed(r.lo), mixed(r.hi))
 
 
 def satisfies_exact(

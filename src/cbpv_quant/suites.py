@@ -1,9 +1,11 @@
 """Deterministic enumeration of basic formulas for behavioural comparison.
 
 A basic formula has no connective, constant, step, or negation at the root;
-it is a chain of dissectors ending in a numeral test, with modality formulas
-at producer types.  Bodies below the root may additionally use binary and/or
-combinations, which is what lets the search express e.g. conjunctive
+it is a chain of dissectors ending in a numeral test at nat or in `const top`
+at unit, with modality formulas at producer types.  `const top`, top of the
+modalities' truth space, is the unit analogue of `{n}`, since `()` is the
+only value of type unit.  Bodies below the root may additionally use binary
+and/or combinations, which is what lets the search express e.g. conjunctive
 expectations over thunked functions.
 """
 
@@ -15,7 +17,7 @@ from typing import Any
 from .formulas import (
     AndF,
     ArgF,
-    Family,
+    ConstF,
     Formula,
     FstF,
     InjF,
@@ -132,6 +134,8 @@ def enumerate_basic_formulas(
         out: list[Formula] = []
         if isinstance(ty, NatType):
             out.extend(NatEq(n) for n in pools.numerals)
+        elif isinstance(ty, UnitType) and modalities:
+            out.append(ConstF(next(iter(modalities.values())).space.top))
         elif isinstance(ty, ThunkType):
             out.extend(ThunkF(b) for b in go(ty.com, budget - 1, False))
         elif isinstance(ty, SumType):
@@ -155,8 +159,8 @@ def enumerate_basic_formulas(
                 for j in range(i + 1, len(smaller)):
                     a, b = smaller[i], smaller[j]
                     if formula_size(a) + formula_size(b) + 1 <= budget:
-                        out.append(AndF(Family(members=(a, b))))
-                        out.append(OrF(Family(members=(a, b))))
+                        out.append(AndF((a, b)))
+                        out.append(OrF((a, b)))
         seen = set()
         uniq = []
         for f in out:

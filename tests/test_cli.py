@@ -238,6 +238,18 @@ def test_compare_exit_codes_and_witness(progdir):
     assert "no distinction found" in report2
 
 
+def test_unit_results_are_observed(tmp_path):
+    # () is the only value of type unit, so `const top` is its basic value
+    # formula, as {n} is at nat
+    (tmp_path / "u1.cbpv").write_text("return ()\n")
+    (tmp_path / "u3.cbpv").write_text("cost[1](return ())\n")
+    paths = [str(tmp_path / "u1.cbpv"), str(tmp_path / "u3.cbpv")]
+    code, report = run(["compare", *paths, "--signature", "cost"])
+    assert (code, report) == (1, "distinguished: witness C<const 0> left 0 right 1 (left_not_below_right)")
+    code, report = run(["distinguish", *paths, "--signature", "cost"])
+    assert (code, report) == (1, "witness C<const 0> (left_not_below_right)")
+
+
 def test_distinguish_verb(progdir):
     code, report = run(
         [
@@ -307,7 +319,7 @@ def test_laws_verb_small():
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--samples", "-3"), ("--samples", "0"), ("--trials", "-3")],
+    [("--samples", "-3"), ("--samples", "0"), ("--trials", "-3"), ("--depth", "-3")],
 )
 def test_laws_rejects_bad_counts(flag, value):
     code, report = run(

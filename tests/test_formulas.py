@@ -4,7 +4,6 @@ from cbpv_quant.formulas import (
     AndF,
     ArgF,
     ConstF,
-    Family,
     FormulaTypeError,
     MixF,
     Modal,
@@ -102,8 +101,8 @@ def _seeded_formula(rng, depth, value=_seeded_number):
         return NegF(sub())
     if kind == 6:
         return MixF(sub(), sub())
-    family = Family(members=tuple(sub() for _ in range(rng.randrange(1, 3))))
-    return AndF(family) if kind == 7 else OrF(family)
+    members = tuple(sub() for _ in range(rng.randrange(1, 3)))
+    return AndF(members) if kind == 7 else OrF(members)
 
 
 def test_parse_print_roundtrip_seeded_numbers(prob_store_rt):
@@ -146,7 +145,7 @@ def test_positive_fragment_flag(prob_nondet_rt):
 def test_formula_sizes():
     assert formula_size(NatEq(7)) == 1
     assert formula_size(Modal("Copt", NatEq(7))) == 2
-    assert formula_size(AndF(Family(members=(NatEq(0), NatEq(1))))) == 3
+    assert formula_size(AndF((NatEq(0), NatEq(1)))) == 3
 
 
 def test_check_formula_typing(prob_nondet_rt):

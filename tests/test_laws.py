@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from cbpv_quant.config import RunConfig, build_runtime
+from cbpv_quant.lattice import StoreConfig
 from cbpv_quant.laws import (
     LawParams,
     law_congruence,
@@ -110,6 +111,41 @@ def test_random_value_tree_draws_are_pinned():
                 h.update(_tree_text(t).encode())
         h.update(repr(rng.random()).encode())
     assert h.hexdigest() == "056e44f4d579ad1c76996bb5299ea09a029ae865f78d6741434ded7386e1e511"
+
+
+def _value_text(v):
+    return "{" + ",".join(map(repr, sorted(v))) + "}" if isinstance(v, frozenset) else repr(v)
+
+
+@pytest.mark.parametrize(
+    "store,digest",
+    [
+        (None, "cf75772eee9167430fd49bf419f68c879e48845b2b448ee3726bb48cc1e0dd5a"),
+        (StoreConfig(("a",), 2), "d205e05e436c0a464d8cd5351d567ce85352ec95f7f1ad6e44901c5c4ffdbbf5"),
+    ],
+)
+def test_standard_modalities_fold_as_pinned(store, digest):
+    # the ten modalities in the insertion order the law-suite rng draws
+    # depend on, and each one's exact denotation and certified bounds on the
+    # seeded trees of test_random_value_tree_draws_are_pinned, as recorded
+    # while laws built the modalities itself
+    import hashlib
+    import random
+
+    from cbpv_quant.laws import random_value_tree
+    from cbpv_quant.modality import denote_limit, evaluate_interval
+
+    mods = standard_modalities(store)
+    assert list(mods) == ["E", "Eopt", "Epes", "C", "Copt", "Cpes", "G", "Gopt", "Gpes", "EG"]
+    h = hashlib.sha256()
+    for name, q in sorted(mods.items()):
+        rng = random.Random(2024)
+        for depth in range(6):
+            for _ in range(20):
+                t = random_value_tree(q, rng, depth, lambda: q.space.sample(rng), p_unknown=0.3)
+                iv = evaluate_interval(q, t)
+                h.update(" ".join(map(_value_text, (denote_limit(q, t), iv.lo, iv.hi))).encode())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------- law e tables

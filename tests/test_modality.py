@@ -86,12 +86,12 @@ def test_depth_monotone(q, space, mk):
 
 def test_interval_with_unknown_branch():
     iv = evaluate_interval(E, por(eta(1.0), Unknown))
-    assert iv == Interval(0.5, 1.0, False)
+    assert iv == Interval(0.5, 1.0) and not iv.exact
 
 
 def test_interval_exact_on_full_tree():
     iv = evaluate_interval(E, por(eta(1.0), eta(0.0)))
-    assert iv == Interval(0.5, 0.5, True)
+    assert iv == Interval(0.5, 0.5) and iv.exact
 
 
 def test_unit_law_unit_interval():
@@ -100,14 +100,6 @@ def test_unit_law_unit_interval():
         a = E.space.sample(rng)
         iv = evaluate_interval(E, eta(a))
         assert iv.exact and iv.lo == a
-
-
-def test_interval_refused_without_leaf_monotonicity():
-    from dataclasses import replace
-
-    weird = replace(E, leaf_monotone=False)
-    with pytest.raises(ModalityError, match="leaf-monotone"):
-        evaluate_interval(weird, eta(0.5))
 
 
 def test_bounds_tighten_along_tree_extension():
@@ -125,8 +117,8 @@ def test_bounds_tighten_along_tree_extension():
 
 def test_interval_values_each_leaf_once_per_bound():
     # a lookup reads each child once and then indexes per state, so nested
-    # lookups still value every leaf once for each of the two bounds, and
-    # once for the exact denotation
+    # lookups still value every leaf once: one call gives both of its bounds
+    # for the interval, and one its value for the exact denotation
     t = Node(
         "lookup[l]",
         tuple(Node("lookup[r]", tuple(eta((i, j)) for j in range(3))) for i in range(3)),
@@ -137,8 +129,8 @@ def test_interval_values_each_leaf_once_per_bound():
         calls[x] += 1
         return GSPACE.top
 
-    assert evaluate_interval(G, t, top, top) == Interval(GSPACE.top, GSPACE.top, True)
-    assert calls == Counter({(i, j): 2 for i in range(3) for j in range(3)})
+    assert evaluate_interval(G, t, lambda x: (top(x),) * 2) == Interval(GSPACE.top, GSPACE.top)
+    assert calls == Counter({(i, j): 1 for i in range(3) for j in range(3)})
     calls.clear()
     assert denote_limit(G, t, top) == GSPACE.top
     assert calls == Counter({(i, j): 1 for i in range(3) for j in range(3)})
@@ -183,8 +175,9 @@ def test_exact_denotation_matches_recurrence_at_sufficient_depth(name):
 @pytest.mark.parametrize("name", sorted(standard_modalities()))
 def test_interval_walk_matches_recurrence_at_sufficient_depth(name):
     # the one (lo, hi) walk against the single-valuation recurrence, run once
-    # per bound: lo sends Unknown to bot and leaves through leaf_lo, hi sends
-    # Unknown to top and leaves through a distinct, pointwise higher leaf_hi
+    # per bound: lo sends Unknown to bot and leaves to the first of their
+    # pair, hi sends Unknown to top and leaves to a distinct, pointwise
+    # higher second
     q = standard_modalities()[name]
     space = q.space
     rng = random.Random(59)
@@ -194,7 +187,7 @@ def test_interval_walk_matches_recurrence_at_sufficient_depth(name):
         d = sufficient_depth(q, t)
         for f in space.monotone_maps(rng, 2):
             raised = {x: space.raise_of(rng, f(x)) for x in leaves(t)}
-            iv = evaluate_interval(q, t, f, raised.__getitem__)
+            iv = evaluate_interval(q, t, lambda x: (f(x), raised[x]))
             assert iv.lo == denote_at_depth(q, map_leaves(t, f), d)
             upper = _fill_unknown(map_leaves(t, raised.__getitem__), space.top, filled)
             assert iv.hi == denote_at_depth(q, upper, d)
@@ -216,22 +209,19 @@ def test_exact_denotation_is_not_bounded_by_sufficient_depth():
 
 def test_lift_constant_one():
     t = por(eta("a"), por(eta("b"), eta("c")))
-    one = lambda _: 1.0
-    iv = evaluate_interval(E, t, one, one)
+    iv = evaluate_interval(E, t, lambda _: (1.0, 1.0))
     assert iv.exact and iv.lo == 1.0
 
 
 def test_lift_cost_sums_nodes():
     t = cost(2, cost(3, eta("x")))
-    zero = {"x": 0.0}.__getitem__
-    iv = evaluate_interval(C, t, zero, zero)
+    iv = evaluate_interval(C, t, {"x": (0.0, 0.0)}.__getitem__)
     assert iv.exact and iv.lo == 5.0
 
 
 def test_lift_update_total_target():
     t = Node("update[l]", (eta("w"),), param=1)
-    top = {"w": GSPACE.top}.__getitem__
-    iv = evaluate_interval(G, t, top, top)
+    iv = evaluate_interval(G, t, {"w": (GSPACE.top, GSPACE.top)}.__getitem__)
     assert iv.exact and iv.lo == GSPACE.top
 
 
@@ -417,6 +407,6 @@ def test_coin_tree_lift_with_indicator():
     # an indicator of the leaf "one"
     eo, ep = make_nondet_variants(E)
     coin = por(eta("zero"), por(nor(eta("zero"), eta("one")), eta("one")))
-    ind = {"zero": 0.0, "one": 1.0}.__getitem__
-    assert evaluate_interval(eo, coin, ind, ind) == Interval(0.5, 0.5, True)
-    assert evaluate_interval(ep, coin, ind, ind) == Interval(0.25, 0.25, True)
+    ind = {"zero": (0.0, 0.0), "one": (1.0, 1.0)}.__getitem__
+    assert evaluate_interval(eo, coin, ind) == Interval(0.5, 0.5)
+    assert evaluate_interval(ep, coin, ind) == Interval(0.25, 0.25)

@@ -34,3 +34,11 @@ def test_readme_import_block_is_exported():
     block = re.search(r"from cbpv_quant import \(([^)]*)\)", _library_section()).group(1)
     names = {n.strip() for n in block.split(",") if n.strip()}
     assert names and sorted(names - _exports()) == []
+
+
+def test_library_example_prints_its_comment(capsys):
+    # the example's printed interval matches the `# ...` comment after it
+    code = re.search(r"```python\n(.*?)```", _library_section(), re.S).group(1)
+    want = re.findall(r"#\s*(.*)$", code, re.M)[-1]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [want]

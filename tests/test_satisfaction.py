@@ -5,7 +5,6 @@ import pytest
 from cbpv_quant.formulas import (
     AndF,
     ConstF,
-    Family,
     FormulaTypeError,
     MixF,
     Modal,
@@ -109,9 +108,9 @@ def test_neg_involution_and_de_morgan(prob_nondet_rt):
         parse_formula("Eopt<{0}>", rt.signature, rt.space),
         parse_formula("Eopt<{1}>", rt.signature, rt.space),
     )
-    lhs = sat.satisfies(coin, NegF(OrF(Family(members=members))), 8).interval
+    lhs = sat.satisfies(coin, NegF(OrF(members)), 8).interval
     rhs = sat.satisfies(
-        coin, AndF(Family(members=tuple(NegF(m) for m in members))), 8
+        coin, AndF(tuple(NegF(m) for m in members)), 8
     ).interval
     assert lhs.exact and rhs.exact and lhs.lo == rhs.lo
 
@@ -137,16 +136,12 @@ def test_step_never_unknown_on_finite_programs(prob_rt):
         assert iv.exact
 
 
-def test_incomplete_or_widens_upper_bound(prob_rt):
+def test_finite_or_is_exact(prob_rt):
     rt = prob_rt
     sat = _sat(rt)
     coin = parse_program("por(return 0, return 1)", rt.signature)
-    fam = Family(members=(), generator=lambda i: Modal("E", NatEq(i)), bound=2, complete=False)
-    iv = sat.satisfies(coin, OrF(fam), 8).interval
-    assert iv.lo == 0.5 and iv.hi == 1.0
-    complete = Family(members=(Modal("E", NatEq(0)), Modal("E", NatEq(1))))
-    iv2 = sat.satisfies(coin, OrF(complete), 8).interval
-    assert iv2.exact and iv2.lo == 0.5
+    iv = sat.satisfies(coin, OrF((Modal("E", NatEq(0)), Modal("E", NatEq(1)))), 8).interval
+    assert iv.exact and iv.lo == 0.5
 
 
 def test_exactness_on_recursion_free_programs(prob_nondet_rt):
@@ -239,16 +234,16 @@ def test_scheduler_mix_values(prob_nondet_rt):
 
 
 def scheduler_mix_grid(phi_opt, phi_pess, steps):
-    """The countable-disjunction encoding of the scheduler mix, enumerated on
-    a grid of thresholds; its lower bound approaches the native mix."""
+    """The countable-disjunction encoding of the scheduler mix, cut to a grid
+    of thresholds; its lower bound approaches the native mix."""
     grid = [k / steps for k in range(steps + 1)]
-    pairs = [(a, b) for a in grid for b in grid]
-
-    def gen(i):
-        a, b = pairs[i]
-        return AndF(Family(members=(StepF(phi_opt, a), StepF(phi_pess, b), ConstF((a + b) / 2.0))))
-
-    return OrF(Family(generator=gen, bound=len(pairs), complete=False))
+    return OrF(
+        tuple(
+            AndF((StepF(phi_opt, a), StepF(phi_pess, b), ConstF((a + b) / 2.0)))
+            for a in grid
+            for b in grid
+        )
+    )
 
 
 def test_scheduler_grid_oracle(prob_nondet_rt):
@@ -517,23 +512,23 @@ def test_modal_memo_shares_equal_formulas(prob_nondet_rt):
     built = Modal("Eopt", ConstF(1))
     parsed = parse_formula("Eopt<const 1>", rt.signature, rt.space)
     assert parsed == built and parsed.body.value == 1.0
-    assert repr(_sat(rt).satisfies(prog, built, 8).interval) == "Interval(lo=1, hi=1, exact=True)"
-    assert repr(_sat(rt).satisfies(prog, parsed, 8).interval) == "Interval(lo=1.0, hi=1.0, exact=True)"
+    assert repr(_sat(rt).satisfies(prog, built, 8).interval) == "Interval(lo=1, hi=1)"
+    assert repr(_sat(rt).satisfies(prog, parsed, 8).interval) == "Interval(lo=1.0, hi=1.0)"
     sat = _sat(rt)
     sat.satisfies(prog, parsed, 8)
-    assert repr(sat.satisfies(prog, built, 8).interval) == "Interval(lo=1.0, hi=1.0, exact=True)"
+    assert repr(sat.satisfies(prog, built, 8).interval) == "Interval(lo=1.0, hi=1.0)"
     sat = _sat(rt)
     sat.satisfies(prog, built, 8)
-    assert repr(sat.satisfies(prog, parsed, 8).interval) == "Interval(lo=1, hi=1, exact=True)"
+    assert repr(sat.satisfies(prog, parsed, 8).interval) == "Interval(lo=1, hi=1)"
     # a program whose fold averages reports the float either way
     coin = parse_program("por(return 0, return 1)", rt.signature)
-    assert repr(sat.satisfies(coin, built, 8).interval) == "Interval(lo=1.0, hi=1.0, exact=True)"
+    assert repr(sat.satisfies(coin, built, 8).interval) == "Interval(lo=1.0, hi=1.0)"
 
 
 def test_unhashable_formula_is_evaluated_unmemoised(prob_rt):
     rt = prob_rt
     prog = parse_program("por(return 0, return 1)", rt.signature)
-    listed = Modal("E", OrF(Family(members=[NatEq(0), NatEq(1)])))
+    listed = Modal("E", OrF([NatEq(0), NatEq(1)]))
     sat = _sat(rt)
     for _ in range(2):
         assert sat.satisfies(prog, listed, 8).interval.lo == 1.0
