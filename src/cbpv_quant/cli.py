@@ -24,6 +24,7 @@ from .equivalence import (
     find_distinguishing_formula,
 )
 from .formulas import is_positive, parse_formula, print_formula
+from .lattice import StoreConfig
 from .laws import LawParams, run_law_suite, standard_modalities
 from .machine import eval_tree
 from .parser import parse_program
@@ -252,12 +253,17 @@ def cmd_laws(args) -> tuple[int, str]:
     rt = _runtime(args)
     rep = Reporter(args.json)
     params = LawParams(samples=args.samples, seed=rt.config.seed, depth=args.depth)
-    mods = standard_modalities(rt.store)
+    # the store settings hold under every signature: G and EG are folded
+    # at them even when the runtime's own signature has no store
+    mods = standard_modalities(StoreConfig(rt.config.locations, rt.config.value_bound))
     if args.modality:
         wanted = _items(args.modality)
         missing = [w for w in wanted if w not in mods]
         if missing:
             raise ConfigError(f"unknown modalities for the law suite: {missing}")
+        repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+        if repeated:
+            raise ConfigError(f"modalities named more than once for the law suite: {repeated}")
         selected = [mods[w] for w in wanted]
     else:
         selected = list(mods.values())

@@ -3,7 +3,9 @@
 Five concrete instances are shipped: the Booleans, the unit interval, the
 powerset of a finite store-state space, state-indexed unit-interval tables,
 and the extended non-negative reals under the REVERSED order (smaller cost is
-higher truth: leq(a, b) iff a >= b numerically, top = 0, bot = inf).
+higher truth: leq(a, b) iff a >= b numerically, top = 0, bot = inf).  A
+power space^k, ordered pointwise, holds the values of k folds run in one
+walk; it has only the order and its bounds.
 
 Order comparisons and equality are exact.  Values are double-precision
 floats.  The shipped example programs produce shallow dyadic rationals,
@@ -352,6 +354,20 @@ class StateTableSpace(TruthSpace):
         unit = UnitIntervalSpace()
         inner = unit.monotone_maps(rng, count)
         return [lambda v, f=f: tuple(f(x) for x in v) for f in inner]
+
+
+class PowerSpace(TruthSpace):
+    """space^k: k-tuples of `space` values under the pointwise order, the
+    truth space of k folds run in one walk (`modality.power`)."""
+
+    def __init__(self, space: TruthSpace, k: int):
+        self.space = space
+        self.name = f"{space.name}^{k}"
+        self.top = (space.top,) * k
+        self.bot = (space.bot,) * k
+
+    def leq(self, a, b):
+        return all(map(self.space.leq, a, b))
 
 
 def _render_float(v: float) -> str:

@@ -33,6 +33,7 @@ from .modality import (
     bool_modalities,
     denote_limit,
     evaluate_interval,
+    power,
 )
 from .satisfaction import Satisfier
 from .suites import Pools, enumerate_basic_formulas
@@ -129,10 +130,14 @@ def random_value_tree(
     depth: int,
     leaf: Callable[[], object],
     p_unknown: float = 0.1,
+    shapes: Optional[list[tuple[str, str, int]]] = None,
 ) -> EffectTree:
     """A random finite tree over q's operators (indexed children materialized
-    as width-V tuples) with sampled leaf payloads and occasional Unknowns."""
-    shapes = _op_shapes(q)
+    as width-V tuples) with sampled leaf payloads and occasional Unknowns.
+    A law drawing many trees passes q's `_op_shapes` as `shapes`, computed
+    once for the call."""
+    if shapes is None:
+        shapes = _op_shapes(q)
 
     def grow(depth: int) -> EffectTree:
         if depth <= 0 or not shapes or rng.random() < 0.3:
@@ -158,11 +163,13 @@ def random_value_tree(
 def law_leaf_monotone(q: ModalitySpec, params: LawParams) -> LawResult:
     rng = random.Random(params.seed)
     space = q.space
+    shapes = _op_shapes(q)
+    pair = power(q, 2)
     failures = []
     for i in range(params.samples):
-        t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng))
-        lo = denote_limit(q, t)
-        hi = denote_limit(q, t, lambda a: space.raise_of(rng, a))
+        t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng), shapes=shapes)
+        # one walk folds each leaf at its value and at a raised value
+        lo, hi = denote_limit(pair, t, lambda a: (a, space.raise_of(rng, a)))
         if not space.leq(lo, hi):
             failures.append(f"sample {i}: {space.render(lo)} not below {space.render(hi)}")
     return LawResult("a (leaf-monotone)", q.name, params.samples, tuple(failures))
@@ -171,9 +178,10 @@ def law_leaf_monotone(q: ModalitySpec, params: LawParams) -> LawResult:
 def law_scott_chain(q: ModalitySpec, params: LawParams) -> LawResult:
     rng = random.Random(params.seed + 1)
     space = q.space
+    shapes = _op_shapes(q)
     failures = []
     for i in range(params.samples):
-        t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng), p_unknown=0.0)
+        t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng), p_unknown=0.0, shapes=shapes)
         chain = [truncate(t, k) for k in range(tree_depth(t) + 2)]
         vals = [denote_limit(q, tk) for tk in chain]
         for a, b in zip(vals, vals[1:]):
@@ -189,6 +197,7 @@ def law_scott_chain(q: ModalitySpec, params: LawParams) -> LawResult:
 def law_sequential(q: ModalitySpec, params: LawParams) -> LawResult:
     rng = random.Random(params.seed + 2)
     space = q.space
+    shapes = _op_shapes(q)
     failures = []
     inner_depth = max(1, params.depth - 2)
     for i in range(params.samples):
@@ -196,9 +205,10 @@ def law_sequential(q: ModalitySpec, params: LawParams) -> LawResult:
             q,
             rng,
             params.depth,
-            lambda: random_value_tree(q, rng, inner_depth, lambda: space.sample(rng)),
+            lambda: random_value_tree(q, rng, inner_depth, lambda: space.sample(rng), shapes=shapes),
+            shapes=shapes,
         )
-        # exact: at an unbounded index a grafted subtree is valued as its leaf
+        # exact: the fold values a grafted subtree as its leaf
         lhs = denote_limit(q, mu(tt))
         rhs = denote_limit(q, tt, lambda sub: denote_limit(q, sub))
         if lhs != rhs:
@@ -224,6 +234,10 @@ def law_unit(q: ModalitySpec, params: LawParams) -> LawResult:
 def law_decomposability(q: ModalitySpec, params: LawParams) -> LawResult:
     rng = random.Random(params.seed + 4)
     space = q.space
+    shapes = _op_shapes(q)
+    # the four surrogate maps of a sample are folded in one walk, as q^4
+    surrogates = 4
+    qk = power(q, surrogates)
     failures = []
     runs = min(params.samples, 200)
     checked = 0
@@ -232,29 +246,25 @@ def law_decomposability(q: ModalitySpec, params: LawParams) -> LawResult:
             q,
             rng,
             max(1, params.depth - 1),
-            lambda: random_value_tree(q, rng, 2, lambda: space.sample(rng)),
+            lambda: random_value_tree(q, rng, 2, lambda: space.sample(rng), shapes=shapes),
+            shapes=shapes,
         )
         rr = map_leaves(tt, lambda sub: map_leaves(sub, lambda a: space.raise_of(rng, a)))
-        surrogates = space.monotone_maps(rng, 4)
-        certified = True
-        for h in surrogates:
-            H = lambda sub, h=h: denote_limit(q, sub, h)
-            lo = denote_limit(q, tt, H)
-            hi = denote_limit(q, rr, H)
-            if not space.leq(lo, hi):
-                certified = False
-                break
-        if not certified:
+        hk = _pointwise(space.monotone_maps(rng, surrogates))
+        H = lambda sub: denote_limit(qk, sub, hk)
+        if not qk.space.leq(denote_limit(qk, tt, H), denote_limit(qk, rr, H)):
             continue
         checked += 1
         flat_tt, flat_rr = mu(tt), mu(rr)
-        for h in space.monotone_maps(rng, 4):
-            lo = denote_limit(q, flat_tt, h)
-            hi = denote_limit(q, flat_rr, h)
-            if not space.leq(lo, hi):
-                failures.append(f"sample {i}: flattening broke the certified order")
-                break
+        flat_hk = _pointwise(space.monotone_maps(rng, surrogates))
+        if not qk.space.leq(denote_limit(qk, flat_tt, flat_hk), denote_limit(qk, flat_rr, flat_hk)):
+            failures.append(f"sample {i}: flattening broke the certified order")
     return LawResult("f (decomposability)", q.name, checked, tuple(failures))
+
+
+def _pointwise(maps: Sequence[Callable]) -> Callable[[object], tuple]:
+    """The leaf valuation into k-tuples whose position j is maps[j]."""
+    return lambda a: tuple([h(a) for h in maps])
 
 
 # --------------------------------------------------------------------------

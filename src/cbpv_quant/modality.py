@@ -1,36 +1,43 @@
-"""Quantitative modalities: recurrences over effect trees into a truth space.
+"""Quantitative modalities: folds of effect trees into a truth space.
 
-A modality carries one combinator per effect operator.  Everything here is
-computed by one depth-indexed recurrence, the scheme's definition: index 0 is
+A modality carries one combinator per effect operator.  Its meaning on a
+tree is the depth-indexed recurrence, the scheme's definition: index 0 is
 bot, Unknown is bot, a leaf at index n+1 is its own value, and an operator
 node at index n+1 applies its combinator to the values of its children at
 index n.  A store lookup with value bound V reads children 0..V-1 once each,
 child v at index max(0, n - v), and then picks per state the child named by
-that state's value at the looked-up location.
+that state's value at the looked-up location.  `denote_at_depth` runs that
+recurrence and is the oracle the tests hold everything else to.
 
-Trees are plain data, children in tuples, so a walk reads them and never runs
-the machine.  Combinators are data-in: fn(node, kids) sees the children's
-values in index order, never the children themselves, so each consulted child
-is evaluated once per walk.  Exact denotations run the recurrence once at an unbounded
-index.  Certified intervals take one walk at an index deep enough for the
-whole tree (`sufficient_depth`) that computes both bounds per node: the lower
-bound sends Unknown to bot, the upper bound to top, each leaf payload x is
-valued once, by one leaf valuation returning its (lo, hi) pair, and each node
-applies its combinator to the lower and then to the upper values of its
-children.  Both bounds are sound for every leaf-monotone modality, which law
-a of `laws` checks for the shipped ones.
+On a finite tree the recurrence at an unbounded index is the structural
+fold, the unique homomorphism out of the free model, so the evaluators run
+one index-free fold (`_fold`): Unknown goes to a caller-given value, each
+leaf payload x to leaf(x), and each operator node applies its combinator to
+the values of its children, a lookup to those of its first V.  Trees are
+plain data, children in tuples, so a fold reads them and never runs the
+machine; combinators are data-in, fn(node, kids) seeing the children's
+values in index order, so each consulted child is folded once.
+
+One walk serves k leaf valuations at once when it folds `power(q, k)`, the
+modality applying q's combinators position by position to k-tuples.
+`denote_limit` is the fold with Unknown at bot.  `evaluate_interval` folds
+q^2 with Unknown at (bot, top) and each leaf payload x at its (lo, hi) pair
+leaf(x): the lower bound sends Unknown to bot, the upper to top.  Both are
+sound for every leaf-monotone modality, which law a of `laws` checks for
+the shipped ones.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import compress
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, Mapping, Optional
 
 from .lattice import (
     BoolSpace,
     CostSpace,
+    PowerSpace,
     StateSetSpace,
     StateTableSpace,
     StoreConfig,
@@ -65,6 +72,18 @@ class ModalitySpec:
     name: str
     space: TruthSpace
     rules: Mapping[str, OpRule]
+
+    @cached_property
+    def _table(self) -> dict[str, tuple[Callable, Optional[int]]]:
+        """op -> (combinator, lookup width or None): the rules as the fold
+        reads them, resolved once per modality."""
+        return {op: (r.fn, r.family_consult) for op, r in self.rules.items()}
+
+    @cached_property
+    def _pair(self) -> ModalitySpec:
+        """power(self, 2), the modality whose one fold gives both bounds of
+        `evaluate_interval`."""
+        return power(self, 2)
 
     def rule(self, op: str) -> OpRule:
         r = self.rules.get(op)
@@ -102,53 +121,79 @@ def child_at(children: tuple[EffectTree, ...], i: int) -> EffectTree:
 # Evaluation
 
 
-def _denote(q: ModalitySpec, t: EffectTree, n: float, leaf: Callable[[Any], Any], unknown):
-    """The defining recurrence at index n, with Unknown and index 0 sent to
-    `unknown` and each leaf payload x to leaf(x)."""
+def _denote(q: ModalitySpec, t: EffectTree, n: int):
+    """The defining recurrence at index n: Unknown and index 0 are bot, and
+    a leaf is its own payload."""
     if isinstance(t, _Unknown) or n <= 0:
-        return unknown
+        return q.space.bot
     if isinstance(t, Leaf):
-        return leaf(t.value)
+        return t.value
     rule = q.rule(t.op)
     ch = t.children
     if rule.family_consult is None:
-        kids = [_denote(q, child_at(ch, i), n - 1, leaf, unknown) for i in range(len(ch))]
+        kids = [_denote(q, child_at(ch, i), n - 1) for i in range(len(ch))]
     else:
-        kids = [
-            _denote(q, child_at(ch, v), max(0, n - 1 - v), leaf, unknown)
-            for v in range(rule.family_consult)
-        ]
+        kids = [_denote(q, child_at(ch, v), max(0, n - 1 - v)) for v in range(rule.family_consult)]
     return rule.fn(t, kids)
 
 
-def _bounds(q: ModalitySpec, t: EffectTree, n: int, leaf, bot, top) -> tuple:
-    """The recurrence at index n for both bounds in one walk: (lo, hi) with
-    Unknown and index 0 at (bot, top) and each leaf payload x at the pair
-    leaf(x)."""
-    if isinstance(t, _Unknown) or n <= 0:
-        return bot, top
+def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown):
+    """The structural fold of a finite tree under q: Unknown is `unknown`, a
+    leaf payload x is leaf(x), and an operator node applies its combinator
+    to the values of its children, a lookup to those of its first V.  q's
+    rules are resolved once per modality (`ModalitySpec._table`), not per
+    node.
+
+    Nodes with one or two children, the common arities, read them without a
+    comprehension, so a level of them takes one frame; a wider level takes
+    one more before Python 3.12, and the fold never takes more stack per
+    level than the recurrence did.  It recurses through its module name, not
+    as a closure over itself, so a fold leaves no reference cycle for the
+    garbage collector."""
     if isinstance(t, Leaf):
         return leaf(t.value)
-    rule = q.rule(t.op)
+    if isinstance(t, _Unknown):
+        return unknown
+    try:
+        fn, width = q._table[t.op]
+    except KeyError:
+        raise ModalityError(f"operator {t.op!r} has no combinator in modality {q.name}") from None
     ch = t.children
-    if rule.family_consult is None:
-        kids = [
-            _bounds(q, child_at(ch, i), n - 1, leaf, bot, top)
-            for i in range(len(ch))
-        ]
-    else:
-        kids = [
-            _bounds(q, child_at(ch, v), max(0, n - 1 - v), leaf, bot, top)
-            for v in range(rule.family_consult)
-        ]
-    fn = rule.fn
-    return fn(t, [k[0] for k in kids]), fn(t, [k[1] for k in kids])
+    if width is not None:
+        if len(ch) < width:
+            raise ModalityError(f"lookup {t.op!r} has {len(ch)} children, fewer than {width}")
+        ch = ch[:width]
+    n = len(ch)
+    if n == 2:
+        return fn(t, [_fold(ch[0], q, leaf, unknown), _fold(ch[1], q, leaf, unknown)])
+    if n == 1:
+        return fn(t, [_fold(ch[0], q, leaf, unknown)])
+    return fn(t, [_fold(c, q, leaf, unknown) for c in ch])
+
+
+def power(q: ModalitySpec, k: int) -> ModalitySpec:
+    """q^k over k-tuples: each combinator applied position by position, so
+    one fold under a leaf valuation into k-tuples is k folds of q, one per
+    position.  A node without children (an error lift's raise[e]) still
+    gives k values."""
+
+    def lift(rule: OpRule) -> OpRule:
+        fn = rule.fn
+
+        def pointwise(node: Node, kids: list):
+            if not kids:
+                return tuple([fn(node, kids) for _ in range(k)])
+            return tuple([fn(node, col) for col in zip(*kids)])
+
+        return OpRule(pointwise, rule.family_consult)
+
+    return ModalitySpec(f"{q.name}^{k}", PowerSpace(q.space, k), {op: lift(r) for op, r in q.rules.items()})
 
 
 def denote_at_depth(q: ModalitySpec, t: EffectTree, n: int):
     """The depth-n approximation of q's denotation (Unknown and exhaustion
     both fall to bot, as in the defining recurrence)."""
-    return _denote(q, t, n, lambda v: v, q.space.bot)
+    return _denote(q, t, n)
 
 
 def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
@@ -165,24 +210,27 @@ def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
 def evaluate_interval(
     q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], tuple] = lambda v: (v, v)
 ) -> Interval:
-    """Certified bounds: one walk at `sufficient_depth` computing (lo, hi) per
+    """Certified bounds: one fold of q^2 (`power`) computing (lo, hi) per
     node, with Unknown at (bot, top) and each leaf payload x at the pair
     leaf(x), which is called once per consulted leaf."""
-    d = sufficient_depth(q, t)
-    lo, hi = _bounds(q, t, d, leaf, q.space.bot, q.space.top)
+    # The fold needs no index.  This walk stays because it takes more stack
+    # per level than the fold, so a tree too deep for the stack fails here,
+    # as the checks known to fail that way expect; it goes when the fold
+    # becomes stack-safe.
+    sufficient_depth(q, t)
+    lo, hi = _fold(t, q._pair, leaf, (q.space.bot, q.space.top))
     assert_interval_order(q.space, lo, hi)
     return Interval(lo, hi)
 
 
 def denote_limit(q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], Any] = lambda v: v):
     """The exact denotation of a finite tree (the supremum of the chain), with
-    each leaf payload x valued at leaf(x).
-
-    The recurrence at an unbounded index: on a finite tree it reaches every
-    leaf, so no `sufficient_depth` walk is needed.  Each consulted leaf is
-    valued once, depth-first in child order.
+    each leaf payload x valued at leaf(x): one fold with Unknown at bot.
+    Each consulted leaf is valued once, depth-first in child order; under
+    `power(q, k)` and a leaf valuation into k-tuples, one walk gives the k
+    denotations.
     """
-    return _denote(q, t, math.inf, leaf, q.space.bot)
+    return _fold(t, q, leaf, q.space.bot)
 
 
 # --------------------------------------------------------------------------

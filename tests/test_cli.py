@@ -552,6 +552,49 @@ def test_laws_fuel_flag_sets_congruence_fuel(monkeypatch):
     assert fuels and set(fuels) == {5}
 
 
+@pytest.mark.parametrize("signature", ["prob", "cost+nondet", "store", "prob+store"])
+def test_laws_folds_the_store_modalities_at_the_store_flags(monkeypatch, signature):
+    # G and EG take --locations and --value-bound under every signature, not
+    # only under the store ones that build a store for their own runtime
+    import cbpv_quant.cli as cli
+    from cbpv_quant.lattice import StoreConfig
+
+    seen = []
+    real = cli.run_law_suite
+
+    def recording(mods, *rest, **kw):
+        seen.append([q.space.store for q in mods])
+        return real(mods, *rest, **kw)
+
+    monkeypatch.setattr(cli, "run_law_suite", recording)
+    base = ["laws", "--modality", "G,EG", "--samples", "2", "--no-relator", "--no-congruence"]
+    assert run(base + ["--signature", signature, "--locations", "a", "--value-bound", "2"])[0] == 0
+    assert run(base + ["--signature", signature])[0] == 0
+    assert seen == [[StoreConfig(("a",), 2)] * 2, [StoreConfig(("l", "r"), 3)] * 2]
+
+
+@pytest.mark.parametrize("signature", ["prob", "cost"])
+def test_laws_rejects_repeated_store_locations(signature):
+    code, report = run(
+        ["laws", "--modality", "G", "--locations", "l,l", "--samples", "1", "--no-relator",
+         "--no-congruence", "--signature", signature]
+    )
+    assert code == 2
+    assert report.startswith("error: ") and "\n" not in report
+    assert "distinct" in report
+
+
+@pytest.mark.parametrize("names", ["E,E", "E, Epes,E"])
+def test_laws_rejects_a_repeated_modality(names):
+    code, report = run(
+        ["laws", "--modality", names, "--samples", "1", "--no-relator", "--no-congruence",
+         "--signature", "prob"]
+    )
+    assert code == 2
+    assert report.startswith("error: ") and "\n" not in report
+    assert "'E'" in report
+
+
 def test_laws_modality_list_strips_whitespace():
     base = ["laws", "--samples", "5", "--depth", "2", "--no-relator", "--no-congruence"]
     base += ["--signature", "prob+nondet", "--json"]

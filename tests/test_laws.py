@@ -148,6 +148,63 @@ def test_standard_modalities_fold_as_pinned(store, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "samples,seed,depth,digest",
+    [
+        (40, 3, 4, "4dbc8b5041f2f7797fca45df22e6232434f400e0fc65ca11797e810a8f44d90b"),
+        (25, 17, 2, "bee37ed3ec3f8dc625a9d3285473b392e11d8fa0f20ece0e7c7076a4b975d83e"),
+        (60, 101, 5, "0b89ae112cd9ba789602ddf1189e5d8c83c07dc29d4d06c0d9bd92e884ad54dd"),
+        (12, 7919, 6, "8f9cbeff2d6bc708f616a40b75f93b93006ffdb8bff922fb715bae8aaae812d2"),
+    ],
+)
+def test_law_suite_lines_are_pinned(samples, seed, depth, digest):
+    # laws a-d and f over the ten modalities, as recorded while each law
+    # folded a tree once per valuation; law f's check count is the number of
+    # samples whose four surrogates all certify
+    import hashlib
+
+    from cbpv_quant.laws import run_law_suite
+
+    report = run_law_suite(list(MODS.values()), LawParams(samples, seed, depth), include_relator=False)
+    text = "\n".join(r.line() for r in report.results)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _broken_modalities():
+    """E with a `nor` antitone in its first child and C with a `cost`
+    antitone in its child: both break laws a, b and f."""
+    from cbpv_quant.modality import OpRule
+
+    e, c = MODS["E"], MODS["C"]
+    ebad = replace(e, name="Ebad", rules={**e.rules, "nor": OpRule(lambda node, kids: (1.0 - kids[0] + kids[1]) / 2)})
+    cbad = replace(
+        c, name="Cbad", rules={**c.rules, "cost": OpRule(lambda node, kids: node.param + 3.0 - min(kids[0], 3.0))}
+    )
+    return [ebad, cbad]
+
+
+@pytest.mark.parametrize(
+    "samples,seed,depth,digest",
+    [
+        (40, 3, 4, "d964e3ba5466bce54c4eb57a7b849f77acdb9e53c4a2af4cec0426bc889b9b50"),
+        (60, 101, 5, "4d8cbd34ff7b69cb5c42e972bbf149f87ab963c93b6e6b30d89da29dca0e2565"),
+    ],
+)
+def test_law_suite_failures_are_pinned(samples, seed, depth, digest):
+    # every failure text of two broken modalities, and law f's count of
+    # samples certified before flattening, which falls below the runs here,
+    # as recorded while each law folded a tree once per valuation
+    import hashlib
+
+    from cbpv_quant.laws import run_law_suite
+
+    report = run_law_suite(_broken_modalities(), LawParams(samples, seed, depth), include_relator=False)
+    text = "\n".join(repr((r.law, r.subject, r.runs, r.failures)) for r in report.results)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    decomposability = [r for r in report.results if r.law.startswith("f")]
+    assert decomposability[0].runs < samples and decomposability[0].failures
+
+
 # ---------------------------------------------------------------- law e tables
 
 

@@ -16,6 +16,7 @@ from cbpv_quant.modality import (
     expectation_modality,
     make_error_lift,
     make_nondet_variants,
+    power,
     prob_store_modality,
     store_modality,
     sufficient_depth,
@@ -202,6 +203,90 @@ def test_exact_denotation_is_not_bounded_by_sufficient_depth():
     for _ in range(400):
         chain = cost(1, chain)
     assert denote_limit(C, chain) == 400.0
+
+
+def test_fold_takes_one_frame_per_unary_level():
+    # a cost chain of 900 nodes folds on every supported Python; the
+    # recurrence took two frames per level before 3.12 and stopped near 500
+    chain = eta(0.0)
+    for _ in range(900):
+        chain = cost(1, chain)
+    assert denote_limit(C, chain) == 900.0
+    assert denote_limit(power(C, 2), chain, lambda x: (x, x + 1.0)) == (900.0, 901.0)
+
+
+# ---------------------------------------------------------------- the k-valuation fold
+
+
+def _with_error_lifts():
+    """The shipped modalities and three error lifts, whose nullary raise[e]
+    nodes give a combinator no children to read a position from."""
+    mods = standard_modalities()
+    lifted = {
+        "Ef": make_error_lift(mods["E"], {"e": 0.25, "d": 1.0}, ("e", "d")),
+        "Cpesf": make_error_lift(mods["Cpes"], {"e": 2.0}, ("e",)),
+        "Gf": make_error_lift(G, {"e": frozenset(s for s in GSPACE.all_states if s[0] == 1)}, ("e",)),
+    }
+    return {**mods, **lifted}
+
+
+_LIFTED = _with_error_lifts()
+
+
+@pytest.mark.parametrize("name", sorted(_LIFTED))
+def test_k_valuation_fold_is_k_single_folds(name):
+    # one walk of power(q, k) under a valuation into k-tuples gives, position
+    # by position, the k folds of q, valuing each leaf once
+    q = _LIFTED[name]
+    space = q.space
+    rng = random.Random(71)
+    nullary = 0
+    for k in (1, 2, 4):
+        qk = power(q, k)
+        assert qk.space.bot == (space.bot,) * k and qk.space.top == (space.top,) * k
+        for _ in range(30):
+            t = random_value_tree(q, rng, 4, lambda: space.sample(rng), p_unknown=0.3)
+            nullary += _count_nullary(t)
+            hs = space.monotone_maps(rng, k)
+            calls = []
+            got = denote_limit(qk, t, lambda x: calls.append(x) or tuple(h(x) for h in hs))
+            assert len(got) == k
+            assert got == tuple(denote_limit(q, t, h) for h in hs)
+            assert calls == list(leaves(t))
+            assert qk.space.leq(got, got)
+    if name.endswith("f"):
+        assert nullary, "no sampled tree had a raise node"
+
+
+def _count_nullary(t):
+    if not isinstance(t, Node):
+        return 0
+    return (not t.children) + sum(_count_nullary(c) for c in t.children)
+
+
+def test_power_order_is_pointwise():
+    e3 = power(E, 3).space
+    assert e3.leq((0.0, 0.5, 1.0), (0.25, 0.5, 1.0))
+    assert not e3.leq((0.0, 0.5, 1.0), (0.25, 0.25, 1.0))
+    c2 = power(C, 2).space
+    assert c2.leq((math.inf, 3.0), (2.0, 3.0)) and not c2.leq((1.0, 3.0), (2.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "fold",
+    [
+        denote_limit,
+        evaluate_interval,
+        lambda q, t: denote_limit(power(q, 3), t, lambda x: (x,) * 3),
+    ],
+    ids=["denote_limit", "evaluate_interval", "power"],
+)
+def test_fold_refuses_a_missing_combinator_and_a_short_lookup(fold):
+    with pytest.raises(ModalityError, match="'nor' has no combinator"):
+        fold(E, por(eta(1.0), nor(eta(1.0), eta(0.0))))
+    short = Node("lookup[l]", (eta(GSPACE.top), eta(GSPACE.top)))
+    with pytest.raises(ModalityError, match="2 children, fewer than 3"):
+        fold(G, Node("update[r]", (short,), param=1))
 
 
 # ---------------------------------------------------------------- leaf maps
