@@ -12,16 +12,25 @@ child per storable value, 0..width-1, built eagerly into the node's tuple, so
 the finished tree is plain data that folds read without machine work.
 
 Between two effect nodes the machine is a pure function of the
-configuration, so a configuration that repeats within one silent stretch
-never reaches an effect or a terminal: the stretch is Unknown at every fuel.
+configuration, so a silent stretch (the machine steps from a configuration to
+the next effect node or terminal) depends on its first configuration alone.
+Each tree build keeps one table, keyed by configuration: the first time a
+configuration starts a stretch, the stretch runs and the table records where
+it ends, how many steps it took and, for an effect node, the children's
+configurations; every later start from an equal configuration reads the
+table and charges the same fuel, so the tree is the one the machine would
+build step by step.  The machine steps of a finite-state loop thus follow
+its distinct configurations, not its fuel.  A stretch that runs out of
+fuel is not recorded.  A configuration that repeats within one stretch never
+reaches an effect or a terminal: the stretch is Unknown at every fuel.
 Brent's cycle detection ("An improved Monte Carlo factorization algorithm",
-BIT 20, 1980) finds the repeat, so a silent cycle ends as Unknown after
-O(cycle) steps, not O(fuel).
+BIT 20, 1980) finds the repeat on a stretch's first run, so a silent cycle
+ends as Unknown after O(cycle) steps, not O(fuel), and is recorded as such.
+Trees are not shared: equal subtrees are built as separate nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
@@ -47,6 +56,8 @@ from .syntax import (
     Succ,
     Thunk,
     Zero,
+    _HashCached,
+    _hash_cached,
     is_terminal,
     numeral,
     numeral_value,
@@ -63,19 +74,19 @@ class StuckError(CbpvError):
 # Stacks and configurations
 
 
-@dataclass(frozen=True)
-class ToFrame:
+@_hash_cached
+class ToFrame(_HashCached):
     binder: str
     body: ComTerm
 
 
-@dataclass(frozen=True)
-class ArgFrame:
+@_hash_cached
+class ArgFrame(_HashCached):
     value: object  # ValTerm
 
 
-@dataclass(frozen=True)
-class ProjFrame:
+@_hash_cached
+class ProjFrame(_HashCached):
     label: str
 
 
@@ -85,8 +96,8 @@ Stack = tuple[Frame, ...]  # innermost frame last
 EMPTY_STACK: Stack = ()
 
 
-@dataclass(frozen=True)
-class Config:
+@_hash_cached
+class Config(_HashCached):
     stack: Stack
     focus: ComTerm
 
@@ -190,34 +201,51 @@ def eval_tree(
     """
     if fuel < 0:
         raise CbpvError("fuel must be non-negative")
-    return _approx(Config(EMPTY_STACK, m), fuel, signature, width)
+    return _approx(Config(EMPTY_STACK, m), fuel, signature, width, {})
 
 
-def _approx(c: Config, n: int, sig: EffectSignature, width: int) -> EffectTree:
-    # Brent: `mark` is saved after each window of `window` steps, the window
-    # doubling; a step that lands on `mark` closes a silent cycle
-    mark, window, since = c, 1, 0
-    while True:
-        if n == 0:
-            return Unknown
-        m = c.focus
-        if isinstance(m, EffOp):
-            param = None
-            if m.param is not None:
-                param = numeral_value(m.param)
-                if param is None:
-                    raise StuckError(f"effect parameter of {m.op} is not a numeral: {m.param}")
-            conts = continuations(c, sig, width)
-            return Node(m.op, tuple(_approx(cc, n - 1, sig, width) for cc in conts), param)
-        if not c.stack and is_terminal(m):
-            return Leaf(m)
-        c = machine_step(c)
-        n -= 1
-        # every term a configuration holds was part of some focus, so hashing
-        # each focus keeps all their hashes cached and `==` rejects unequal
-        # terms at the root, not after walking them (long numerals)
-        if hash(c.focus) == hash(mark.focus) and c == mark:
-            return Unknown
-        since += 1
-        if since == window:
-            mark, window, since = c, 2 * window, 0
+# A stretch table maps the configuration a silent stretch starts from to
+# (steps, end, continuations): the stretch reaches `end`, an effect node or a
+# terminal under the empty stack, after `steps` machine steps, and an effect
+# node's children continue with `continuations`; `end` is None for a silent
+# cycle.
+Stretch = tuple[int, Optional[Config], tuple[Config, ...]]
+
+
+def _approx(c: Config, n: int, sig: EffectSignature, width: int, table: dict[Config, Stretch]) -> EffectTree:
+    stretch = table.get(c)
+    if stretch is None:
+        start, steps = c, 0
+        # Brent: `mark` is saved after each window of `window` steps, the
+        # window doubling; a step that lands on `mark` closes a silent cycle
+        mark, window, since = c, 1, 0
+        while not (isinstance(c.focus, EffOp) or not c.stack and is_terminal(c.focus)):
+            if steps == n:
+                # out of fuel before the stretch ends: more fuel runs it again
+                return Unknown
+            c = machine_step(c)
+            steps += 1
+            # every term a configuration holds was part of some focus, so
+            # hashing each focus keeps all their hashes cached and `==` rejects
+            # unequal terms at the root, not after walking them (long numerals)
+            if hash(c.focus) == hash(mark.focus) and c == mark:
+                table[start] = (steps, None, ())
+                return Unknown
+            since += 1
+            if since == window:
+                mark, window, since = c, 2 * window, 0
+        conts = continuations(c, sig, width) if isinstance(c.focus, EffOp) else ()
+        stretch = table[start] = (steps, c, conts)
+    steps, c, conts = stretch
+    if c is None or n <= steps:
+        return Unknown
+    m = c.focus
+    if isinstance(m, EffOp):
+        param = None
+        if m.param is not None:
+            param = numeral_value(m.param)
+            if param is None:
+                raise StuckError(f"effect parameter of {m.op} is not a numeral: {m.param}")
+        n -= steps + 1
+        return Node(m.op, tuple(_approx(cc, n, sig, width, table) for cc in conts), param)
+    return Leaf(m)

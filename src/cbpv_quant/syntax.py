@@ -165,7 +165,8 @@ def _ctype_atom(t: ComType) -> str:
 
 class _HashCached:
     """Term nodes keep their hash, once computed, in `_hash`, and their free
-    variables in `_fv`.  Both are dropped from pickled state: string hashes
+    variables in `_fv`; the machine's configurations and frames keep their
+    hash the same way.  Both are dropped from pickled state: string hashes
     differ between processes, and the empty set is shared, not copied."""
 
     __slots__ = ()
@@ -200,9 +201,9 @@ class ComTerm(_HashCached):
 GenTerm = Union[ValTerm, ComTerm]
 
 
-def _term(cls):
-    """A frozen dataclass term node whose hash is computed on first use and
-    cached.
+def _hash_cached(cls):
+    """A frozen dataclass, a term node or a machine configuration or frame,
+    whose hash is computed on first use and cached.
 
     The cached value is the one the dataclass generates, the hash of the
     tuple of field values, so each subterm is hashed once however often the
@@ -246,49 +247,49 @@ def _term(cls):
     return cls
 
 
-@_term
+@_hash_cached
 class UnitVal(ValTerm):
     pass
 
 
-@_term
+@_hash_cached
 class Zero(ValTerm):
     pass
 
 
-@_term
+@_hash_cached
 class Succ(ValTerm):
     arg: ValTerm
 
 
-@_term
+@_hash_cached
 class Var(ValTerm):
     name: str
 
 
-@_term
+@_hash_cached
 class Thunk(ValTerm):
     com: "ComTerm"
 
 
-@_term
+@_hash_cached
 class Inj(ValTerm):
     label: str
     arg: ValTerm
 
 
-@_term
+@_hash_cached
 class Pair(ValTerm):
     fst: ValTerm
     snd: ValTerm
 
 
-@_term
+@_hash_cached
 class Return(ComTerm):
     value: ValTerm
 
 
-@_term
+@_hash_cached
 class SeqTo(ComTerm):
     """M to x. N  --  run M, bind its returned value to x, continue with N."""
 
@@ -297,32 +298,32 @@ class SeqTo(ComTerm):
     body: ComTerm
 
 
-@_term
+@_hash_cached
 class Force(ComTerm):
     value: ValTerm
 
 
-@_term
+@_hash_cached
 class Lambda(ComTerm):
     binder: str
     dom: ValType
     body: ComTerm
 
 
-@_term
+@_hash_cached
 class Apply(ComTerm):
     com: ComTerm
     arg: ValTerm
 
 
-@_term
+@_hash_cached
 class LetVal(ComTerm):
     binder: str
     value: ValTerm
     body: ComTerm
 
 
-@_term
+@_hash_cached
 class CaseNat(ComTerm):
     """case V of {zero -> M | succ x -> N}"""
 
@@ -332,7 +333,7 @@ class CaseNat(ComTerm):
     succ_branch: ComTerm
 
 
-@_term
+@_hash_cached
 class CaseSum(ComTerm):
     """pm V as {inj l x -> M | ...}; branches must cover every label of V's type."""
 
@@ -346,7 +347,7 @@ class CaseSum(ComTerm):
         return None
 
 
-@_term
+@_hash_cached
 class CasePair(ComTerm):
     scrutinee: ValTerm
     fst_binder: str
@@ -354,7 +355,7 @@ class CasePair(ComTerm):
     body: ComTerm
 
 
-@_term
+@_hash_cached
 class Record(ComTerm):
     """<l = M, ...> -- labelled tuple of computations, projected lazily."""
 
@@ -367,18 +368,18 @@ class Record(ComTerm):
         return None
 
 
-@_term
+@_hash_cached
 class Proj(ComTerm):
     com: ComTerm
     label: str
 
 
-@_term
+@_hash_cached
 class Fix(ComTerm):
     com: ComTerm
 
 
-@_term
+@_hash_cached
 class EffOp(ComTerm):
     """An algebraic effect node.
 

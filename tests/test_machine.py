@@ -6,8 +6,11 @@ import pytest
 from cbpv_quant.config import RunConfig, build_runtime, build_signature
 from cbpv_quant.generators import generate_program
 from cbpv_quant.machine import (
+    ArgFrame,
     Config,
+    ProjFrame,
     StuckError,
+    ToFrame,
     continuations,
     eval_tree,
     machine_step,
@@ -91,6 +94,45 @@ def test_machine_determinism():
     prog = parse_program("por(return 0, return 1) to x. return succ x", PROB)
     c = Config((), prog)
     assert machine_step(c) == machine_step(c)
+
+
+def _one_config_of_each_frame():
+    frames = (ToFrame("x", Return(Var("x"))), ArgFrame(numeral(2)), ProjFrame("fst"))
+    return frames, Config(frames, Force(Var("f")))
+
+
+def test_config_and_frame_hashes_are_the_generated_value_cached():
+    import dataclasses
+
+    frames, config = _one_config_of_each_frame()
+    for obj in frames + (config,):
+        generated = hash(tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+        assert hash(obj) == generated
+        assert obj.__dict__["_hash"] == generated and hash(obj) == generated
+        twin = dataclasses.replace(obj)
+        assert twin == obj and twin is not obj and hash(twin) == generated
+
+
+def test_config_equality_is_structural():
+    frames, config = _one_config_of_each_frame()
+    # built apart, so no field is shared by identity
+    rebuilt, twin = _one_config_of_each_frame()
+    assert twin == config and hash(twin) == hash(config)
+    assert Config(frames[:2], config.focus) != config
+    assert Config(frames, Force(Var("g"))) != config
+    assert Config(rebuilt[:2] + (ProjFrame("snd"),), config.focus) != config
+
+
+def test_pickled_config_drops_its_cached_hash():
+    # string hashes differ between processes, so the cache is not pickled
+    import pickle
+
+    frames, config = _one_config_of_each_frame()
+    hash(config)
+    assert all("_hash" in obj.__dict__ for obj in frames + (config,))
+    u = pickle.loads(pickle.dumps(config))
+    assert all("_hash" not in obj.__dict__ for obj in u.stack + (u,))
+    assert u == config and hash(u) == hash(config)
 
 
 def test_eval_tree_por_fuel_two():
@@ -209,6 +251,25 @@ SILENT_LOOPS = {
 }
 
 
+COST = build_signature(RunConfig(signature="cost"))
+STORE_LR = build_signature(RunConfig(signature="store", value_bound=2))
+
+# finite-state loops: each unrolling revisits the same few configurations;
+# (signature, source, width)
+FINITE_STATE = {
+    "geometric": (PROB, r"fix (\f:U(F nat). por(return 0, force f))", 3),
+    "six sevenths": SILENT_LOOPS["six sevenths"] + (3,),
+    "cost loop": (COST, r"fix (\f:U(F nat). cost[1](force f))", 3),
+    # sets l to 1, then clears r, branching on both values at every lookup
+    "store loop": (
+        STORE_LR,
+        r"fix (\f:U(F nat). lookup[l](x. case x of {zero -> update[l](1, force f) "
+        r"| succ y -> lookup[r](z. case z of {zero -> return 0 | succ w -> update[r](0, force f)})}))",
+        2,
+    ),
+}
+
+
 @pytest.mark.parametrize("sig_index", range(len(ALL_SIGNATURES)))
 def test_cycle_cut_matches_naive_machine_on_generated_programs(sig_index):
     sig = ALL_SIGNATURES[sig_index]
@@ -230,6 +291,15 @@ def test_cycle_cut_matches_naive_machine_on_silent_loops(name):
     prog = parse_program(src, sig)
     for fuel in range(65):
         assert eval_tree(prog, fuel, sig, width=3) == _naive_tree(prog, fuel, sig, 3)
+
+
+# six sevenths is one of the silent loops above
+@pytest.mark.parametrize("name", sorted(FINITE_STATE.keys() - SILENT_LOOPS.keys()))
+def test_stretch_table_matches_naive_machine_on_finite_state_loops(name):
+    sig, src, width = FINITE_STATE[name]
+    prog = parse_program(src, sig)
+    for fuel in range(65):
+        assert eval_tree(prog, fuel, sig, width=width) == _naive_tree(prog, fuel, sig, width)
 
 
 def _counting_steps(monkeypatch):
@@ -259,6 +329,22 @@ def test_never_repeating_loop_runs_to_the_end_of_its_fuel(monkeypatch):
     sig, src = SILENT_LOOPS["growing value"]
     assert eval_tree(parse_program(src, sig), 20_000, sig) is Unknown
     assert calls[0] == 20_000
+
+
+# 2 * fuel is one of the fuels the deep-fuel benchmark gives each loop
+@pytest.mark.parametrize(
+    "name, fuel", [("geometric", 495), ("six sevenths", 270), ("cost loop", 250), ("store loop", 27)]
+)
+def test_finite_state_loop_steps_do_not_grow_with_fuel(monkeypatch, name, fuel):
+    # each silent stretch runs once per tree; later unrollings read the table
+    sig, src, width = FINITE_STATE[name]
+    prog = parse_program(src, sig)
+    calls = _counting_steps(monkeypatch)
+    eval_tree(prog, fuel, sig, width)
+    steps = calls[0]
+    calls[0] = 0
+    eval_tree(prog, 2 * fuel, sig, width)
+    assert calls[0] == steps <= 20
 
 
 @pytest.mark.parametrize(
