@@ -4,7 +4,7 @@ wiring of both into an executable runtime.
 The configuration document is key-value text (one `key = value` per line,
 `#` comments).  Recognized keys:
 
-    signature       = prob | store | prob+store | cost  (+nondet, +error)
+    signature       = prob | store | prob+store | cost  (+nondet, +error, each once)
     truth_space     = auto | bool | unit | stateset | statetable | cost
     locations       = [l, r]
     value_bound     = 3
@@ -81,6 +81,9 @@ class RunConfig:
     def parts(self) -> tuple[str, bool, bool]:
         """Split the signature selector into (base, nondet, error)."""
         chunks = self.signature.split("+")
+        repeated = sorted({c for c in chunks if chunks.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"signature {self.signature!r} names {', '.join(repeated)} more than once")
         nondet = "nondet" in chunks
         error = "error" in chunks
         base = "+".join(c for c in chunks if c not in ("nondet", "error"))

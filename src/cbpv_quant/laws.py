@@ -308,9 +308,10 @@ def _bit_valuation(xs: tuple, m: int) -> Callable[[object], bool]:
 def _reach(tl: tuple, pres: tuple) -> frozenset:
     """The table index pairs (i, j) that Boolean valuations h of the left
     elements reach, where bit b of i is h(tl[b]) and bit b of j is the join
-    of h over pres[b] (`equivalence.right_set`: a right element is valued at
-    the join of h over its preimages).  Only the elements of tl and of pres
-    move i or j, so h ranges over those alone."""
+    of h over pres[b] (the right set R[h]: a right element is valued at the
+    join of h over its preimages, as in the tests' `simulation.right_set`).
+    Only the elements of tl and of pres move i or j, so h ranges over those
+    alone."""
     deps = list(dict.fromkeys([*tl, *(a for p in pres for a in p)]))
     out = set()
     for bits in itertools.product((False, True), repeat=len(deps)):

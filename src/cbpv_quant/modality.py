@@ -1,22 +1,17 @@
 """Quantitative modalities: folds of effect trees into a truth space.
 
 A modality carries one combinator per effect operator.  Its meaning on a
-tree is the depth-indexed recurrence, the scheme's definition: index 0 is
-bot, Unknown is bot, a leaf at index n+1 is its own value, and an operator
-node at index n+1 applies its combinator to the values of its children at
-index n.  A store lookup with value bound V reads children 0..V-1 once each,
-child v at index max(0, n - v), and then picks per state the child named by
-that state's value at the looked-up location.  `denote_at_depth` runs that
-recurrence and is the oracle the tests hold everything else to.
-
-On a finite tree the recurrence at an unbounded index is the structural
-fold, the unique homomorphism out of the free model, so the evaluators run
-one index-free fold (`_fold`): Unknown goes to a caller-given value, each
-leaf payload x to leaf(x), and each operator node applies its combinator to
-the values of its children, a lookup to those of its first V.  Trees are
-plain data, children in tuples, so a fold reads them and never runs the
-machine; combinators are data-in, fn(node, kids) seeing the children's
-values in index order, so each consulted child is folded once.
+tree is the scheme's depth-indexed recurrence; on a finite tree the
+recurrence at an unbounded index is the structural fold, the unique
+homomorphism out of the free model, so the evaluators run one index-free
+fold (`_fold`): Unknown goes to a caller-given value, each leaf payload x
+to leaf(x), and each operator node applies its combinator to the values of
+its children, a store lookup with value bound V to those of its first V.
+Trees are plain data, children in tuples, so a fold reads them and never
+runs the machine; combinators are data-in, fn(node, kids) seeing the
+children's values in index order, so each consulted child is folded once.
+The recurrence itself is a test oracle (`tests/spec.py`), which the tests
+hold the fold to.
 
 One walk serves k leaf valuations at once when it folds `power(q, k)`, the
 modality applying q's combinators position by position to k-tuples.
@@ -57,10 +52,8 @@ class ModalityError(CbpvError):
 class OpRule:
     """Combinator for one operator: fn(node, kids) -> truth value.
 
-    `kids` holds the values of the consulted children in index order.  A rule
-    without `family_consult` consults every child of the node at index n - 1.
-    A rule with `family_consult` V is a store lookup: it consults children
-    0..V-1, child v at index max(0, n - 1 - v).
+    `kids` holds the values of the consulted children in index order: every
+    child, or, for a store lookup with `family_consult` V, children 0..V-1.
     """
 
     fn: Callable[[Node, list], Any]
@@ -85,14 +78,6 @@ class ModalitySpec:
         `evaluate_interval`."""
         return power(self, 2)
 
-    def rule(self, op: str) -> OpRule:
-        r = self.rules.get(op)
-        if r is None:
-            raise ModalityError(
-                f"operator {op!r} has no combinator in modality {self.name}"
-            )
-        return r
-
     def __repr__(self):
         return f"<Modality {self.name} over {self.space.name}>"
 
@@ -111,30 +96,12 @@ class Interval:
         return self.lo == self.hi
 
 
-def child_at(children: tuple[EffectTree, ...], i: int) -> EffectTree:
-    if i < 0 or i >= len(children):
-        raise ModalityError(f"child index {i} out of range for {len(children)} children")
-    return children[i]
-
-
 # --------------------------------------------------------------------------
 # Evaluation
 
 
-def _denote(q: ModalitySpec, t: EffectTree, n: int):
-    """The defining recurrence at index n: Unknown and index 0 are bot, and
-    a leaf is its own payload."""
-    if isinstance(t, _Unknown) or n <= 0:
-        return q.space.bot
-    if isinstance(t, Leaf):
-        return t.value
-    rule = q.rule(t.op)
-    ch = t.children
-    if rule.family_consult is None:
-        kids = [_denote(q, child_at(ch, i), n - 1) for i in range(len(ch))]
-    else:
-        kids = [_denote(q, child_at(ch, v), max(0, n - 1 - v)) for v in range(rule.family_consult)]
-    return rule.fn(t, kids)
+def _no_combinator(q: ModalitySpec, op: str) -> ModalityError:
+    return ModalityError(f"operator {op!r} has no combinator in modality {q.name}")
 
 
 def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown):
@@ -157,7 +124,7 @@ def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown):
     try:
         fn, width = q._table[t.op]
     except KeyError:
-        raise ModalityError(f"operator {t.op!r} has no combinator in modality {q.name}") from None
+        raise _no_combinator(q, t.op) from None
     ch = t.children
     if width is not None:
         if len(ch) < width:
@@ -190,20 +157,17 @@ def power(q: ModalitySpec, k: int) -> ModalitySpec:
     return ModalitySpec(f"{q.name}^{k}", PowerSpace(q.space, k), {op: lift(r) for op, r in q.rules.items()})
 
 
-def denote_at_depth(q: ModalitySpec, t: EffectTree, n: int):
-    """The depth-n approximation of q's denotation (Unknown and exhaustion
-    both fall to bot, as in the defining recurrence)."""
-    return _denote(q, t, n)
-
-
 def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
     """An index deep enough that the recurrence on this finite tree reaches
     every leaf; a lookup consumes its family_consult budget per level."""
     if isinstance(t, (Leaf, _Unknown)):
         return 1
     assert isinstance(t, Node)
-    rule = q.rule(t.op)
-    cost = 1 if rule.family_consult is None else rule.family_consult
+    try:
+        width = q._table[t.op][1]
+    except KeyError:
+        raise _no_combinator(q, t.op) from None
+    cost = 1 if width is None else width
     return cost + max((sufficient_depth(q, c) for c in t.children), default=0)
 
 

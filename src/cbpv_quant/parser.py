@@ -179,12 +179,6 @@ class Parser:
     def parse_program(self) -> ComTerm:
         return self.whole(self.com_term)
 
-    def parse_vtype(self) -> ValType:
-        return self.whole(self.vtype)
-
-    def parse_ctype(self) -> ComType:
-        return self.whole(self.ctype)
-
     # ---- computations
 
     def com_term(self) -> ComTerm:
@@ -458,11 +452,3 @@ class Parser:
 def parse_program(text: str, signature: EffectSignature) -> ComTerm:
     """Parse a computation term in the concrete grammar."""
     return Parser(text, signature).parse_program()
-
-
-def parse_vtype(text: str) -> ValType:
-    return Parser(text, EffectSignature(())).parse_vtype()
-
-
-def parse_ctype(text: str) -> ComType:
-    return Parser(text, EffectSignature(())).parse_ctype()

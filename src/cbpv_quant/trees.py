@@ -5,7 +5,8 @@ unexplored/fuel-exhausted subtree, or an operator node whose children are a
 plain tuple.  A nat-indexed operator (a store lookup) has one child per
 storable value, 0..V-1 for value bound V, built like any other child.
 Unknown records fuel exhaustion only; it is never a certificate of
-divergence.
+divergence.  The approximation order on trees (`tree_leq`) and
+`contains_unknown`, which only the tests read, live in `tests/spec.py`.
 """
 
 from __future__ import annotations
@@ -99,22 +100,6 @@ def graft(t: EffectTree) -> EffectTree:
 mu = graft
 
 
-def tree_leq(t: EffectTree, r: EffectTree) -> bool:
-    """The approximation order: t below r iff t is r with some subtrees pruned
-    to Unknown."""
-    if isinstance(t, _Unknown):
-        return True
-    if isinstance(t, Leaf):
-        return isinstance(r, Leaf) and t.value == r.value
-    assert isinstance(t, Node)
-    if not isinstance(r, Node) or t.op != r.op or t.param != r.param:
-        return False
-    tc, rc = t.children, r.children
-    if len(tc) != len(rc):
-        return False
-    return all(tree_leq(a, b) for a, b in zip(tc, rc))
-
-
 def tree_depth(t: EffectTree) -> int:
     if isinstance(t, (Leaf, _Unknown)):
         return 0
@@ -139,11 +124,3 @@ def leaves(t: EffectTree) -> Iterator[Any]:
     elif isinstance(t, Node):
         for c in t.children:
             yield from leaves(c)
-
-
-def contains_unknown(t: EffectTree) -> bool:
-    if isinstance(t, _Unknown):
-        return True
-    if isinstance(t, Leaf):
-        return False
-    return any(contains_unknown(c) for c in t.children)

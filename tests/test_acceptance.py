@@ -19,11 +19,11 @@ from cbpv_quant.laws import (
     standard_modalities,
 )
 from cbpv_quant.machine import Config, eval_tree
-from cbpv_quant.parser import parse_ctype, parse_program
+from cbpv_quant.parser import parse_program
 from cbpv_quant.satisfaction import Satisfier
 from cbpv_quant.suites import Pools, enumerate_basic_formulas
-from cbpv_quant.trees import contains_unknown, tree_leq
 from cbpv_quant.typecheck import EMPTY, infer_type
+from spec import contains_unknown, parse_ctype, tree_leq
 from stacks import settle, stack_apply
 
 

@@ -584,6 +584,14 @@ def test_laws_rejects_repeated_store_locations(signature):
     assert "distinct" in report
 
 
+@pytest.mark.parametrize("signature", ["prob+nondet+nondet", "prob+error+error", "nondet+prob+nondet"])
+def test_typecheck_rejects_a_repeated_signature_component(progdir, signature):
+    code, report = run(["typecheck", *_paths(progdir, "coin.cbpv"), "--signature", signature])
+    assert code == 2
+    assert report.startswith("error: ") and "\n" not in report
+    assert "more than once" in report
+
+
 @pytest.mark.parametrize("names", ["E,E", "E, Epes,E"])
 def test_laws_rejects_a_repeated_modality(names):
     code, report = run(

@@ -9,23 +9,26 @@ from cbpv_quant.equivalence import (
     Distinguished,
     NoDistinctionFound,
     RefinesUpTo,
-    Relation,
-    check_simulation_bounded,
     compare,
     find_distinguishing_formula,
-    indicator_families,
-    relator_check,
-    right_set,
 )
 from cbpv_quant.formulas import Modal, NatEq, NegF, StepF, ThunkF, print_formula
 from cbpv_quant.generators import generate_program
 from cbpv_quant.lattice import BoolSpace, UnitIntervalSpace
 from cbpv_quant.modality import bool_modalities
-from cbpv_quant.parser import parse_ctype, parse_program
+from cbpv_quant.parser import parse_program
 from cbpv_quant.satisfaction import Satisfier
 from cbpv_quant.suites import Pools, enumerate_basic_formulas
 from cbpv_quant.syntax import CbpvError, Force, Thunk, numeral
 from cbpv_quant.trees import Node, eta
+from simulation import (
+    Relation,
+    check_simulation_bounded,
+    indicator_families,
+    relator_check,
+    right_set,
+)
+from spec import parse_ctype
 
 
 def _sat(rt):

@@ -18,8 +18,8 @@ from cbpv_quant.formulas import (
     parse_formula,
     print_formula,
 )
-from cbpv_quant.parser import parse_ctype
 from cbpv_quant.syntax import numeral
+from spec import parse_ctype
 
 
 def test_parse_print_roundtrip(prob_nondet_rt, prob_store_rt, store_nondet_rt):

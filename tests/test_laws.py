@@ -214,10 +214,10 @@ def _o_rel(t, r, pairs, mods):
     t's leaves, and fold both trees afresh per valuation and modality."""
     import itertools
 
-    from cbpv_quant.equivalence import right_set
     from cbpv_quant.lattice import BoolSpace
     from cbpv_quant.modality import denote_limit
     from cbpv_quant.trees import leaves, map_leaves
+    from simulation import right_set
 
     space = BoolSpace()
     lefts = sorted({a for a, _ in pairs} | set(leaves(t)))

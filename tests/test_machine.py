@@ -33,7 +33,8 @@ from cbpv_quant.syntax import (
     numeral_value,
     print_com,
 )
-from cbpv_quant.trees import Leaf, Node, Unknown, contains_unknown, tree_leq
+from cbpv_quant.trees import Leaf, Node, Unknown
+from spec import contains_unknown, tree_leq
 from stacks import settle
 
 PROB = build_signature(RunConfig(signature="prob"))

@@ -10,7 +10,6 @@ from cbpv_quant.modality import (
     Interval,
     ModalityError,
     cost_modality,
-    denote_at_depth,
     denote_limit,
     evaluate_interval,
     expectation_modality,
@@ -22,6 +21,7 @@ from cbpv_quant.modality import (
     sufficient_depth,
 )
 from cbpv_quant.trees import Leaf, Node, Unknown, eta, leaves, map_leaves
+from spec import denote_at_depth
 
 E = expectation_modality()
 C = cost_modality()
@@ -471,7 +471,8 @@ def test_depth_monotone_all_shipped_modalities():
 def test_bounds_soundness_under_truncation_all_modalities():
     # pruning subtrees to Unknown widens the certified interval
     from cbpv_quant.laws import random_value_tree, standard_modalities
-    from cbpv_quant.trees import tree_depth, tree_leq, truncate
+    from cbpv_quant.trees import tree_depth, truncate
+    from spec import tree_leq
 
     for name, q in standard_modalities().items():
         rng = random.Random(23)

@@ -1,7 +1,7 @@
 import pytest
 
 from cbpv_quant.config import RunConfig, build_signature
-from cbpv_quant.parser import ParseError, parse_ctype, parse_program, parse_vtype
+from cbpv_quant.parser import ParseError, parse_program
 from cbpv_quant.syntax import (
     Apply,
     ArrowType,
@@ -17,6 +17,7 @@ from cbpv_quant.syntax import (
     Zero,
     numeral,
 )
+from spec import parse_ctype, parse_vtype
 
 PROB = build_signature(RunConfig(signature="prob"))
 FULL = build_signature(RunConfig(signature="prob+store+nondet+error"))

@@ -304,8 +304,8 @@ def test_interval_nesting_on_generated_programs(signame):
 
     from cbpv_quant.config import RunConfig, build_runtime
     from cbpv_quant.generators import generate_program
-    from cbpv_quant.parser import parse_ctype
     from cbpv_quant.suites import Pools, enumerate_basic_formulas
+    from spec import parse_ctype
 
     rt = build_runtime(RunConfig(signature=signame, locations=("l",), value_bound=3))
     sat = _sat(rt)
@@ -374,8 +374,8 @@ def _count_trees(monkeypatch):
 
 def test_compare_builds_one_tree_per_term(prob_nondet_rt, monkeypatch):
     from cbpv_quant.equivalence import compare
-    from cbpv_quant.parser import parse_ctype
     from cbpv_quant.suites import Pools, enumerate_basic_formulas
+    from spec import parse_ctype
 
     rt = prob_nondet_rt
     suite = enumerate_basic_formulas(
@@ -414,8 +414,8 @@ def test_shared_satisfier_matches_fresh_ones(signame):
 
     from cbpv_quant.config import RunConfig, build_runtime
     from cbpv_quant.generators import generate_program
-    from cbpv_quant.parser import parse_ctype
     from cbpv_quant.suites import Pools, enumerate_basic_formulas
+    from spec import parse_ctype
 
     rt = build_runtime(RunConfig(signature=signame, locations=("l",), value_bound=3))
     suite = enumerate_basic_formulas(
@@ -484,8 +484,8 @@ def test_modal_memo_reports_like_fresh_satisfiers(signame):
 
     from cbpv_quant.config import RunConfig, build_runtime
     from cbpv_quant.generators import generate_program
-    from cbpv_quant.parser import parse_ctype
     from cbpv_quant.suites import Pools, enumerate_basic_formulas
+    from spec import parse_ctype
 
     rt = build_runtime(RunConfig(signature=signame, locations=("l",), value_bound=3))
     suite = enumerate_basic_formulas(

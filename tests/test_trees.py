@@ -6,15 +6,14 @@ from cbpv_quant.trees import (
     Leaf,
     Node,
     Unknown,
-    contains_unknown,
     eta,
     leaves,
     map_leaves,
     mu,
     tree_depth,
-    tree_leq,
     truncate,
 )
+from spec import contains_unknown, tree_leq
 
 
 def random_tree(rng, depth, leaf):
