@@ -14,19 +14,31 @@ the finished tree is plain data that folds read without machine work.
 Between two effect nodes the machine is a pure function of the
 configuration, so a silent stretch (the machine steps from a configuration to
 the next effect node or terminal) depends on its first configuration alone.
-Each tree build keeps one table, keyed by configuration: the first time a
-configuration starts a stretch, the stretch runs and the table records where
-it ends, how many steps it took and, for an effect node, the children's
-configurations; every later start from an equal configuration reads the
-table and charges the same fuel, so the tree is the one the machine would
-build step by step.  The machine steps of a finite-state loop thus follow
-its distinct configurations, not its fuel.  A stretch that runs out of
-fuel is not recorded.  A configuration that repeats within one stretch never
-reaches an effect or a terminal: the stretch is Unknown at every fuel.
-Brent's cycle detection ("An improved Monte Carlo factorization algorithm",
-BIT 20, 1980) finds the repeat on a stretch's first run, so a silent cycle
-ends as Unknown after O(cycle) steps, not O(fuel), and is recorded as such.
-Trees are not shared: equal subtrees are built as separate nodes.
+Each tree build keeps one table, keyed by configuration, of `_Stretch`
+entries: the first time a configuration starts a stretch, the stretch runs
+and its entry records where it ends, how many steps it took and, for an
+effect node, the entries its children's configurations start, so that every
+later start from an equal configuration reads the entry and charges the same
+fuel, and the tree is the one the machine would build step by step.  The
+machine steps of a finite-state loop thus follow its distinct configurations,
+not its fuel.  A stretch that runs out of fuel is not recorded.  A
+configuration that repeats within one stretch never reaches an effect or a
+terminal: the stretch is Unknown at every fuel.  Brent's cycle detection ("An
+improved Monte Carlo factorization algorithm", BIT 20, 1980) finds the repeat
+on a stretch's first run, so a silent cycle ends as Unknown after O(cycle)
+steps, not O(fuel), and is recorded as such.
+
+Trees are shared (hash-consing, as in Filliatre & Conchon, "Type-safe
+modular hash-consing", ML Workshop 2006).  A child configuration is looked up
+once, when its parent's stretch first ends, and the parent's entry keeps the
+child's entry, so a later visit reads no table and compares no
+configurations.  The subtree from a configuration at fuel n depends only on
+its stretch and n, so each entry keeps the subtrees built from it, keyed by
+fuel, and a second visit to the same (configuration, fuel) returns the same
+object: a branching finite-state loop builds one node per (configuration,
+fuel), not a tree that doubles with fuel.  Node equality, `cli`'s printers
+and the `trees` walkers read a shared tree as if it were written out in
+full; `modality.evaluate_interval` folds each distinct node once.
 """
 
 from __future__ import annotations
@@ -201,21 +213,39 @@ def eval_tree(
     """
     if fuel < 0:
         raise CbpvError("fuel must be non-negative")
-    return _approx(Config(EMPTY_STACK, m), fuel, signature, width, {})
+    table: dict[Config, _Stretch] = {}
+    return _approx(_stretch(Config(EMPTY_STACK, m), table), fuel, signature, width, table)
 
 
-# A stretch table maps the configuration a silent stretch starts from to
-# (steps, end, continuations): the stretch reaches `end`, an effect node or a
-# terminal under the empty stack, after `steps` machine steps, and an effect
-# node's children continue with `continuations`; `end` is None for a silent
-# cycle.
-Stretch = tuple[int, Optional[Config], tuple[Config, ...]]
+class _Stretch:
+    """The silent stretch from configuration `start`, filled in on its first
+    run: it reaches `end`, an effect node or a terminal under the empty
+    stack, after `steps` machine steps (`end` is None for a silent cycle),
+    and an effect node's children continue with the stretches `kids`.
+    `steps` is None until a run reaches the end.  `trees` holds the subtree
+    built from `start` at each fuel so far."""
+
+    __slots__ = ("start", "steps", "end", "kids", "trees")
+
+    def __init__(self, start: Config):
+        self.start = start
+        self.steps: Optional[int] = None
+        self.end: Optional[Config] = None
+        self.kids: tuple[_Stretch, ...] = ()
+        self.trees: dict[int, EffectTree] = {}
 
 
-def _approx(c: Config, n: int, sig: EffectSignature, width: int, table: dict[Config, Stretch]) -> EffectTree:
-    stretch = table.get(c)
-    if stretch is None:
-        start, steps = c, 0
+def _stretch(c: Config, table: dict[Config, _Stretch]) -> _Stretch:
+    """The table's stretch from configuration c, added if c is new."""
+    s = table.get(c)
+    if s is None:
+        s = table[c] = _Stretch(c)
+    return s
+
+
+def _approx(s: _Stretch, n: int, sig: EffectSignature, width: int, table: dict[Config, _Stretch]) -> EffectTree:
+    if s.steps is None:
+        c, steps = s.start, 0
         # Brent: `mark` is saved after each window of `window` steps, the
         # window doubling; a step that lands on `mark` closes a silent cycle
         mark, window, since = c, 1, 0
@@ -229,23 +259,28 @@ def _approx(c: Config, n: int, sig: EffectSignature, width: int, table: dict[Con
             # hashing each focus keeps all their hashes cached and `==` rejects
             # unequal terms at the root, not after walking them (long numerals)
             if hash(c.focus) == hash(mark.focus) and c == mark:
-                table[start] = (steps, None, ())
+                s.steps = steps
                 return Unknown
             since += 1
             if since == window:
                 mark, window, since = c, 2 * window, 0
-        conts = continuations(c, sig, width) if isinstance(c.focus, EffOp) else ()
-        stretch = table[start] = (steps, c, conts)
-    steps, c, conts = stretch
-    if c is None or n <= steps:
+        s.steps, s.end = steps, c
+        if isinstance(c.focus, EffOp):
+            s.kids = tuple(_stretch(cc, table) for cc in continuations(c, sig, width))
+    if s.end is None or n <= s.steps:
         return Unknown
-    m = c.focus
-    if isinstance(m, EffOp):
-        param = None
-        if m.param is not None:
-            param = numeral_value(m.param)
-            if param is None:
-                raise StuckError(f"effect parameter of {m.op} is not a numeral: {m.param}")
-        n -= steps + 1
-        return Node(m.op, tuple(_approx(cc, n, sig, width, table) for cc in conts), param)
-    return Leaf(m)
+    t = s.trees.get(n)
+    if t is None:
+        m = s.end.focus
+        if isinstance(m, EffOp):
+            param = None
+            if m.param is not None:
+                param = numeral_value(m.param)
+                if param is None:
+                    raise StuckError(f"effect parameter of {m.op} is not a numeral: {m.param}")
+            k = n - s.steps - 1
+            t = Node(m.op, tuple(_approx(kid, k, sig, width, table) for kid in s.kids), param)
+        else:
+            t = Leaf(m)
+        s.trees[n] = t
+    return t

@@ -20,6 +20,15 @@ q^2 with Unknown at (bot, top) and each leaf payload x at its (lo, hi) pair
 leaf(x): the lower bound sends Unknown to bot, the upper to top.  Both are
 sound for every leaf-monotone modality, which law a of `laws` checks for
 the shipped ones.
+
+`machine.eval_tree` shares equal subtrees, one node per (configuration,
+fuel).  A fold is a homomorphism, so folding a shared node once gives the
+value of folding each of its copies: `evaluate_interval` passes `_fold` a
+memo mapping id(node) to the node's value, and `sufficient_depth` keeps one
+mapping id(node) to its depth, each for the length of one call, so each
+distinct node is folded once.  `denote_limit` passes none: `laws` calls it
+on random trees that share nothing, where the memo only costs, and on a
+shared tree it walks every copy.
 """
 
 from __future__ import annotations
@@ -104,12 +113,13 @@ def _no_combinator(q: ModalitySpec, op: str) -> ModalityError:
     return ModalityError(f"operator {op!r} has no combinator in modality {q.name}")
 
 
-def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown):
+def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown, memo: Optional[dict]):
     """The structural fold of a finite tree under q: Unknown is `unknown`, a
     leaf payload x is leaf(x), and an operator node applies its combinator
     to the values of its children, a lookup to those of its first V.  q's
     rules are resolved once per modality (`ModalitySpec._table`), not per
-    node.
+    node.  A `memo`, when given, maps id(node) to the node's value for the
+    length of one fold, so a node the tree shares is folded once.
 
     Nodes with one or two children, the common arities, read them without a
     comprehension, so a level of them takes one frame; a wider level takes
@@ -121,6 +131,11 @@ def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown):
         return leaf(t.value)
     if isinstance(t, _Unknown):
         return unknown
+    if memo is not None:
+        key = id(t)
+        v = memo.get(key)
+        if v is not None:
+            return v
     try:
         fn, width = q._table[t.op]
     except KeyError:
@@ -132,10 +147,14 @@ def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown):
         ch = ch[:width]
     n = len(ch)
     if n == 2:
-        return fn(t, [_fold(ch[0], q, leaf, unknown), _fold(ch[1], q, leaf, unknown)])
-    if n == 1:
-        return fn(t, [_fold(ch[0], q, leaf, unknown)])
-    return fn(t, [_fold(c, q, leaf, unknown) for c in ch])
+        v = fn(t, [_fold(ch[0], q, leaf, unknown, memo), _fold(ch[1], q, leaf, unknown, memo)])
+    elif n == 1:
+        v = fn(t, [_fold(ch[0], q, leaf, unknown, memo)])
+    else:
+        v = fn(t, [_fold(c, q, leaf, unknown, memo) for c in ch])
+    if memo is not None:
+        memo[key] = v
+    return v
 
 
 def power(q: ModalitySpec, k: int) -> ModalitySpec:
@@ -157,18 +176,27 @@ def power(q: ModalitySpec, k: int) -> ModalitySpec:
     return ModalitySpec(f"{q.name}^{k}", PowerSpace(q.space, k), {op: lift(r) for op, r in q.rules.items()})
 
 
-def sufficient_depth(q: ModalitySpec, t: EffectTree) -> int:
+def sufficient_depth(q: ModalitySpec, t: EffectTree, memo: Optional[dict] = None) -> int:
     """An index deep enough that the recurrence on this finite tree reaches
-    every leaf; a lookup consumes its family_consult budget per level."""
+    every leaf; a lookup consumes its family_consult budget per level.
+    `memo` maps id(node) to the node's depth for the length of one call, so
+    a node the tree shares is walked once."""
     if isinstance(t, (Leaf, _Unknown)):
         return 1
     assert isinstance(t, Node)
+    if memo is None:
+        memo = {}
+    key = id(t)
+    d = memo.get(key)
+    if d is not None:
+        return d
     try:
         width = q._table[t.op][1]
     except KeyError:
         raise _no_combinator(q, t.op) from None
     cost = 1 if width is None else width
-    return cost + max((sufficient_depth(q, c) for c in t.children), default=0)
+    d = memo[key] = cost + max((sufficient_depth(q, c, memo) for c in t.children), default=0)
+    return d
 
 
 def evaluate_interval(
@@ -182,7 +210,7 @@ def evaluate_interval(
     # as the checks known to fail that way expect; it goes when the fold
     # becomes stack-safe.
     sufficient_depth(q, t)
-    lo, hi = _fold(t, q._pair, leaf, (q.space.bot, q.space.top))
+    lo, hi = _fold(t, q._pair, leaf, (q.space.bot, q.space.top), {})
     assert_interval_order(q.space, lo, hi)
     return Interval(lo, hi)
 
@@ -194,7 +222,7 @@ def denote_limit(q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], Any] = la
     `power(q, k)` and a leaf valuation into k-tuples, one walk gives the k
     denotations.
     """
-    return _fold(t, q, leaf, q.space.bot)
+    return _fold(t, q, leaf, q.space.bot, None)
 
 
 # --------------------------------------------------------------------------

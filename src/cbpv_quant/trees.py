@@ -7,6 +7,15 @@ storable value, 0..V-1 for value bound V, built like any other child.
 Unknown records fuel exhaustion only; it is never a certificate of
 divergence.  The approximation order on trees (`tree_leq`) and
 `contains_unknown`, which only the tests read, live in `tests/spec.py`.
+
+`machine.eval_tree` shares equal subtrees: one node per (configuration,
+fuel), reached along every path that leads to it.  The walkers here
+(`map_leaves`, `graft`, `truncate`, `tree_depth`, `leaves`) keep no memo.
+Only `laws` calls them, on trees it generates (`random_value_tree` and its
+small relator pools), which share nothing.  Applied to an `eval_tree`
+result they visit every copy of a shared node, and the three that rebuild
+(`map_leaves`, `graft`, `truncate`) return the tree unshared: a branching
+loop's tree at a high fuel costs time and memory exponential in the fuel.
 """
 
 from __future__ import annotations

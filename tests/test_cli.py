@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -90,6 +91,29 @@ def test_eval_lists_one_child_per_storable_value():
     lookup = json.loads(report)["tree"]["children"][0]
     assert lookup["op"] == "lookup[l]" and len(lookup["children"]) == 3
     assert "family_width" not in lookup
+
+
+STORE_LOOP = (
+    r"fix (\f:U(F nat). lookup[l](x. case x of {zero -> update[l](1, force f) "
+    r"| succ y -> lookup[r](z. case z of {zero -> return 0 | succ w -> update[r](0, force f)})}))"
+)
+
+
+@pytest.mark.parametrize(
+    "extra, lines, digest",
+    [
+        ([], 181, "496f5703854c3b255991c6d9f6e4155d0f54e306b6714d421b571c812a712ab3"),
+        (["--json"], 900, "42ba2f1093a299d4a9999081d8feb0ea232efe2d5572262c4acec3d8c0b81419"),
+    ],
+)
+def test_eval_prints_a_shared_tree_written_out_in_full(tmp_path, extra, lines, digest):
+    # the store loop's tree at fuel 40 shares its repeated subtrees; `eval`
+    # prints every copy, byte for byte as it did when nothing was shared
+    p = tmp_path / "store-loop.cbpv"
+    p.write_text(STORE_LOOP)
+    code, report = run(["eval", str(p), "--signature", "store", "--value-bound", "2", "--fuel", "40"] + extra)
+    assert code == 0
+    assert (len(report.splitlines()), hashlib.sha256(report.encode()).hexdigest()) == (lines, digest)
 
 
 def test_explore_width_flag_and_key_are_gone(tmp_path):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cbpv_quant.config import RunConfig, build_runtime, build_signature
+from cbpv_quant.formulas import parse_formula
 from cbpv_quant.generators import generate_program
 from cbpv_quant.machine import (
     ArgFrame,
@@ -17,6 +18,7 @@ from cbpv_quant.machine import (
     reduce,
 )
 from cbpv_quant.parser import parse_program
+from cbpv_quant.satisfaction import Satisfier
 from cbpv_quant.syntax import (
     Apply,
     CaseNat,
@@ -356,6 +358,44 @@ def test_effect_nodes_are_read_off_the_focus(monkeypatch, sig, src):
     calls = _counting_steps(monkeypatch)
     eval_tree(parse_program(src, sig), 4, sig)
     assert calls[0] == 0
+
+
+# ---------------------------------------------------------------- shared trees
+
+
+def _distinct_nodes(t, seen):
+    if isinstance(t, Node) and id(t) not in seen:
+        seen[id(t)] = t
+        for child in t.children:
+            _distinct_nodes(child, seen)
+    return seen
+
+
+def test_store_loop_builds_one_node_per_configuration_and_fuel():
+    # written out in full, the tree has 22,599 nodes at fuel 100
+    rt = build_runtime(RunConfig(signature="store", value_bound=2))
+    prog = parse_program(FINITE_STATE["store loop"][1], rt.signature)
+    assert len(_distinct_nodes(eval_tree(prog, 100, rt.signature, rt.width), {})) <= 300
+    sat = Satisfier(rt.signature, rt.modalities, rt.space, rt.width)
+    iv = sat.satisfies(prog, parse_formula("G<{0}>", rt.signature, rt.space), 100).interval
+    assert iv.lo == iv.hi == frozenset(rt.space.all_states) and len(iv.lo) == 4
+
+
+@pytest.mark.parametrize("name, fuel", [("geometric", 990), ("six sevenths", 540)])
+def test_child_configurations_are_the_tables_own(monkeypatch, name, fuel):
+    # a child configuration is looked up once, when its parent's stretch
+    # ends; a lookup at every visit would compare fields once per tree level
+    calls = [0]
+    real = Config.__eq__
+
+    def counted(self, other):
+        calls[0] += self is not other
+        return real(self, other)
+
+    monkeypatch.setattr(Config, "__eq__", counted)
+    sig, src, width = FINITE_STATE[name]
+    eval_tree(parse_program(src, sig), fuel, sig, width)
+    assert calls[0] <= 20
 
 
 # ---------------------------------------------------------------- pinned trees

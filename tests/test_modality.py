@@ -6,9 +6,12 @@ import pytest
 
 from cbpv_quant.laws import random_value_tree, standard_modalities
 from cbpv_quant.lattice import StateSetSpace, StateTableSpace, StoreConfig
+from cbpv_quant import modality
 from cbpv_quant.modality import (
     Interval,
     ModalityError,
+    ModalitySpec,
+    OpRule,
     cost_modality,
     denote_limit,
     evaluate_interval,
@@ -213,6 +216,35 @@ def test_fold_takes_one_frame_per_unary_level():
         chain = cost(1, chain)
     assert denote_limit(C, chain) == 900.0
     assert denote_limit(power(C, 2), chain, lambda x: (x, x + 1.0)) == (900.0, 901.0)
+
+
+def test_shared_tree_folds_each_distinct_node_once(monkeypatch):
+    # 20 levels of por(t, t): about two million nodes written out in full,
+    # 21 distinct ones
+    t = por(eta(1.0), Unknown)
+    for _ in range(20):
+        t = por(t, t)
+    combinator_calls = Counter()
+
+    def average(node, kids):
+        combinator_calls[id(node)] += 1
+        return (kids[0] + kids[1]) / 2.0
+
+    depth_calls = [0]
+    real = modality.sufficient_depth
+
+    def counted(q, t, memo=None):
+        depth_calls[0] += 1
+        return real(q, t, memo)
+
+    monkeypatch.setattr(modality, "sufficient_depth", counted)
+    q = ModalitySpec("E", E.space, {"por": OpRule(average)})
+    assert evaluate_interval(q, t) == Interval(0.5, 1.0)
+    # the pair modality applies q's combinator once per bound
+    assert len(combinator_calls) == 21 and set(combinator_calls.values()) == {2}
+    # walking a node calls sufficient_depth once per child: walking each of
+    # the 21 distinct nodes once makes two calls each, plus one for the root
+    assert depth_calls[0] == 1 + 2 * 21
 
 
 # ---------------------------------------------------------------- the k-valuation fold
