@@ -11,7 +11,9 @@ Laws checked:
      and each instance (t, r, R) is decided once from those tables, so every
      instance is still checked and the check counts stay the same;
   f. decomposability consequence: flattening preserves the certified
-     double-tree order on sampled valuation families;
+     double-tree order on sampled valuation families; each compared pair is
+     one walk of q^8, a leaf's four surrogate values beside those of its
+     raised value, so no raised copy of the tree is built;
   g. congruence spot-checks: pairs equivalent at bounds stay undistinguished
      under random program contexts.
 
@@ -235,9 +237,10 @@ def law_decomposability(q: ModalitySpec, params: LawParams) -> LawResult:
     rng = random.Random(params.seed + 4)
     space = q.space
     shapes = _op_shapes(q)
-    # the four surrogate maps of a sample are folded in one walk, as q^4
+    # each compared pair is one walk of q^8: a leaf under the four surrogate
+    # maps beside its raised value under the same maps
     surrogates = 4
-    qk = power(q, surrogates)
+    q8 = power(q, 2 * surrogates)
     failures = []
     runs = min(params.samples, 200)
     checked = 0
@@ -249,22 +252,29 @@ def law_decomposability(q: ModalitySpec, params: LawParams) -> LawResult:
             lambda: random_value_tree(q, rng, 2, lambda: space.sample(rng), shapes=shapes),
             shapes=shapes,
         )
-        rr = map_leaves(tt, lambda sub: map_leaves(sub, lambda a: space.raise_of(rng, a)))
-        hk = _pointwise(space.monotone_maps(rng, surrogates))
-        H = lambda sub: denote_limit(qk, sub, hk)
-        if not qk.space.leq(denote_limit(qk, tt, H), denote_limit(qk, rr, H)):
+        raised = [space.raise_of(rng, a) for sub in leaves(tt) for a in leaves(sub)]
+        leaf = _beside_raised(space.monotone_maps(rng, surrogates), raised)
+        v = denote_limit(q8, tt, lambda sub: denote_limit(q8, sub, leaf))
+        if not all(map(space.leq, v[:surrogates], v[surrogates:])):
             continue
         checked += 1
-        flat_tt, flat_rr = mu(tt), mu(rr)
-        flat_hk = _pointwise(space.monotone_maps(rng, surrogates))
-        if not qk.space.leq(denote_limit(qk, flat_tt, flat_hk), denote_limit(qk, flat_rr, flat_hk)):
+        v = denote_limit(q8, mu(tt), _beside_raised(space.monotone_maps(rng, surrogates), raised))
+        if not all(map(space.leq, v[:surrogates], v[surrogates:])):
             failures.append(f"sample {i}: flattening broke the certified order")
     return LawResult("f (decomposability)", q.name, checked, tuple(failures))
 
 
-def _pointwise(maps: Sequence[Callable]) -> Callable[[object], tuple]:
-    """The leaf valuation into k-tuples whose position j is maps[j]."""
-    return lambda a: tuple([h(a) for h in maps])
+def _beside_raised(maps: Sequence[Callable], raised: Sequence) -> Callable[[object], tuple]:
+    """The leaf valuation a -> (h1(a)..hk(a), h1(r)..hk(r)) for maps h1..hk,
+    where r is the next of `raised`: a fold values each consulted leaf once,
+    depth-first in child order, so the n-th leaf valued meets `raised[n]`,
+    the value a copy of the tree with raised leaves would carry there."""
+    nxt = iter(raised).__next__
+
+    def leaf(a):
+        return tuple([h(x) for x in (a, nxt()) for h in maps])
+
+    return leaf
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,8 @@ recurrence at an unbounded index is the structural fold, the unique
 homomorphism out of the free model, so the evaluators run one index-free
 fold (`_fold`): Unknown goes to a caller-given value, each leaf payload x
 to leaf(x), and each operator node applies its combinator to the values of
-its children, a store lookup with value bound V to those of its first V.
+its children, a store lookup with value bound V to those of its first V;
+a leaf child is valued in place, and only an operator child takes a call.
 Trees are plain data, children in tuples, so a fold reads them and never
 runs the machine; combinators are data-in, fn(node, kids) seeing the
 children's values in index order, so each consulted child is folded once.
@@ -121,12 +122,13 @@ def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown, m
     node.  A `memo`, when given, maps id(node) to the node's value for the
     length of one fold, so a node the tree shares is folded once.
 
-    Nodes with one or two children, the common arities, read them without a
-    comprehension, so a level of them takes one frame; a wider level takes
-    one more before Python 3.12, and the fold never takes more stack per
-    level than the recurrence did.  It recurses through its module name, not
-    as a closure over itself, so a fold leaves no reference cycle for the
-    garbage collector."""
+    A leaf child is valued in place, with no call of the fold; an operator
+    child takes one call.  Nodes with one or two children, the common
+    arities, read them without a comprehension, so a level of them takes one
+    frame; a wider level takes one more before Python 3.12, and the fold
+    never takes more stack per level than the recurrence did.  It recurses
+    through its module name, not as a closure over itself, so a fold leaves
+    no reference cycle for the garbage collector."""
     if isinstance(t, Leaf):
         return leaf(t.value)
     if isinstance(t, _Unknown):
@@ -147,11 +149,15 @@ def _fold(t: EffectTree, q: ModalitySpec, leaf: Callable[[Any], Any], unknown, m
         ch = ch[:width]
     n = len(ch)
     if n == 2:
-        v = fn(t, [_fold(ch[0], q, leaf, unknown, memo), _fold(ch[1], q, leaf, unknown, memo)])
+        a, b = ch
+        x = leaf(a.value) if a.__class__ is Leaf else _fold(a, q, leaf, unknown, memo)
+        y = leaf(b.value) if b.__class__ is Leaf else _fold(b, q, leaf, unknown, memo)
+        v = fn(t, [x, y])
     elif n == 1:
-        v = fn(t, [_fold(ch[0], q, leaf, unknown, memo)])
+        a = ch[0]
+        v = fn(t, [leaf(a.value) if a.__class__ is Leaf else _fold(a, q, leaf, unknown, memo)])
     else:
-        v = fn(t, [_fold(c, q, leaf, unknown, memo) for c in ch])
+        v = fn(t, [leaf(c.value) if c.__class__ is Leaf else _fold(c, q, leaf, unknown, memo) for c in ch])
     if memo is not None:
         memo[key] = v
     return v
@@ -280,14 +286,16 @@ def prob_store_modality(table_space: StateTableSpace) -> ModalitySpec:
     rules: dict[str, OpRule] = {}
 
     def por(node: Node, kids: list):
-        return tuple((x + y) / 2.0 for x, y in zip(kids[0], kids[1]))
+        return tuple([(x + y) / 2.0 for x, y in zip(kids[0], kids[1])])
 
     rules["por"] = OpRule(por)
     for li, loc in enumerate(store.locations):
         gather = [tuple(map(index.__getitem__, after)) for after in _update_targets(store, states, li)]
+        # (stored value at li, state index) per state: the child and the entry a lookup reads
+        reads = [(s[li], i) for i, s in enumerate(states)]
 
-        def lookup(node: Node, kids: list, li=li):
-            return tuple(kids[s[li]][i] for i, s in enumerate(states))
+        def lookup(node: Node, kids: list, reads=reads):
+            return tuple([kids[v][i] for v, i in reads])
 
         def update(node: Node, kids: list, gather=gather):
             return tuple(map(kids[0].__getitem__, gather[node.param % store.value_bound]))

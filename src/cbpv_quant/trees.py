@@ -12,14 +12,18 @@ divergence.  The approximation order on trees (`tree_leq`) and
 fuel), reached along every path that leads to it.  The walkers here
 (`map_leaves`, `graft`, `truncate`, `tree_depth`, `leaves`) keep no memo.
 Only `laws` calls them, on trees it generates (`random_value_tree` and its
-small relator pools), which share nothing.  Applied to an `eval_tree`
+small relator pools), which share nothing; `map_leaves` only for the
+relator law's inverse images, and the tests.  Applied to an `eval_tree`
 result they visit every copy of a shared node, and the three that rebuild
 (`map_leaves`, `graft`, `truncate`) return the tree unshared: a branching
 loop's tree at a high fuel costs time and memory exponential in the fuel.
+`truncate` returns a subtree the cut leaves whole as it is, so the
+truncations of a chain share what they keep with the tree.
 """
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Any, Callable, Iterator, Optional
 
 from .syntax import CbpvError
@@ -91,7 +95,7 @@ def map_leaves(t: EffectTree, f: Callable[[Any], Any]) -> EffectTree:
     if isinstance(t, _Unknown):
         return t
     assert isinstance(t, Node)
-    return Node(t.op, tuple(map_leaves(c, f) for c in t.children), t.param)
+    return Node(t.op, tuple([map_leaves(c, f) for c in t.children]), t.param)
 
 
 def graft(t: EffectTree) -> EffectTree:
@@ -103,7 +107,7 @@ def graft(t: EffectTree) -> EffectTree:
     if isinstance(t, _Unknown):
         return t
     assert isinstance(t, Node)
-    return Node(t.op, tuple(graft(c) for c in t.children), t.param)
+    return Node(t.op, tuple([graft(c) for c in t.children]), t.param)
 
 
 mu = graft
@@ -117,13 +121,17 @@ def tree_depth(t: EffectTree) -> int:
 
 
 def truncate(t: EffectTree, depth: int) -> EffectTree:
-    """Prune everything below the given depth to Unknown."""
+    """Prune everything below the given depth to Unknown.  A subtree the cut
+    leaves whole comes back as it is, not copied."""
     if depth <= 0:
         return Unknown
     if isinstance(t, (Leaf, _Unknown)):
         return t
     assert isinstance(t, Node)
-    return Node(t.op, tuple(truncate(c, depth - 1) for c in t.children), t.param)
+    kids = [truncate(c, depth - 1) for c in t.children]
+    if all(map(is_, kids, t.children)):
+        return t
+    return Node(t.op, tuple(kids), t.param)
 
 
 def leaves(t: EffectTree) -> Iterator[Any]:

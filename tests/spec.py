@@ -12,12 +12,20 @@ recurrence at a deep enough index.
 
 `tree_leq` is the approximation order on effect trees and
 `contains_unknown` tells a fully explored tree; `parse_vtype` and
-`parse_ctype` read a type in the program grammar."""
+`parse_ctype` read a type in the program grammar.
 
-from cbpv_quant.modality import ModalityError, ModalitySpec
+`decomposability_by_copies` is law f as it reads on paper: it builds the
+copy of each sampled double tree with raised leaves, flattens both, and
+folds all four trees; `laws.law_decomposability` folds the raised values
+beside the originals instead, and must give the same result."""
+
+import random
+
+from cbpv_quant.laws import LawParams, LawResult, _op_shapes, random_value_tree
+from cbpv_quant.modality import ModalityError, ModalitySpec, denote_limit, power
 from cbpv_quant.parser import Parser
 from cbpv_quant.syntax import ComType, EffectSignature, ValType
-from cbpv_quant.trees import EffectTree, Leaf, Node, _Unknown
+from cbpv_quant.trees import EffectTree, Leaf, Node, _Unknown, map_leaves, mu
 
 
 def child_at(children: tuple[EffectTree, ...], i: int) -> EffectTree:
@@ -49,6 +57,42 @@ def denote_at_depth(q: ModalitySpec, t: EffectTree, n: int):
     """The depth-n approximation of q's denotation (Unknown and exhaustion
     both fall to bot, as in the defining recurrence)."""
     return _denote(q, t, n)
+
+
+def decomposability_by_copies(q: ModalitySpec, params: LawParams) -> LawResult:
+    """Law f on built copies: the raised double tree rr, drawn leaf by leaf
+    after tt, and the flattenings mu(tt) and mu(rr), each folded under the
+    four surrogate maps of its comparison (as q^4, one walk per tree)."""
+    rng = random.Random(params.seed + 4)
+    space = q.space
+    shapes = _op_shapes(q)
+    surrogates = 4
+    qk = power(q, surrogates)
+
+    def pointwise(maps):
+        return lambda a: tuple([h(a) for h in maps])
+
+    failures = []
+    runs = min(params.samples, 200)
+    checked = 0
+    for i in range(runs):
+        tt = random_value_tree(
+            q,
+            rng,
+            max(1, params.depth - 1),
+            lambda: random_value_tree(q, rng, 2, lambda: space.sample(rng), shapes=shapes),
+            shapes=shapes,
+        )
+        rr = map_leaves(tt, lambda sub: map_leaves(sub, lambda a: space.raise_of(rng, a)))
+        hk = pointwise(space.monotone_maps(rng, surrogates))
+        H = lambda sub: denote_limit(qk, sub, hk)
+        if not qk.space.leq(denote_limit(qk, tt, H), denote_limit(qk, rr, H)):
+            continue
+        checked += 1
+        flat_hk = pointwise(space.monotone_maps(rng, surrogates))
+        if not qk.space.leq(denote_limit(qk, mu(tt), flat_hk), denote_limit(qk, mu(rr), flat_hk)):
+            failures.append(f"sample {i}: flattening broke the certified order")
+    return LawResult("f (decomposability)", q.name, checked, tuple(failures))
 
 
 def tree_leq(t: EffectTree, r: EffectTree) -> bool:

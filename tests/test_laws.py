@@ -205,6 +205,28 @@ def test_law_suite_failures_are_pinned(samples, seed, depth, digest):
     assert decomposability[0].runs < samples and decomposability[0].failures
 
 
+def _law_f_subjects():
+    return {**MODS, **{q.name: q for q in _broken_modalities()}}
+
+
+@pytest.mark.parametrize("name", list(_law_f_subjects()))
+def test_decomposability_agrees_with_folding_built_copies(name):
+    # one walk per compared pair, raised values beside the originals, gives
+    # the runs and failure texts of building the raised copy and both
+    # flattenings, for every modality and both broken ones
+    from spec import decomposability_by_copies
+
+    q = _law_f_subjects()[name]
+    failures = 0
+    for seed in (0, 3, 17, 101):
+        for depth in (2, 4, 5):
+            params = LawParams(samples=40, seed=seed, depth=depth)
+            got = law_decomposability(q, params)
+            assert got == decomposability_by_copies(q, params), (seed, depth)
+            failures += len(got.failures)
+    assert (failures > 0) == (name not in MODS)
+
+
 # ---------------------------------------------------------------- law e tables
 
 

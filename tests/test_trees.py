@@ -69,6 +69,50 @@ def test_truncate_chain():
         assert tree_leq(a, b)
 
 
+@pytest.mark.parametrize("seed", range(25))
+def test_truncate_past_the_depth_returns_the_tree(seed):
+    rng = random.Random(seed)
+    t = random_tree(rng, 4, lambda: rng.randrange(5))
+    assert truncate(t, tree_depth(t) + 1) is t
+
+
+def test_truncate_shares_a_child_shallower_than_the_cut():
+    shallow = Node("nor", (Leaf(1), Unknown))
+    deep = Node("nor", (Node("nor", (Leaf(2), Leaf(3))), Leaf(4)))
+    t = Node("nor", (shallow, deep))
+    cut = truncate(t, 3)
+    assert cut is not t and cut.children[0] is shallow
+    assert cut.children[1] is not deep and cut.children[1].children[1] is deep.children[1]
+    assert cut == Node("nor", (shallow, Node("nor", (Node("nor", (Unknown, Unknown)), Leaf(4)))))
+
+
+@pytest.mark.parametrize(
+    "law,bound",
+    [
+        # recorded with the copies gone; building the raised copy and its
+        # flattening, and copying every truncation whole, takes 1,070 and 1,055
+        ("law_decomposability", 535),
+        ("law_scott_chain", 779),
+    ],
+)
+def test_law_samples_build_no_copies(monkeypatch, law, bound):
+    # law f builds each sample's double tree and its flattening and nothing
+    # more; law b's truncations keep what the cut leaves whole
+    from cbpv_quant import laws
+
+    built = 0
+    init = Node.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__init__", counting)
+    getattr(laws, law)(laws.standard_modalities()["E"], laws.LawParams(45, 3, 4))
+    assert built <= bound
+
+
 def test_leaves_and_contains_unknown():
     t = Node("nor", (Leaf(1), Node("nor", (Unknown, Leaf(2)))))
     assert list(leaves(t)) == [1, 2]
