@@ -5,6 +5,9 @@ fails to sit below the upper bound of the other), so it is final: more fuel
 or a larger suite can only narrow intervals, never retract it.  Absence of a
 violation is always reported relative to the bounds used (suite size, fuel,
 argument pools); the tool never asserts unbounded equivalence.
+
+Both searches read one `FormulaSuite`: `compare` scans its formulas, and
+`find_distinguishing_formula` walks its levels, smallest size first.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .formulas import Formula, formula_size
+from .formulas import Formula
 from .modality import Interval
 from .satisfaction import Satisfier
 from .suites import FormulaSuite, Pools, enumerate_basic_formulas
@@ -119,9 +122,9 @@ def find_distinguishing_formula(
     pools: Pools,
     fuel_schedule: Sequence[int] = (4, 16),
 ) -> Optional[tuple[Formula, str]]:
-    """Iterative-deepening search for the smallest certified witness: every
-    basic formula of one size, at each fuel of the schedule, before the next
-    size.
+    """Iterative-deepening search for the smallest certified witness: one
+    enumeration up to `max_size`, whose levels are walked in order, every
+    formula of one size at each fuel of the schedule before the next size.
 
     Negation and step closures of basic formulas are not tried: at a fixed
     fuel they are never the first witness.  Say phi gives the intervals li
@@ -139,11 +142,10 @@ def find_distinguishing_formula(
     tc_ty = satisfier.type_of(right)
     if ty != tc_ty:
         raise EquivalenceError("terms of different types are trivially distinguished")
-    for size in range(1, max_size + 1):
-        suite = enumerate_basic_formulas(ty, size, pools, satisfier.modalities)
-        candidates = [phi for phi in suite.formulas if formula_size(phi) == size]
+    suite = enumerate_basic_formulas(ty, max_size, pools, satisfier.modalities)
+    for level in suite.levels:
         for fuel in fuel_schedule:
-            for phi in candidates:
+            for phi in level:
                 li = satisfier.satisfies(left, phi, fuel).interval
                 ri = satisfier.satisfies(right, phi, fuel).interval
                 if not space.leq(li.lo, ri.hi):

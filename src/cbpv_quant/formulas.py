@@ -149,18 +149,6 @@ def is_positive(phi: Formula) -> bool:
     raise FormulaTypeError(f"unknown formula {phi!r}")
 
 
-def formula_size(phi: Formula) -> int:
-    if isinstance(phi, (NatEq, ConstF)):
-        return 1
-    if isinstance(phi, (ThunkF, InjF, FstF, SndF, ArgF, ProjF, Modal, NegF, StepF, SigmaMuF)):
-        return 1 + formula_size(phi.body)
-    if isinstance(phi, (OrF, AndF)):
-        return 1 + sum(formula_size(p) for p in phi.members)
-    if isinstance(phi, MixF):
-        return 1 + formula_size(phi.opt) + formula_size(phi.pess)
-    raise FormulaTypeError(f"unknown formula {phi!r}")
-
-
 # --------------------------------------------------------------------------
 # Typing
 

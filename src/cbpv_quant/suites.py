@@ -7,11 +7,19 @@ modalities' truth space, is the unit analogue of `{n}`, since `()` is the
 only value of type unit.  Bodies below the root may additionally use binary
 and/or combinations, which is what lets the search express e.g. conjunctive
 expectations over thunked functions.
+
+The suite is built one exact size at a time: level k applies each dissector
+to its child type's level k - 1 and, below the root, pairs two distinct
+formulas from smaller levels whose sizes sum to k - 1, so sizes are known
+where formulas are made and no formula is built twice.  `compare` scans the
+levels in order; `equivalence.find_distinguishing_formula` walks them one
+at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 from .formulas import (
@@ -27,7 +35,6 @@ from .formulas import (
     ProjF,
     SndF,
     ThunkF,
-    formula_size,
 )
 from .modality import ModalitySpec
 from .syntax import (
@@ -70,9 +77,19 @@ class Pools:
 
 @dataclass(frozen=True)
 class FormulaSuite:
+    """The basic formulas at `target`, `levels[k - 1]` holding those of
+    size exactly k."""
+
     target: GenType
-    formulas: tuple[Formula, ...]
-    size: int
+    levels: tuple[tuple[Formula, ...], ...]
+
+    @property
+    def formulas(self) -> tuple[Formula, ...]:
+        return tuple(chain.from_iterable(self.levels))
+
+    @property
+    def size(self) -> int:
+        return len(self.levels)
 
 
 def default_val(ty: ValType) -> ValTerm:
@@ -103,15 +120,9 @@ def default_com(ty: ComType):
 def args_for(ty: ValType, pools: Pools) -> list[ValTerm]:
     """Closed argument candidates of the given type: the pool's distinct
     numerals at nat, a default value of the type otherwise."""
-    out = []
-    if isinstance(ty, NatType):
-        for n in pools.numerals:
-            v = numeral(n)
-            if v not in out:
-                out.append(v)
-    if not out:
-        out.append(default_val(ty))
-    return out
+    if isinstance(ty, NatType) and pools.numerals:
+        return [numeral(n) for n in dict.fromkeys(pools.numerals)]
+    return [default_val(ty)]
 
 
 def enumerate_basic_formulas(
@@ -121,55 +132,49 @@ def enumerate_basic_formulas(
     modalities: dict[str, ModalitySpec],
 ) -> FormulaSuite:
     """Every basic formula of syntactic size at most `size` at the target
-    type, in a deterministic order (by size, then construction order)."""
-    memo: dict[tuple[int, int, bool], list[Formula]] = {}
+    type, one level per exact size, each level in construction order."""
+    memo: dict[tuple[GenType, int, bool], list[Formula]] = {}
 
-    def go(ty: GenType, budget: int, root: bool) -> list[Formula]:
-        if budget < 1:
+    def at(ty: GenType, k: int, root: bool) -> list[Formula]:
+        """The formulas of size exactly k: a dissector over its child type's
+        level k - 1, or below the root an and/or of two distinct smaller
+        formulas, in list order, whose sizes sum to k - 1."""
+        if k < 1:
             return []
-        key = (id(ty), budget, root)
+        key = (ty, k, root)
         got = memo.get(key)
         if got is not None:
             return got
         out: list[Formula] = []
-        if isinstance(ty, NatType):
-            out.extend(NatEq(n) for n in pools.numerals)
-        elif isinstance(ty, UnitType) and modalities:
+        if k == 1 and isinstance(ty, NatType):
+            out.extend(NatEq(n) for n in dict.fromkeys(pools.numerals))
+        elif k == 1 and isinstance(ty, UnitType) and modalities:
             out.append(ConstF(next(iter(modalities.values())).space.top))
         elif isinstance(ty, ThunkType):
-            out.extend(ThunkF(b) for b in go(ty.com, budget - 1, False))
+            out.extend(ThunkF(b) for b in at(ty.com, k - 1, False))
         elif isinstance(ty, SumType):
             for l, t in ty.variants:
-                out.extend(InjF(l, b) for b in go(t, budget - 1, False))
+                out.extend(InjF(l, b) for b in at(t, k - 1, False))
         elif isinstance(ty, PairType):
-            out.extend(FstF(b) for b in go(ty.fst, budget - 1, False))
-            out.extend(SndF(b) for b in go(ty.snd, budget - 1, False))
+            out.extend(FstF(b) for b in at(ty.fst, k - 1, False))
+            out.extend(SndF(b) for b in at(ty.snd, k - 1, False))
         elif isinstance(ty, ArrowType):
             for v in args_for(ty.dom, pools):
-                out.extend(ArgF(v, b) for b in go(ty.cod, budget - 1, False))
+                out.extend(ArgF(v, b) for b in at(ty.cod, k - 1, False))
         elif isinstance(ty, ProductType):
             for l, t in ty.fields:
-                out.extend(ProjF(l, b) for b in go(t, budget - 1, False))
+                out.extend(ProjF(l, b) for b in at(t, k - 1, False))
         elif isinstance(ty, ProducerType):
             for qname in modalities:
-                out.extend(Modal(qname, b) for b in go(ty.val, budget - 1, False))
-        if not root and budget >= 3:
-            smaller = go(ty, budget - 2, False)
-            for i in range(len(smaller)):
-                for j in range(i + 1, len(smaller)):
-                    a, b = smaller[i], smaller[j]
-                    if formula_size(a) + formula_size(b) + 1 <= budget:
+                out.extend(Modal(qname, b) for b in at(ty.val, k - 1, False))
+        if not root:
+            for i in range(1, (k - 1) // 2 + 1):
+                small, large = at(ty, i, False), at(ty, k - 1 - i, False)
+                for j, a in enumerate(small):
+                    for b in large[j + 1 :] if i == k - 1 - i else large:
                         out.append(AndF((a, b)))
                         out.append(OrF((a, b)))
-        seen = set()
-        uniq = []
-        for f in out:
-            if f not in seen:
-                seen.add(f)
-                uniq.append(f)
-        uniq.sort(key=formula_size)
-        memo[key] = uniq
-        return uniq
+        memo[key] = out
+        return out
 
-    formulas = tuple(go(ty, size, True))
-    return FormulaSuite(ty, formulas, size)
+    return FormulaSuite(ty, tuple(tuple(at(ty, k, True)) for k in range(1, size + 1)))

@@ -17,14 +17,53 @@ recurrence at a deep enough index.
 `decomposability_by_copies` is law f as it reads on paper: it builds the
 copy of each sampled double tree with raised leaves, flattens both, and
 folds all four trees; `laws.law_decomposability` folds the raised values
-beside the originals instead, and must give the same result."""
+beside the originals instead, and must give the same result.
+
+`formula_size` counts a formula's constructors, and
+`basic_formulas_by_sort` is the basic-formula enumerator as first written:
+everything up to the budget, deduplicated and stably sorted by size.
+`suites.enumerate_basic_formulas` builds each exact size directly and must
+give the same formulas in the same order."""
 
 import random
 
+from cbpv_quant.formulas import (
+    AndF,
+    ArgF,
+    ConstF,
+    Formula,
+    FormulaTypeError,
+    FstF,
+    InjF,
+    MixF,
+    Modal,
+    NatEq,
+    NegF,
+    OrF,
+    ProjF,
+    SigmaMuF,
+    SndF,
+    StepF,
+    ThunkF,
+)
 from cbpv_quant.laws import LawParams, LawResult, _op_shapes, random_value_tree
 from cbpv_quant.modality import ModalityError, ModalitySpec, denote_limit, power
 from cbpv_quant.parser import Parser
-from cbpv_quant.syntax import ComType, EffectSignature, ValType
+from cbpv_quant.suites import Pools, args_for
+from cbpv_quant.syntax import (
+    ArrowType,
+    ComType,
+    EffectSignature,
+    GenType,
+    NatType,
+    PairType,
+    ProducerType,
+    ProductType,
+    SumType,
+    ThunkType,
+    UnitType,
+    ValType,
+)
 from cbpv_quant.trees import EffectTree, Leaf, Node, _Unknown, map_leaves, mu
 
 
@@ -127,3 +166,72 @@ def parse_vtype(text: str) -> ValType:
 def parse_ctype(text: str) -> ComType:
     p = Parser(text, EffectSignature(()))
     return p.whole(p.ctype)
+
+
+def formula_size(phi: Formula) -> int:
+    if isinstance(phi, (NatEq, ConstF)):
+        return 1
+    if isinstance(phi, (ThunkF, InjF, FstF, SndF, ArgF, ProjF, Modal, NegF, StepF, SigmaMuF)):
+        return 1 + formula_size(phi.body)
+    if isinstance(phi, (OrF, AndF)):
+        return 1 + sum(formula_size(p) for p in phi.members)
+    if isinstance(phi, MixF):
+        return 1 + formula_size(phi.opt) + formula_size(phi.pess)
+    raise FormulaTypeError(f"unknown formula {phi!r}")
+
+
+def basic_formulas_by_sort(
+    ty: GenType, size: int, pools: Pools, modalities: dict[str, ModalitySpec]
+) -> list[Formula]:
+    """Every basic formula of size at most `size` at `ty`, by size, then
+    construction order."""
+    memo: dict[tuple[int, int, bool], list[Formula]] = {}
+
+    def go(ty: GenType, budget: int, root: bool) -> list[Formula]:
+        if budget < 1:
+            return []
+        key = (id(ty), budget, root)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        out: list[Formula] = []
+        if isinstance(ty, NatType):
+            out.extend(NatEq(n) for n in pools.numerals)
+        elif isinstance(ty, UnitType) and modalities:
+            out.append(ConstF(next(iter(modalities.values())).space.top))
+        elif isinstance(ty, ThunkType):
+            out.extend(ThunkF(b) for b in go(ty.com, budget - 1, False))
+        elif isinstance(ty, SumType):
+            for l, t in ty.variants:
+                out.extend(InjF(l, b) for b in go(t, budget - 1, False))
+        elif isinstance(ty, PairType):
+            out.extend(FstF(b) for b in go(ty.fst, budget - 1, False))
+            out.extend(SndF(b) for b in go(ty.snd, budget - 1, False))
+        elif isinstance(ty, ArrowType):
+            for v in args_for(ty.dom, pools):
+                out.extend(ArgF(v, b) for b in go(ty.cod, budget - 1, False))
+        elif isinstance(ty, ProductType):
+            for l, t in ty.fields:
+                out.extend(ProjF(l, b) for b in go(t, budget - 1, False))
+        elif isinstance(ty, ProducerType):
+            for qname in modalities:
+                out.extend(Modal(qname, b) for b in go(ty.val, budget - 1, False))
+        if not root and budget >= 3:
+            smaller = go(ty, budget - 2, False)
+            for i in range(len(smaller)):
+                for j in range(i + 1, len(smaller)):
+                    a, b = smaller[i], smaller[j]
+                    if formula_size(a) + formula_size(b) + 1 <= budget:
+                        out.append(AndF((a, b)))
+                        out.append(OrF((a, b)))
+        seen = set()
+        uniq = []
+        for f in out:
+            if f not in seen:
+                seen.add(f)
+                uniq.append(f)
+        uniq.sort(key=formula_size)
+        memo[key] = uniq
+        return uniq
+
+    return go(ty, size, True)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cbpv_quant import cli
+from cbpv_quant import cli, equivalence
 from cbpv_quant.config import RunConfig, build_runtime
 from cbpv_quant.equivalence import (
     Distinguished,
@@ -28,7 +28,7 @@ from simulation import (
     relator_check,
     right_set,
 )
-from spec import parse_ctype
+from spec import basic_formulas_by_sort, formula_size, parse_ctype, parse_vtype
 
 
 def _sat(rt):
@@ -67,6 +67,54 @@ def test_suite_deterministic(cost_nondet_rt):
     a = enumerate_basic_formulas(parse_ctype("F nat"), 4, POOLS, cost_nondet_rt.modalities)
     b = enumerate_basic_formulas(parse_ctype("F nat"), 4, POOLS, cost_nondet_rt.modalities)
     assert a.formulas == b.formulas
+
+
+def test_levels_match_the_sorted_reference():
+    # each level holds the reference's formulas of that exact size, in its
+    # order; pools repeat numerals and the types nest every constructor
+    vtypes = ["nat", "unit", "U F nat", "U (nat -> F nat)", "U F U F nat"]
+    ctypes = [
+        "F nat",
+        "F unit",
+        "F (nat + unit)",
+        "F (nat * unit)",
+        "F sum {x: nat, y: U F unit}",
+        "nat -> F nat",
+        "prod {a: F nat, b: unit -> F unit}",
+    ]
+    types = [parse_vtype(t) for t in vtypes] + [parse_ctype(t) for t in ctypes]
+    pools = [POOLS, Pools((3, 1, 3, 0)), Pools((2, 2)), Pools(())]
+    signatures = [
+        base + nondet + error
+        for base in ("prob", "store", "prob+store", "cost")
+        for nondet in ("", "+nondet")
+        for error in ("", "+error")
+    ]
+    for signature in signatures:
+        modalities = build_runtime(RunConfig(signature=signature)).modalities
+        for ty in types:
+            for p in pools:
+                suite = enumerate_basic_formulas(ty, 5, p, modalities)
+                ref = basic_formulas_by_sort(ty, 5, p, modalities)
+                assert suite.size == 5
+                for k, level in enumerate(suite.levels, 1):
+                    assert list(level) == [f for f in ref if formula_size(f) == k], (signature, ty, p, k)
+                    assert all(formula_size(f) == k for f in level)
+    # from size 5 a level pairs more than one split of its size, but two
+    # non-empty splits first meet at nat's level 7 (1 + 5 and 3 + 3), which
+    # sits under thunk and modality at size 9
+    modalities = build_runtime(RunConfig(signature="prob+nondet")).modalities
+    ty = parse_vtype("U F nat")
+    ref = basic_formulas_by_sort(ty, 9, POOLS, modalities)
+    assert enumerate_basic_formulas(ty, 9, POOLS, modalities).formulas == tuple(ref)
+
+
+def test_suite_size_counts_empty_levels(prob_rt):
+    # a basic formula at nat is a numeral test, so levels 2 and 3 are empty,
+    # yet the suite size, which Bounds reports, stays the requested 3
+    suite = enumerate_basic_formulas(parse_vtype("nat"), 3, POOLS, prob_rt.modalities)
+    assert suite.levels == ((NatEq(0), NatEq(1), NatEq(7)), (), ())
+    assert suite.size == 3
 
 
 # ---------------------------------------------------------------- compare
@@ -154,11 +202,20 @@ def test_find_distinguishing_smallest_witness(cost_nondet_rt, cost_terms):
     assert direction == "right_not_below_left"
 
 
-def test_find_distinguishing_absent_on_identical(cost_nondet_rt, cost_terms):
+def test_find_distinguishing_absent_on_identical(cost_nondet_rt, cost_terms, monkeypatch):
     rt = cost_nondet_rt
     sat = _sat(rt)
     M, _, _ = cost_terms
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return enumerate_basic_formulas(*args)
+
+    # the search enumerates once, up to its maximum size, and walks the levels
+    monkeypatch.setattr(equivalence, "enumerate_basic_formulas", counted)
     assert find_distinguishing_formula(M, M, 3, sat, POOLS) is None
+    assert calls == [3]
 
 
 def test_find_distinguishing_cbn_cbv(prob_rt):

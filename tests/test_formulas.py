@@ -13,13 +13,12 @@ from cbpv_quant.formulas import (
     SigmaMuF,
     StepF,
     check_formula,
-    formula_size,
     is_positive,
     parse_formula,
     print_formula,
 )
 from cbpv_quant.syntax import numeral
-from spec import parse_ctype
+from spec import formula_size, parse_ctype
 
 
 def test_parse_print_roundtrip(prob_nondet_rt, prob_store_rt, store_nondet_rt):
