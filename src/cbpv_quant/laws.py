@@ -17,6 +17,13 @@ Laws checked:
   g. congruence spot-checks: pairs equivalent at bounds stay undistinguished
      under random program contexts.
 
+The suite samples laws a and b as one obligation on the combinators, with
+no trees: each combinator is monotone in each argument (`law_monotone`),
+and both laws follow from that by induction on the tree.  Law c holds for
+any combinators and is not checked per call; `law_monotone` gives both
+arguments.  The tree-level samplers of a, b and c are test oracles for the
+fold and `mu`, in `tests/spec.py`.
+
 All randomness is seeded; failures carry a rendering of the counterexample.
 """
 
@@ -55,7 +62,7 @@ from .syntax import (
     Var,
     numeral,
 )
-from .trees import EffectTree, Leaf, Node, Unknown, eta, leaves, map_leaves, mu, tree_depth, truncate
+from .trees import EffectTree, Leaf, Node, Unknown, eta, leaves, map_leaves, mu
 
 
 class LawError(CbpvError):
@@ -162,59 +169,53 @@ def random_value_tree(
 # Laws a-d and f (per modality)
 
 
-def law_leaf_monotone(q: ModalitySpec, params: LawParams) -> LawResult:
+def law_monotone(q: ModalitySpec, params: LawParams) -> LawResult:
+    """Laws a and b as one obligation on q's combinators: each is monotone
+    in each of its arguments.  Per operator, `params.samples` argument tuples
+    are drawn (and a parameter, for `cost` and `update`); each argument in
+    turn is raised with `space.raise_of`, and the combinator's value must not
+    fall: one check per (sample, argument).  A nullary `raise[e]` is a
+    constant and adds no check.
+
+    Why this suffices.  The fold sends Unknown to bot, a leaf to its value
+    and a node to its combinator applied to its children's values.  Law a
+    (raising leaf values raises the denotation) follows by induction on the
+    tree: a leaf rises with its value, and a node whose children's values
+    rise rises with them because its combinator is monotone.  Law b (the
+    denotations along a truncation chain grow) follows by the same
+    induction, since a truncation only puts Unknown where the longer tree
+    has a subtree, and Unknown is bot, below every value.  That is the
+    fold's definition, not a combinator's, so no bot-preservation
+    obligation is needed.  Law c (sequentiality) holds for any combinators:
+    the structural fold is the unique homomorphism out of the free model
+    (Plotkin & Power, "Algebraic operations and generic effects", 2003), so
+    folding mu(tt) and folding tt with each leaf tree valued at its own
+    denotation agree.  The tree-level samplers of laws a, b and c stay in
+    the tests, as the oracle for the fold and `mu`."""
     rng = random.Random(params.seed)
     space = q.space
-    shapes = _op_shapes(q)
-    pair = power(q, 2)
+    render = space.render
     failures = []
-    for i in range(params.samples):
-        t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng), shapes=shapes)
-        # one walk folds each leaf at its value and at a raised value
-        lo, hi = denote_limit(pair, t, lambda a: (a, space.raise_of(rng, a)))
-        if not space.leq(lo, hi):
-            failures.append(f"sample {i}: {space.render(lo)} not below {space.render(hi)}")
-    return LawResult("a (leaf-monotone)", q.name, params.samples, tuple(failures))
-
-
-def law_scott_chain(q: ModalitySpec, params: LawParams) -> LawResult:
-    rng = random.Random(params.seed + 1)
-    space = q.space
-    shapes = _op_shapes(q)
-    failures = []
-    for i in range(params.samples):
-        t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng), p_unknown=0.0, shapes=shapes)
-        # truncate(t, tree_depth(t) + 1) is t itself, so the chain ends at
-        # the full denotation by construction and only monotonicity is checked
-        chain = [truncate(t, k) for k in range(tree_depth(t) + 2)]
-        vals = [denote_limit(q, tk) for tk in chain]
-        if any(not space.leq(a, b) for a, b in zip(vals, vals[1:])):
-            failures.append(f"sample {i}: chain not monotone")
-    return LawResult("b (Scott chain)", q.name, params.samples, tuple(failures))
-
-
-def law_sequential(q: ModalitySpec, params: LawParams) -> LawResult:
-    rng = random.Random(params.seed + 2)
-    space = q.space
-    shapes = _op_shapes(q)
-    failures = []
-    inner_depth = max(1, params.depth - 2)
-    for i in range(params.samples):
-        tt = random_value_tree(
-            q,
-            rng,
-            params.depth,
-            lambda: random_value_tree(q, rng, inner_depth, lambda: space.sample(rng), shapes=shapes),
-            shapes=shapes,
-        )
-        # exact: the fold values a grafted subtree as its leaf
-        lhs = denote_limit(q, mu(tt))
-        rhs = denote_limit(q, tt, lambda sub: denote_limit(q, sub))
-        if lhs != rhs:
-            failures.append(
-                f"sample {i}: mu side {space.render(lhs)} vs mapped side {space.render(rhs)}"
-            )
-    return LawResult("c (sequential)", q.name, params.samples, tuple(failures))
+    runs = 0
+    for op, kind, arity in _op_shapes(q):
+        if not arity:
+            continue
+        fn = q._table[op][0]
+        for i in range(params.samples):
+            args = [space.sample(rng) for _ in range(arity)]
+            node = Node(op, (), param=rng.randrange(4) if kind == "param" else None)
+            before = fn(node, args)
+            for j, x in enumerate(args):
+                raised = list(args)
+                raised[j] = space.raise_of(rng, x)
+                after = fn(node, raised)
+                runs += 1
+                if not space.leq(before, after):
+                    failures.append(
+                        f"{op} argument {j}, sample {i}: raising {render(x)} to {render(raised[j])}"
+                        f" took {render(before)} to {render(after)}"
+                    )
+    return LawResult("a+b (monotone combinators)", q.name, runs, tuple(failures))
 
 
 def law_unit(q: ModalitySpec, params: LawParams) -> LawResult:
@@ -620,9 +621,7 @@ def run_law_suite(
     _check_trials(congruence_trials)
     report = LawReport()
     for q in modalities:
-        report.results.append(law_leaf_monotone(q, params))
-        report.results.append(law_scott_chain(q, params))
-        report.results.append(law_sequential(q, params))
+        report.results.append(law_monotone(q, params))
         report.results.append(law_unit(q, params))
         report.results.append(law_decomposability(q, params))
     if include_relator:

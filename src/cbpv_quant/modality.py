@@ -19,8 +19,9 @@ modality applying q's combinators position by position to k-tuples.
 `denote_limit` is the fold with Unknown at bot.  `evaluate_interval` folds
 q^2 with Unknown at (bot, top) and each leaf payload x at its (lo, hi) pair
 leaf(x): the lower bound sends Unknown to bot, the upper to top.  Both are
-sound for every leaf-monotone modality, which law a of `laws` checks for
-the shipped ones.
+sound for every leaf-monotone modality, and a modality whose combinators
+are monotone is leaf-monotone (law a of `laws`), which `laws.law_monotone`
+checks for the shipped ones.
 
 `machine.eval_tree` shares equal subtrees, one node per (configuration,
 fuel).  A fold is a homomorphism, so folding a shared node once gives the

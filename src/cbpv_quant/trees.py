@@ -10,20 +10,18 @@ divergence.  The approximation order on trees (`tree_leq`) and
 
 `machine.eval_tree` shares equal subtrees: one node per (configuration,
 fuel), reached along every path that leads to it.  The walkers here
-(`map_leaves`, `graft`, `truncate`, `tree_depth`, `leaves`) keep no memo.
-Only `laws` calls them, on trees it generates (`random_value_tree` and its
-small relator pools), which share nothing; `map_leaves` only for the
-relator law's inverse images, and the tests.  Applied to an `eval_tree`
-result they visit every copy of a shared node, and the three that rebuild
-(`map_leaves`, `graft`, `truncate`) return the tree unshared: a branching
-loop's tree at a high fuel costs time and memory exponential in the fuel.
-`truncate` returns a subtree the cut leaves whole as it is, so the
-truncations of a chain share what they keep with the tree.
+(`map_leaves`, `graft`, `leaves`) keep no memo.  In the package only laws
+e and f call them, on trees they generate (`random_value_tree` and the
+small relator pools), which share nothing; `tests/spec.py` keeps
+`truncate` and `tree_depth` for the tree-level samplers of laws a-c.
+Applied to an `eval_tree` result they visit every copy of a shared node,
+and the two that rebuild (`map_leaves`, `graft`) return the tree unshared:
+a branching loop's tree at a high fuel costs time and memory exponential
+in the fuel.
 """
 
 from __future__ import annotations
 
-from operator import is_
 from typing import Any, Callable, Iterator, Optional
 
 from .syntax import CbpvError
@@ -111,27 +109,6 @@ def graft(t: EffectTree) -> EffectTree:
 
 
 mu = graft
-
-
-def tree_depth(t: EffectTree) -> int:
-    if isinstance(t, (Leaf, _Unknown)):
-        return 0
-    assert isinstance(t, Node)
-    return 1 + (max((tree_depth(c) for c in t.children), default=0))
-
-
-def truncate(t: EffectTree, depth: int) -> EffectTree:
-    """Prune everything below the given depth to Unknown.  A subtree the cut
-    leaves whole comes back as it is, not copied."""
-    if depth <= 0:
-        return Unknown
-    if isinstance(t, (Leaf, _Unknown)):
-        return t
-    assert isinstance(t, Node)
-    kids = [truncate(c, depth - 1) for c in t.children]
-    if all(map(is_, kids, t.children)):
-        return t
-    return Node(t.op, tuple(kids), t.param)
 
 
 def leaves(t: EffectTree) -> Iterator[Any]:

@@ -19,6 +19,12 @@ copy of each sampled double tree with raised leaves, flattens both, and
 folds all four trees; `laws.law_decomposability` folds the raised values
 beside the originals instead, and must give the same result.
 
+`law_leaf_monotone`, `law_scott_chain` and `law_sequential` sample laws a,
+b and c on random trees.  The law suite checks `laws.law_monotone` instead,
+from which a and b follow by induction on the tree, while c holds for any
+combinators; these samplers hold the fold, `mu` and `truncate` to that
+argument.  Only law b's sampler reads `truncate` and `tree_depth`.
+
 `formula_size` counts a formula's constructors, and
 `basic_formulas_by_sort` is the basic-formula enumerator as first written:
 everything up to the budget, deduplicated and stably sorted by size.
@@ -26,6 +32,7 @@ everything up to the budget, deduplicated and stably sorted by size.
 give the same formulas in the same order."""
 
 import random
+from operator import is_
 
 from cbpv_quant.formulas import (
     AndF,
@@ -64,7 +71,7 @@ from cbpv_quant.syntax import (
     UnitType,
     ValType,
 )
-from cbpv_quant.trees import EffectTree, Leaf, Node, _Unknown, map_leaves, mu
+from cbpv_quant.trees import EffectTree, Leaf, Node, Unknown, _Unknown, map_leaves, mu
 
 
 def child_at(children: tuple[EffectTree, ...], i: int) -> EffectTree:
@@ -132,6 +139,82 @@ def decomposability_by_copies(q: ModalitySpec, params: LawParams) -> LawResult:
         if not qk.space.leq(denote_limit(qk, mu(tt), flat_hk), denote_limit(qk, mu(rr), flat_hk)):
             failures.append(f"sample {i}: flattening broke the certified order")
     return LawResult("f (decomposability)", q.name, checked, tuple(failures))
+
+
+def law_leaf_monotone(q: ModalitySpec, params: LawParams) -> LawResult:
+    rng = random.Random(params.seed)
+    space = q.space
+    shapes = _op_shapes(q)
+    pair = power(q, 2)
+    failures = []
+    for i in range(params.samples):
+        t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng), shapes=shapes)
+        # one walk folds each leaf at its value and at a raised value
+        lo, hi = denote_limit(pair, t, lambda a: (a, space.raise_of(rng, a)))
+        if not space.leq(lo, hi):
+            failures.append(f"sample {i}: {space.render(lo)} not below {space.render(hi)}")
+    return LawResult("a (leaf-monotone)", q.name, params.samples, tuple(failures))
+
+
+def law_scott_chain(q: ModalitySpec, params: LawParams) -> LawResult:
+    rng = random.Random(params.seed + 1)
+    space = q.space
+    shapes = _op_shapes(q)
+    failures = []
+    for i in range(params.samples):
+        t = random_value_tree(q, rng, params.depth, lambda: space.sample(rng), p_unknown=0.0, shapes=shapes)
+        # truncate(t, tree_depth(t) + 1) is t itself, so the chain ends at
+        # the full denotation by construction and only monotonicity is checked
+        chain = [truncate(t, k) for k in range(tree_depth(t) + 2)]
+        vals = [denote_limit(q, tk) for tk in chain]
+        if any(not space.leq(a, b) for a, b in zip(vals, vals[1:])):
+            failures.append(f"sample {i}: chain not monotone")
+    return LawResult("b (Scott chain)", q.name, params.samples, tuple(failures))
+
+
+def law_sequential(q: ModalitySpec, params: LawParams) -> LawResult:
+    rng = random.Random(params.seed + 2)
+    space = q.space
+    shapes = _op_shapes(q)
+    failures = []
+    inner_depth = max(1, params.depth - 2)
+    for i in range(params.samples):
+        tt = random_value_tree(
+            q,
+            rng,
+            params.depth,
+            lambda: random_value_tree(q, rng, inner_depth, lambda: space.sample(rng), shapes=shapes),
+            shapes=shapes,
+        )
+        # exact: the fold values a grafted subtree as its leaf
+        lhs = denote_limit(q, mu(tt))
+        rhs = denote_limit(q, tt, lambda sub: denote_limit(q, sub))
+        if lhs != rhs:
+            failures.append(
+                f"sample {i}: mu side {space.render(lhs)} vs mapped side {space.render(rhs)}"
+            )
+    return LawResult("c (sequential)", q.name, params.samples, tuple(failures))
+
+
+def tree_depth(t: EffectTree) -> int:
+    if isinstance(t, (Leaf, _Unknown)):
+        return 0
+    assert isinstance(t, Node)
+    return 1 + (max((tree_depth(c) for c in t.children), default=0))
+
+
+def truncate(t: EffectTree, depth: int) -> EffectTree:
+    """Prune everything below the given depth to Unknown.  A subtree the cut
+    leaves whole comes back as it is, not copied."""
+    if depth <= 0:
+        return Unknown
+    if isinstance(t, (Leaf, _Unknown)):
+        return t
+    assert isinstance(t, Node)
+    kids = [truncate(c, depth - 1) for c in t.children]
+    if all(map(is_, kids, t.children)):
+        return t
+    return Node(t.op, tuple(kids), t.param)
 
 
 def tree_leq(t: EffectTree, r: EffectTree) -> bool:

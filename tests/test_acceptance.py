@@ -11,10 +11,8 @@ from cbpv_quant.generators import generate_program
 from cbpv_quant.laws import (
     LawParams,
     law_congruence,
-    law_leaf_monotone,
+    law_monotone,
     law_relator,
-    law_scott_chain,
-    law_sequential,
     law_unit,
     standard_modalities,
 )
@@ -23,7 +21,14 @@ from cbpv_quant.parser import parse_program
 from cbpv_quant.satisfaction import Satisfier
 from cbpv_quant.suites import Pools, enumerate_basic_formulas
 from cbpv_quant.typecheck import EMPTY, infer_type
-from spec import contains_unknown, parse_ctype, tree_leq
+from spec import (
+    contains_unknown,
+    law_leaf_monotone,
+    law_scott_chain,
+    law_sequential,
+    parse_ctype,
+    tree_leq,
+)
 from stacks import settle, stack_apply
 
 
@@ -160,7 +165,9 @@ def test_criterion_7_law_suites():
     assert list(mods) == ["E", "Eopt", "Epes", "C", "Copt", "Cpes", "G", "Gopt", "Gpes", "EG"]
     params = LawParams(samples=1000, seed=0, depth=4)
     for name, q in mods.items():
-        for law in (law_sequential, law_unit, law_leaf_monotone, law_scott_chain):
+        # the obligation the suite checks, and the tree-level samplers of
+        # laws a-c it stands for
+        for law in (law_monotone, law_sequential, law_unit, law_leaf_monotone, law_scott_chain):
             result = law(q, params)
             assert result.passed, result.line()
     for result in law_relator(max_carrier=3):
@@ -168,8 +175,8 @@ def test_criterion_7_law_suites():
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(
-        f"criterion 7: PASS  laws a-e zero failures over 10 modalities, "
-        f"1000 samples each, in {elapsed:.1f} s"
+        f"criterion 7: PASS  laws a-e and the monotone-combinator obligation, "
+        f"zero failures over 10 modalities, 1000 samples each, in {elapsed:.1f} s"
     )
 
 

@@ -1,0 +1,49 @@
+"""tools/bench_record.py: one real pair of benchmark runs, and the summary
+rule on fixed numbers."""
+
+import importlib.util
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "bench_record.py")
+_spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+END_TO_END = ["setup_s", "checks_per_s", "check_p50_ms", "check_p90_ms", "pass_share", "decided_share", "peak_rss_mb"]
+
+
+def test_one_pair_at_the_repo_root(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    argv = [ROOT, ROOT, "--workload", "suite-compare", "--seed", "1", "--pairs", "1", "--seconds", "0", "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc) == ["checkouts", "cpu_count", "python", "runs", "seconds", "seeds", "summary", "workload"]
+    assert doc["workload"] == "suite-compare" and doc["seeds"] == [1]
+    (run,) = doc["runs"]
+    assert run["first"] == "parent" and run["seed"] == 1
+    for side in ("parent", "child"):
+        assert run[side]["correct"] is True
+        assert sorted(run[side]["metrics"]) == sorted(END_TO_END)
+    assert list(doc["summary"]) == END_TO_END
+    for s in doc["summary"].values():
+        assert {"parent", "child", "ratio", "bound", "wins", "pairs", "unresolved"} <= set(s)
+        assert s["pairs"] == 1 and s["unresolved"] is False
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed[-7:]] == END_TO_END
+
+
+def test_summary_counts_wins_and_marks_a_wide_parent_unresolved():
+    def run(p, c):
+        return {"parent": {"metrics": {"m": p}}, "child": {"metrics": {"m": c}}}
+
+    runs = [run(10.0, 12.0), run(12.0, 13.0), run(14.0, 13.0), run(16.0, 20.0), run(18.0, 19.0)]
+    (s,) = bench_record.summarize(runs, [{"name": "m", "better": "higher", "bound": 0.25}]).values()
+    assert s["parent"] == {"q1": 12.0, "median": 14.0, "q3": 16.0}
+    assert s["child"]["median"] == 13.0 and s["ratio"] == 13.0 / 14.0
+    assert s["wins"] == 4 and s["pairs"] == 5
+    # parent IQR 4 is 29% of its median 14, wider than the 25% bound
+    assert s["unresolved"] is True
+    (s,) = bench_record.summarize(runs, [{"name": "m", "better": "lower", "bound": 0.5}]).values()
+    assert s["wins"] == 1 and s["unresolved"] is False

@@ -8,14 +8,13 @@ from cbpv_quant.laws import (
     LawParams,
     law_congruence,
     law_decomposability,
-    law_leaf_monotone,
+    law_monotone,
     law_relator,
-    law_scott_chain,
-    law_sequential,
     law_unit,
     standard_modalities,
 )
 from cbpv_quant.modality import bool_modalities
+from spec import law_leaf_monotone, law_scott_chain, law_sequential
 
 MODS = standard_modalities()
 SMALL = LawParams(samples=60, seed=11, depth=4)
@@ -80,6 +79,11 @@ def test_failing_law_is_reported():
     r = law_leaf_monotone(broken, LawParams(samples=300, seed=2, depth=4))
     assert not r.passed
     assert r.failures
+    # the obligation a and b follow from names the operator and argument
+    r = law_monotone(broken, LawParams(samples=300, seed=2, depth=4))
+    assert not r.passed
+    assert r.failures[0].startswith("nor argument 0, ")
+    assert all(f.startswith("nor argument 0, ") for f in r.failures)
 
 
 def _tree_text(t):
@@ -148,6 +152,18 @@ def test_standard_modalities_fold_as_pinned(store, digest):
     assert h.hexdigest() == digest
 
 
+def _tree_level_lines(report, mods, params):
+    """The suite's results as they read while laws a, b and c were sampled
+    on trees per call: per modality, the tree-level samplers' results, then
+    the suite's own law d and law f results."""
+    out = []
+    for k, q in enumerate(mods):
+        _, unit, decomposability = report.results[3 * k : 3 * k + 3]
+        out += [law(q, params) for law in (law_leaf_monotone, law_scott_chain, law_sequential)]
+        out += [unit, decomposability]
+    return out
+
+
 @pytest.mark.parametrize(
     "samples,seed,depth,digest",
     [
@@ -160,19 +176,46 @@ def test_standard_modalities_fold_as_pinned(store, digest):
 def test_law_suite_lines_are_pinned(samples, seed, depth, digest):
     # laws a-d and f over the ten modalities, as recorded while each law
     # folded a tree once per valuation; law f's check count is the number of
-    # samples whose four surrogates all certify
+    # samples whose four surrogates all certify.  Laws a-c are now the
+    # tree-level samplers of tests/spec.py, and laws d and f are the suite's
+    # own lines, so the digest holds both to their recorded text
+    import hashlib
+
+    from cbpv_quant.laws import run_law_suite
+
+    mods = list(MODS.values())
+    params = LawParams(samples, seed, depth)
+    report = run_law_suite(mods, params, include_relator=False)
+    assert [r.law[0] for r in report.results] == ["a", "d", "f"] * len(mods)
+    text = "\n".join(r.line() for r in _tree_level_lines(report, mods, params))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "samples,seed,depth,digest",
+    [
+        (40, 3, 4, "2831d2bc5d9806ffe566771b7020d887f3689818d129142b0cefcf366b0c4874"),
+        (25, 17, 2, "63299e8945c621e1520db87a5ecb3c00c2a25d2df98e97663358d6dbb7d57dec"),
+        (60, 101, 5, "cd6d020411ed76985b1bf4bdeb856385aeecc620173e94b410b526b7028e4f18"),
+        (12, 7919, 6, "ecaed42abfb929f44fc2fd33f631e701f41a03e009aed9ff1691e7e6e76abb6a"),
+    ],
+)
+def test_monotone_obligation_lines_are_pinned(samples, seed, depth, digest):
+    # the obligation's line per modality, first in its block of the suite
     import hashlib
 
     from cbpv_quant.laws import run_law_suite
 
     report = run_law_suite(list(MODS.values()), LawParams(samples, seed, depth), include_relator=False)
-    text = "\n".join(r.line() for r in report.results)
+    text = "\n".join(r.line() for r in report.results[::3])
+    assert text.startswith("law a+b (monotone combinators) [E]: pass (")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _broken_modalities():
     """E with a `nor` antitone in its first child and C with a `cost`
-    antitone in its child: both break laws a, b and f."""
+    antitone in its child: both break laws a and b and the obligation, and
+    Ebad also breaks law f."""
     from cbpv_quant.modality import OpRule
 
     e, c = MODS["E"], MODS["C"]
@@ -181,6 +224,10 @@ def _broken_modalities():
         c, name="Cbad", rules={**c.rules, "cost": OpRule(lambda node, kids: node.param + 3.0 - min(kids[0], 3.0))}
     )
     return [ebad, cbad]
+
+
+def _failure_text(results):
+    return "\n".join(repr((r.law, r.subject, r.runs, r.failures)) for r in results)
 
 
 @pytest.mark.parametrize(
@@ -193,16 +240,100 @@ def _broken_modalities():
 def test_law_suite_failures_are_pinned(samples, seed, depth, digest):
     # every failure text of two broken modalities, and law f's count of
     # samples certified before flattening, which falls below the runs here,
-    # as recorded while each law folded a tree once per valuation
+    # as recorded while each law folded a tree once per valuation: laws a-c
+    # from the tree-level samplers, laws d and f from the suite
+    import hashlib
+
+    from cbpv_quant.laws import run_law_suite
+
+    mods = _broken_modalities()
+    params = LawParams(samples, seed, depth)
+    report = run_law_suite(mods, params, include_relator=False)
+    text = _failure_text(_tree_level_lines(report, mods, params))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    decomposability = [r for r in report.results if r.law.startswith("f")]
+    assert decomposability[0].runs < samples and decomposability[0].failures
+    # the obligation fails for both, first at the operator each one broke
+    obligation = report.results[::3]
+    assert [r.failures[0].split(",")[0] for r in obligation] == ["nor argument 0", "cost argument 0"]
+
+
+@pytest.mark.parametrize(
+    "samples,seed,depth,digest",
+    [
+        (40, 3, 4, "ca6baf60b4fa721f739808df15699afcd06dde9219499ae66cfd7b1419a3c881"),
+        (60, 101, 5, "7cd8e9c59c72064da454704fe065677ae98dde3a93d520fcbe8df4e3cca19d9e"),
+    ],
+)
+def test_monotone_obligation_failures_are_pinned(samples, seed, depth, digest):
     import hashlib
 
     from cbpv_quant.laws import run_law_suite
 
     report = run_law_suite(_broken_modalities(), LawParams(samples, seed, depth), include_relator=False)
-    text = "\n".join(repr((r.law, r.subject, r.runs, r.failures)) for r in report.results)
+    text = _failure_text(report.results[::3])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    decomposability = [r for r in report.results if r.law.startswith("f")]
-    assert decomposability[0].runs < samples and decomposability[0].failures
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_obligation_passes_iff_the_tree_level_samplers_pass(seed):
+    # a and b follow from the obligation by induction on the tree; on the
+    # ten modalities and the two broken ones the verdicts agree both ways
+    params = LawParams(samples=200, seed=seed, depth=4)
+    verdicts = {}
+    for q in [*MODS.values(), *_broken_modalities()]:
+        tree_level = law_leaf_monotone(q, params).passed and law_scott_chain(q, params).passed
+        verdicts[q.name] = (law_monotone(q, params).passed, tree_level)
+    assert all(ob == tree for ob, tree in verdicts.values()), verdicts
+    assert [name for name, (ob, _) in verdicts.items() if not ob] == ["Ebad", "Cbad"]
+
+
+def _every_value(space):
+    """Every value of a finite truth space: Booleans or state sets."""
+    from itertools import chain, combinations
+
+    from cbpv_quant.lattice import BoolSpace
+
+    if isinstance(space, BoolSpace):
+        return [False, True]
+    states = space.all_states
+    return [frozenset(c) for c in chain.from_iterable(combinations(states, k) for k in range(len(states) + 1))]
+
+
+def test_monotone_combinators_exhaustively_at_a_small_store():
+    # at one location and value bound 2 (2 states, 4 sets): every argument
+    # tuple of every combinator of G, Gopt, Gpes, may and must, raised at
+    # each argument to every value above it, never lowers the combinator
+    import itertools
+    import time
+
+    from cbpv_quant.laws import _op_shapes
+    from cbpv_quant.trees import Node
+
+    started = time.perf_counter()
+    small = standard_modalities(StoreConfig(("l",), 2))
+    mods = [small["G"], small["Gopt"], small["Gpes"], *bool_modalities(("nor",)).values()]
+    checks = 0
+    for q in mods:
+        space = q.space
+        values = _every_value(space)
+        above = {x: [y for y in values if space.leq(x, y)] for x in values}
+        for op, kind, arity in _op_shapes(q):
+            fn = q._table[op][0]
+            for param in range(4) if kind == "param" else [None]:
+                node = Node(op, (), param=param)
+                for args in itertools.product(values, repeat=arity):
+                    before = fn(node, list(args))
+                    for j, x in enumerate(args):
+                        for y in above[x]:
+                            raised = list(args)
+                            raised[j] = y
+                            checks += 1
+                            assert space.leq(before, fn(node, raised)), (q.name, op, param, args, j, y)
+    # 9 ordered pairs x <= y among 4 sets and 3 among 2 Booleans: G's lookup
+    # 72 and update 36 (4 parameters), each nor 72 on sets, 12 on Booleans
+    assert checks == 108 + 180 + 180 + 12 + 12
+    assert time.perf_counter() - started < 1.0
 
 
 def _law_f_subjects():

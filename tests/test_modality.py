@@ -503,8 +503,7 @@ def test_depth_monotone_all_shipped_modalities():
 def test_bounds_soundness_under_truncation_all_modalities():
     # pruning subtrees to Unknown widens the certified interval
     from cbpv_quant.laws import random_value_tree, standard_modalities
-    from cbpv_quant.trees import tree_depth, truncate
-    from spec import tree_leq
+    from spec import tree_depth, tree_leq, truncate
 
     for name, q in standard_modalities().items():
         rng = random.Random(23)

@@ -10,10 +10,8 @@ from cbpv_quant.trees import (
     leaves,
     map_leaves,
     mu,
-    tree_depth,
-    truncate,
 )
-from spec import contains_unknown, tree_leq
+from spec import contains_unknown, tree_depth, tree_leq, truncate
 
 
 def random_tree(rng, depth, leaf):
@@ -97,7 +95,9 @@ def test_truncate_shares_a_child_shallower_than_the_cut():
 )
 def test_law_samples_build_no_copies(monkeypatch, law, bound):
     # law f builds each sample's double tree and its flattening and nothing
-    # more; law b's truncations keep what the cut leaves whole
+    # more; law b's tree-level sampler (tests/spec.py) keeps, in its
+    # truncations, what the cut leaves whole
+    import spec
     from cbpv_quant import laws
 
     built = 0
@@ -109,7 +109,8 @@ def test_law_samples_build_no_copies(monkeypatch, law, bound):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Node, "__init__", counting)
-    getattr(laws, law)(laws.standard_modalities()["E"], laws.LawParams(45, 3, 4))
+    sampler = {"law_decomposability": laws.law_decomposability, "law_scott_chain": spec.law_scott_chain}[law]
+    sampler(laws.standard_modalities()["E"], laws.LawParams(45, 3, 4))
     assert built <= bound
 
 

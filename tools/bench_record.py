@@ -1,0 +1,148 @@
+"""Record alternating benchmark runs of two checkouts and compare them.
+
+    python3 tools/bench_record.py PARENT CHILD --workload law-suites --seed 1,7919 \
+        --pairs 10 --seconds 40 --out law-suites-pairs.json
+
+PARENT and CHILD are checkout directories.  Each pair runs the checkout's own
+`bench/run.py`, unchanged, as a subprocess with `--trace 0`, once per side;
+the side that runs first alternates from pair to pair, and pair i uses the
+i-th of the comma-separated seeds, cycling.  Only the last line of each run's
+standard output, its JSON result, is read.
+
+The output file holds every run's end-to-end metrics and `correct` flag, and
+per metric each side's median and quartiles, the median ratio (child over
+parent), the bound from CHILD's `BENCHMARK.json` and the number of pairs the
+child won.  A metric is "unresolved" when the parent's interquartile range,
+relative to its median, is wider than the bound: the runs then spread too
+widely to tell a change within the bound from none.  The same table is
+printed.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "child")
+
+
+def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    }
+
+
+def git_head(checkout: str):
+    out = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def quartiles(xs: list) -> dict:
+    if len(xs) < 2:
+        q1 = med = q3 = xs[0]
+    else:
+        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def summarize(runs: list, metrics: list) -> dict:
+    """Per end-to-end metric: both sides' quartiles, the median ratio, the
+    child's wins and whether the parent's spread leaves it unresolved."""
+    out = {}
+    for m in metrics:
+        name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
+        vals = {side: [r[side]["metrics"][name] for r in runs] for side in SIDES}
+        stats = {side: quartiles(vals[side]) for side in SIDES}
+        parent = stats["parent"]["median"]
+        ratio = stats["child"]["median"] / parent if parent else None
+        spread = (stats["parent"]["q3"] - stats["parent"]["q1"]) / abs(parent) if parent else 0.0
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["child"]))
+        out[name] = {
+            "better": m["better"],
+            "bound": bound,
+            **stats,
+            "ratio": ratio,
+            "parent_iqr_share": spread,
+            "wins": wins,
+            "pairs": len(runs),
+            "unresolved": spread > bound,
+        }
+    return out
+
+
+def report_lines(summary: dict) -> list:
+    lines = []
+    for name, s in summary.items():
+        ratio = "n/a" if s["ratio"] is None else f"{s['ratio']:.3f}"
+        line = (
+            f"{name}: {s['parent']['median']:.6g} -> {s['child']['median']:.6g}"
+            f"  ratio {ratio} (bound {s['bound']:g}, {s['better']} is better)"
+            f"  child better in {s['wins']}/{s['pairs']} pairs"
+        )
+        if s["unresolved"]:
+            line += f"  unresolved: parent IQR {s['parent_iqr_share']:.1%} of its median"
+        lines.append(line)
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("child")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", required=True, help="one seed, or several comma-separated, cycled over the pairs")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=40.0)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    seeds = [int(s) for s in args.seed.split(",")]
+    paths = {"parent": os.path.abspath(args.parent), "child": os.path.abspath(args.child)}
+    with open(os.path.join(paths["child"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+
+    runs = []
+    for i in range(args.pairs):
+        seed = seeds[i % len(seeds)]
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"pair": i, "seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_bench(paths[side], args.workload, seed, args.seconds)
+        runs.append(pair)
+        print(f"pair {i} seed {seed}: " + ", ".join(
+            f"{side} checks_per_s {pair[side]['metrics']['checks_per_s']:.4g}" for side in order
+        ), flush=True)
+
+    summary = summarize(runs, end_to_end)
+    doc = {
+        "workload": args.workload,
+        "seeds": seeds,
+        "seconds": args.seconds,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "checkouts": {side: {"path": getattr(args, side), "head": git_head(paths[side])} for side in SIDES},
+        "runs": runs,
+        "summary": summary,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+    for line in report_lines(summary):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
