@@ -252,7 +252,7 @@ def _default_constants(rt: Runtime):
 def cmd_laws(args) -> tuple[int, str]:
     rt = _runtime(args)
     rep = Reporter(args.json)
-    params = LawParams(samples=args.samples, seed=rt.config.seed, depth=args.depth)
+    params = LawParams(samples=args.samples, seed=rt.config.seed)
     # the store settings hold under every signature: G and EG are folded
     # at them even when the runtime's own signature has no store
     mods = standard_modalities(StoreConfig(rt.config.locations, rt.config.value_bound))
@@ -354,7 +354,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("laws", help="run the modality law suites")
     sp.add_argument("--modality", help="restrict to these modalities, comma-separated")
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--trials", type=int, default=100, help="congruence spot-check trials")
     sp.add_argument("--no-relator", action="store_true")
     sp.add_argument("--no-congruence", action="store_true")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .syntax import CbpvError
 
@@ -101,11 +101,8 @@ class TruthSpace:
         raise NotImplementedError
 
     def raise_of(self, rng, a) -> Any:
-        """Some b with a leq b; used by the leaf-monotonicity law."""
-        raise NotImplementedError
-
-    def monotone_maps(self, rng, count: int) -> list[Callable[[Any], Any]]:
-        """Sampled monotone endofunctions, used as QBS surrogates."""
+        """Some b with a leq b; the monotone-combinator obligation
+        (`laws.law_monotone`) raises each argument with it."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -141,10 +138,6 @@ class BoolSpace(TruthSpace):
     def raise_of(self, rng, a):
         return a or bool(rng.getrandbits(1))
 
-    def monotone_maps(self, rng, count):
-        pool = [lambda x: x, lambda x: True, lambda x: False]
-        return [pool[rng.randrange(len(pool))] for _ in range(count)]
-
 
 _DYADICS = [k / 16 for k in range(17)]
 
@@ -177,21 +170,6 @@ class UnitIntervalSpace(TruthSpace):
 
     def raise_of(self, rng, a):
         return a + (1.0 - a) * rng.choice(_DYADICS)
-
-    def monotone_maps(self, rng, count):
-        out = []
-        for _ in range(count):
-            kind = rng.randrange(4)
-            c = rng.choice(_DYADICS)
-            if kind == 0:
-                out.append(lambda x, c=c: min(1.0, x + c))
-            elif kind == 1:
-                out.append(lambda x, c=c: x * c)
-            elif kind == 2:
-                out.append(lambda x, c=c: 1.0 if x >= c else 0.0)
-            else:
-                out.append(lambda x, c=c: c)
-        return out
 
 
 class CostSpace(TruthSpace):
@@ -232,21 +210,6 @@ class CostSpace(TruthSpace):
             return rng.choice([math.inf, 3.0, 1.0])
         return a * rng.choice([0.0, 0.25, 0.5, 1.0])
 
-    def monotone_maps(self, rng, count):
-        out = []
-        for _ in range(count):
-            kind = rng.randrange(4)
-            c = rng.choice([0.0, 0.5, 1.0, 2.0])
-            if kind == 0:
-                out.append(lambda x, c=c: x + c)
-            elif kind == 1:
-                out.append(lambda x, c=c: x * (c + 0.5))
-            elif kind == 2:
-                out.append(lambda x, c=c: 0.0 if x <= c else math.inf)
-            else:
-                out.append(lambda x, c=c: c)
-        return out
-
 
 class StateSetSpace(TruthSpace):
     """P(S) over the finite store-state space, ordered by inclusion."""
@@ -286,19 +249,6 @@ class StateSetSpace(TruthSpace):
 
     def raise_of(self, rng, a):
         return a | self.sample(rng)
-
-    def monotone_maps(self, rng, count):
-        out = []
-        for _ in range(count):
-            c = self.sample(rng)
-            kind = rng.randrange(3)
-            if kind == 0:
-                out.append(lambda x, c=c: x | c)
-            elif kind == 1:
-                out.append(lambda x, c=c: x & c)
-            else:
-                out.append(lambda x, c=c: c)
-        return out
 
 
 class StateTableSpace(TruthSpace):
@@ -349,11 +299,6 @@ class StateTableSpace(TruthSpace):
 
     def raise_of(self, rng, a):
         return tuple(x + (1.0 - x) * rng.choice(_DYADICS) for x in a)
-
-    def monotone_maps(self, rng, count):
-        unit = UnitIntervalSpace()
-        inner = unit.monotone_maps(rng, count)
-        return [lambda v, f=f: tuple(f(x) for x in v) for f in inner]
 
 
 class PowerSpace(TruthSpace):

@@ -1,28 +1,26 @@
 """Randomized and exhaustive law suites for the modality metatheory.
 
 Laws checked:
-  a. leaf-monotonicity: raising leaf values raises the denotation;
-  b. Scott chains: denotations along a truncation chain grow monotonically
-     and reach the full tree's denotation;
-  c. sequentiality: flattening a double tree commutes with denotation;
-  d. unit: the denotation of a single leaf is its value;
+  a+b. per modality, one obligation on the combinators, with no trees: each
+     is monotone in each argument (`law_monotone`), from which
+     leaf-monotonicity (a: raising leaf values raises the denotation) and
+     Scott chains (b: denotations along a truncation chain grow and reach
+     the full tree's) follow by induction on the tree;
+  d. per modality, unit: the denotation of a single leaf is its value;
   e. the four relator laws, exhausted over small Boolean carriers: each
      pool tree is folded once per Boolean valuation of its distinct leaves,
      and each instance (t, r, R) is decided once from those tables, so every
      instance is still checked and the check counts stay the same;
-  f. decomposability consequence: flattening preserves the certified
-     double-tree order on sampled valuation families; each compared pair is
-     one walk of q^8, a leaf's four surrogate values beside those of its
-     raised value, so no raised copy of the tree is built;
   g. congruence spot-checks: pairs equivalent at bounds stay undistinguished
      under random program contexts.
 
-The suite samples laws a and b as one obligation on the combinators, with
-no trees: each combinator is monotone in each argument (`law_monotone`),
-and both laws follow from that by induction on the tree.  Law c holds for
-any combinators and is not checked per call; `law_monotone` gives both
-arguments.  The tree-level samplers of a, b and c are test oracles for the
-fold and `mu`, in `tests/spec.py`.
+Two laws are not checked per call, and `law_monotone` gives the arguments.
+Law c (sequentiality: flattening a double tree commutes with denotation)
+holds for any combinators.  Law f (the decomposability consequence:
+flattening preserves the certified double-tree order under sampled
+monotone maps), as sampled on a double tree and its copy with raised
+leaves, is law a twice.  The tree-level samplers of a, b, c and f are test
+oracles for the fold, in `tests/spec.py`.
 
 All randomness is seeded; failures carry a rendering of the counterexample.
 """
@@ -42,7 +40,6 @@ from .modality import (
     bool_modalities,
     denote_limit,
     evaluate_interval,
-    power,
 )
 from .satisfaction import Satisfier
 from .suites import Pools, enumerate_basic_formulas
@@ -62,7 +59,7 @@ from .syntax import (
     Var,
     numeral,
 )
-from .trees import EffectTree, Leaf, Node, Unknown, eta, leaves, map_leaves, mu
+from .trees import EffectTree, Leaf, Node, Unknown, eta, leaves, map_leaves
 
 
 class LawError(CbpvError):
@@ -78,6 +75,8 @@ def _check_trials(trials: int) -> None:
 class LawParams:
     samples: int = 1000
     seed: int = 0
+    # no law of the suite reads it; it sizes the trees of the tree-level
+    # samplers in tests/spec.py
     depth: int = 4
 
     def __post_init__(self):
@@ -116,7 +115,7 @@ class LawReport:
 
 
 # --------------------------------------------------------------------------
-# Random trees over a modality's operator set
+# Operator shapes
 
 
 def _op_shapes(q: ModalitySpec) -> list[tuple[str, str, int]]:
@@ -133,40 +132,8 @@ def _op_shapes(q: ModalitySpec) -> list[tuple[str, str, int]]:
     return shapes
 
 
-def random_value_tree(
-    q: ModalitySpec,
-    rng: random.Random,
-    depth: int,
-    leaf: Callable[[], object],
-    p_unknown: float = 0.1,
-    shapes: Optional[list[tuple[str, str, int]]] = None,
-) -> EffectTree:
-    """A random finite tree over q's operators (indexed children materialized
-    as width-V tuples) with sampled leaf payloads and occasional Unknowns.
-    A law drawing many trees passes q's `_op_shapes` as `shapes`, computed
-    once for the call."""
-    if shapes is None:
-        shapes = _op_shapes(q)
-
-    def grow(depth: int) -> EffectTree:
-        if depth <= 0 or not shapes or rng.random() < 0.3:
-            if rng.random() < p_unknown:
-                return Unknown
-            return Leaf(leaf())
-        op, kind, extra = shapes[rng.randrange(len(shapes))]
-        if kind == "finite":
-            return Node(op, (grow(depth - 1), grow(depth - 1)))
-        if kind == "param":
-            return Node(op, (grow(depth - 1),), param=rng.randrange(4))
-        if kind == "nullary":
-            return Node(op, ())
-        return Node(op, tuple(grow(depth - 1) for _ in range(extra)))
-
-    return grow(depth)
-
-
 # --------------------------------------------------------------------------
-# Laws a-d and f (per modality)
+# The obligation and law d (per modality)
 
 
 def law_monotone(q: ModalitySpec, params: LawParams) -> LawResult:
@@ -190,8 +157,19 @@ def law_monotone(q: ModalitySpec, params: LawParams) -> LawResult:
     the structural fold is the unique homomorphism out of the free model
     (Plotkin & Power, "Algebraic operations and generic effects", 2003), so
     folding mu(tt) and folding tt with each leaf tree valued at its own
-    denotation agree.  The tree-level samplers of laws a, b and c stay in
-    the tests, as the oracle for the fold and `mu`."""
+    denotation agree.
+
+    Law f as sampled compares a double tree tt with the copy rr whose leaves
+    are raised, under sampled monotone surrogate maps h, before and after
+    flattening with mu, and it is law a twice.  `raise_of` gives r >= a at
+    each leaf, and h is monotone, so h(a) <= h(r) at every leaf.  A fold
+    whose combinators are monotone is monotone in its leaves, so the inner
+    trees' values rise, and then the outer tree's.  Flattening changes
+    neither step: mu(rr) is mu(tt) with the same leaves raised.  So its
+    premise and its conclusion both hold.  Decomposability as stated on
+    paper relates two arbitrary double trees, which this argument does not
+    cover.  The tree-level samplers of laws a, b, c and f stay in the
+    tests, as the oracle for the fold."""
     rng = random.Random(params.seed)
     space = q.space
     render = space.render
@@ -229,50 +207,6 @@ def law_unit(q: ModalitySpec, params: LawParams) -> LawResult:
         if not (iv.exact and iv.lo == a):
             failures.append(f"sample {i}: eta({space.render(a)}) gave {space.render(iv.lo)}")
     return LawResult("d (unit)", q.name, runs, tuple(failures))
-
-
-def law_decomposability(q: ModalitySpec, params: LawParams) -> LawResult:
-    rng = random.Random(params.seed + 4)
-    space = q.space
-    shapes = _op_shapes(q)
-    # each compared pair is one walk of q^8: a leaf under the four surrogate
-    # maps beside its raised value under the same maps
-    surrogates = 4
-    q8 = power(q, 2 * surrogates)
-    failures = []
-    runs = min(params.samples, 200)
-    checked = 0
-    for i in range(runs):
-        tt = random_value_tree(
-            q,
-            rng,
-            max(1, params.depth - 1),
-            lambda: random_value_tree(q, rng, 2, lambda: space.sample(rng), shapes=shapes),
-            shapes=shapes,
-        )
-        raised = [space.raise_of(rng, a) for sub in leaves(tt) for a in leaves(sub)]
-        leaf = _beside_raised(space.monotone_maps(rng, surrogates), raised)
-        v = denote_limit(q8, tt, lambda sub: denote_limit(q8, sub, leaf))
-        if not all(map(space.leq, v[:surrogates], v[surrogates:])):
-            continue
-        checked += 1
-        v = denote_limit(q8, mu(tt), _beside_raised(space.monotone_maps(rng, surrogates), raised))
-        if not all(map(space.leq, v[:surrogates], v[surrogates:])):
-            failures.append(f"sample {i}: flattening broke the certified order")
-    return LawResult("f (decomposability)", q.name, checked, tuple(failures))
-
-
-def _beside_raised(maps: Sequence[Callable], raised: Sequence) -> Callable[[object], tuple]:
-    """The leaf valuation a -> (h1(a)..hk(a), h1(r)..hk(r)) for maps h1..hk,
-    where r is the next of `raised`: a fold values each consulted leaf once,
-    depth-first in child order, so the n-th leaf valued meets `raised[n]`,
-    the value a copy of the tree with raised leaves would carry there."""
-    nxt = iter(raised).__next__
-
-    def leaf(a):
-        return tuple([h(x) for x in (a, nxt()) for h in maps])
-
-    return leaf
 
 
 # --------------------------------------------------------------------------
@@ -623,7 +557,6 @@ def run_law_suite(
     for q in modalities:
         report.results.append(law_monotone(q, params))
         report.results.append(law_unit(q, params))
-        report.results.append(law_decomposability(q, params))
     if include_relator:
         report.results.extend(law_relator())
     if runtime is not None:

@@ -29,8 +29,8 @@ value of folding each of its copies: `evaluate_interval` passes `_fold` a
 memo mapping id(node) to the node's value, and `sufficient_depth` keeps one
 mapping id(node) to its depth, each for the length of one call, so each
 distinct node is folded once.  `denote_limit` passes none: `laws` calls it
-on random trees that share nothing, where the memo only costs, and on a
-shared tree it walks every copy.
+on the relator laws' small pool trees, which share nothing, where the memo
+only costs, and on a shared tree it walks every copy.
 """
 
 from __future__ import annotations

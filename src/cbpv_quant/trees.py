@@ -10,25 +10,17 @@ divergence.  The approximation order on trees (`tree_leq`) and
 
 `machine.eval_tree` shares equal subtrees: one node per (configuration,
 fuel), reached along every path that leads to it.  The walkers here
-(`map_leaves`, `graft`, `leaves`) keep no memo.  In the package only laws
-e and f call them, on trees they generate (`random_value_tree` and the
-small relator pools), which share nothing; `tests/spec.py` keeps
-`truncate` and `tree_depth` for the tree-level samplers of laws a-c.
-Applied to an `eval_tree` result they visit every copy of a shared node,
-and the two that rebuild (`map_leaves`, `graft`) return the tree unshared:
-a branching loop's tree at a high fuel costs time and memory exponential
-in the fuel.
+(`map_leaves`, `leaves`) keep no memo.  In the package only law e calls
+them, on its small relator pools, which share nothing; `tests/spec.py`
+keeps `mu`, `truncate` and `tree_depth` for the tree-level samplers of
+laws a-c and f.  Applied to an `eval_tree` result they visit every copy of
+a shared node, and `map_leaves` returns the tree unshared: a branching
+loop's tree at a high fuel costs time and memory exponential in the fuel.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Optional
-
-from .syntax import CbpvError
-
-
-class TreeError(CbpvError):
-    pass
 
 
 class EffectTree:
@@ -94,21 +86,6 @@ def map_leaves(t: EffectTree, f: Callable[[Any], Any]) -> EffectTree:
         return t
     assert isinstance(t, Node)
     return Node(t.op, tuple([map_leaves(c, f) for c in t.children]), t.param)
-
-
-def graft(t: EffectTree) -> EffectTree:
-    """mu: flatten a tree whose leaves are trees by grafting them as subtrees."""
-    if isinstance(t, Leaf):
-        if not isinstance(t.value, (Leaf, _Unknown, Node)):
-            raise TreeError(f"mu expects tree-valued leaves, found {t.value!r}")
-        return t.value
-    if isinstance(t, _Unknown):
-        return t
-    assert isinstance(t, Node)
-    return Node(t.op, tuple([graft(c) for c in t.children]), t.param)
-
-
-mu = graft
 
 
 def leaves(t: EffectTree) -> Iterator[Any]:

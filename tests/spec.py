@@ -14,16 +14,17 @@ recurrence at a deep enough index.
 `contains_unknown` tells a fully explored tree; `parse_vtype` and
 `parse_ctype` read a type in the program grammar.
 
-`decomposability_by_copies` is law f as it reads on paper: it builds the
-copy of each sampled double tree with raised leaves, flattens both, and
-folds all four trees; `laws.law_decomposability` folds the raised values
-beside the originals instead, and must give the same result.
+`random_value_tree` draws a random finite tree over a modality's
+operators, `mu` flattens a tree of trees, and `monotone_maps` draws the
+monotone surrogate maps of law f's comparisons.
 
-`law_leaf_monotone`, `law_scott_chain` and `law_sequential` sample laws a,
-b and c on random trees.  The law suite checks `laws.law_monotone` instead,
-from which a and b follow by induction on the tree, while c holds for any
-combinators; these samplers hold the fold, `mu` and `truncate` to that
-argument.  Only law b's sampler reads `truncate` and `tree_depth`.
+`law_leaf_monotone`, `law_scott_chain`, `law_sequential` and
+`decomposability_by_copies` sample laws a, b, c and f on random trees; law
+f builds the copy of each sampled double tree with raised leaves, flattens
+both, and folds all four trees.  The law suite checks `laws.law_monotone`
+instead, from which a, b and f (as sampled here) follow by induction on the
+tree, while c holds for any combinators; these samplers hold the fold to
+that argument.  Only law b's sampler reads `truncate` and `tree_depth`.
 
 `formula_size` counts a formula's constructors, and
 `basic_formulas_by_sort` is the basic-formula enumerator as first written:
@@ -31,8 +32,10 @@ everything up to the budget, deduplicated and stably sorted by size.
 `suites.enumerate_basic_formulas` builds each exact size directly and must
 give the same formulas in the same order."""
 
+import math
 import random
 from operator import is_
+from typing import Callable, Optional
 
 from cbpv_quant.formulas import (
     AndF,
@@ -53,12 +56,22 @@ from cbpv_quant.formulas import (
     StepF,
     ThunkF,
 )
-from cbpv_quant.laws import LawParams, LawResult, _op_shapes, random_value_tree
+from cbpv_quant.lattice import (
+    _DYADICS,
+    BoolSpace,
+    CostSpace,
+    StateSetSpace,
+    StateTableSpace,
+    TruthSpace,
+    UnitIntervalSpace,
+)
+from cbpv_quant.laws import LawParams, LawResult, _op_shapes
 from cbpv_quant.modality import ModalityError, ModalitySpec, denote_limit, power
 from cbpv_quant.parser import Parser
 from cbpv_quant.suites import Pools, args_for
 from cbpv_quant.syntax import (
     ArrowType,
+    CbpvError,
     ComType,
     EffectSignature,
     GenType,
@@ -71,7 +84,7 @@ from cbpv_quant.syntax import (
     UnitType,
     ValType,
 )
-from cbpv_quant.trees import EffectTree, Leaf, Node, Unknown, _Unknown, map_leaves, mu
+from cbpv_quant.trees import EffectTree, Leaf, Node, Unknown, _Unknown, map_leaves
 
 
 def child_at(children: tuple[EffectTree, ...], i: int) -> EffectTree:
@@ -105,6 +118,96 @@ def denote_at_depth(q: ModalitySpec, t: EffectTree, n: int):
     return _denote(q, t, n)
 
 
+def random_value_tree(
+    q: ModalitySpec,
+    rng: random.Random,
+    depth: int,
+    leaf: Callable[[], object],
+    p_unknown: float = 0.1,
+    shapes: Optional[list[tuple[str, str, int]]] = None,
+) -> EffectTree:
+    """A random finite tree over q's operators (indexed children materialized
+    as width-V tuples) with sampled leaf payloads and occasional Unknowns.
+    A sampler drawing many trees passes q's `_op_shapes` as `shapes`,
+    computed once for the call."""
+    if shapes is None:
+        shapes = _op_shapes(q)
+
+    def grow(depth: int) -> EffectTree:
+        if depth <= 0 or not shapes or rng.random() < 0.3:
+            if rng.random() < p_unknown:
+                return Unknown
+            return Leaf(leaf())
+        op, kind, extra = shapes[rng.randrange(len(shapes))]
+        if kind == "finite":
+            return Node(op, (grow(depth - 1), grow(depth - 1)))
+        if kind == "param":
+            return Node(op, (grow(depth - 1),), param=rng.randrange(4))
+        if kind == "nullary":
+            return Node(op, ())
+        return Node(op, tuple(grow(depth - 1) for _ in range(extra)))
+
+    return grow(depth)
+
+
+def mu(t: EffectTree) -> EffectTree:
+    """Flatten a tree whose leaves are trees by grafting them as subtrees."""
+    if isinstance(t, Leaf):
+        if not isinstance(t.value, (Leaf, _Unknown, Node)):
+            raise CbpvError(f"mu expects tree-valued leaves, found {t.value!r}")
+        return t.value
+    if isinstance(t, _Unknown):
+        return t
+    assert isinstance(t, Node)
+    return Node(t.op, tuple([mu(c) for c in t.children]), t.param)
+
+
+def monotone_maps(space: TruthSpace, rng: random.Random, count: int) -> list[Callable]:
+    """`count` sampled monotone endofunctions of `space`, used as QBS
+    surrogates."""
+    if isinstance(space, BoolSpace):
+        pool = [lambda x: x, lambda x: True, lambda x: False]
+        return [pool[rng.randrange(len(pool))] for _ in range(count)]
+    if isinstance(space, StateTableSpace):
+        inner = monotone_maps(UnitIntervalSpace(), rng, count)
+        return [lambda v, f=f: tuple(f(x) for x in v) for f in inner]
+    out = []
+    for _ in range(count):
+        if isinstance(space, UnitIntervalSpace):
+            kind = rng.randrange(4)
+            c = rng.choice(_DYADICS)
+            if kind == 0:
+                out.append(lambda x, c=c: min(1.0, x + c))
+            elif kind == 1:
+                out.append(lambda x, c=c: x * c)
+            elif kind == 2:
+                out.append(lambda x, c=c: 1.0 if x >= c else 0.0)
+            else:
+                out.append(lambda x, c=c: c)
+        elif isinstance(space, CostSpace):
+            kind = rng.randrange(4)
+            c = rng.choice([0.0, 0.5, 1.0, 2.0])
+            if kind == 0:
+                out.append(lambda x, c=c: x + c)
+            elif kind == 1:
+                out.append(lambda x, c=c: x * (c + 0.5))
+            elif kind == 2:
+                out.append(lambda x, c=c: 0.0 if x <= c else math.inf)
+            else:
+                out.append(lambda x, c=c: c)
+        else:
+            assert isinstance(space, StateSetSpace), space
+            c = space.sample(rng)
+            kind = rng.randrange(3)
+            if kind == 0:
+                out.append(lambda x, c=c: x | c)
+            elif kind == 1:
+                out.append(lambda x, c=c: x & c)
+            else:
+                out.append(lambda x, c=c: c)
+    return out
+
+
 def decomposability_by_copies(q: ModalitySpec, params: LawParams) -> LawResult:
     """Law f on built copies: the raised double tree rr, drawn leaf by leaf
     after tt, and the flattenings mu(tt) and mu(rr), each folded under the
@@ -130,12 +233,12 @@ def decomposability_by_copies(q: ModalitySpec, params: LawParams) -> LawResult:
             shapes=shapes,
         )
         rr = map_leaves(tt, lambda sub: map_leaves(sub, lambda a: space.raise_of(rng, a)))
-        hk = pointwise(space.monotone_maps(rng, surrogates))
+        hk = pointwise(monotone_maps(space, rng, surrogates))
         H = lambda sub: denote_limit(qk, sub, hk)
         if not qk.space.leq(denote_limit(qk, tt, H), denote_limit(qk, rr, H)):
             continue
         checked += 1
-        flat_hk = pointwise(space.monotone_maps(rng, surrogates))
+        flat_hk = pointwise(monotone_maps(space, rng, surrogates))
         if not qk.space.leq(denote_limit(qk, mu(tt), flat_hk), denote_limit(qk, mu(rr), flat_hk)):
             failures.append(f"sample {i}: flattening broke the certified order")
     return LawResult("f (decomposability)", q.name, checked, tuple(failures))

@@ -23,6 +23,7 @@ from cbpv_quant.suites import Pools, enumerate_basic_formulas
 from cbpv_quant.typecheck import EMPTY, infer_type
 from spec import (
     contains_unknown,
+    decomposability_by_copies,
     law_leaf_monotone,
     law_scott_chain,
     law_sequential,
@@ -166,8 +167,15 @@ def test_criterion_7_law_suites():
     params = LawParams(samples=1000, seed=0, depth=4)
     for name, q in mods.items():
         # the obligation the suite checks, and the tree-level samplers of
-        # laws a-c it stands for
-        for law in (law_monotone, law_sequential, law_unit, law_leaf_monotone, law_scott_chain):
+        # laws a-c and f it stands for
+        for law in (
+            law_monotone,
+            law_sequential,
+            law_unit,
+            law_leaf_monotone,
+            law_scott_chain,
+            decomposability_by_copies,
+        ):
             result = law(q, params)
             assert result.passed, result.line()
     for result in law_relator(max_carrier=3):
@@ -175,7 +183,7 @@ def test_criterion_7_law_suites():
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(
-        f"criterion 7: PASS  laws a-e and the monotone-combinator obligation, "
+        f"criterion 7: PASS  laws a-f and the monotone-combinator obligation, "
         f"zero failures over 10 modalities, 1000 samples each, in {elapsed:.1f} s"
     )
 

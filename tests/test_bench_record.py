@@ -1,5 +1,5 @@
-"""tools/bench_record.py: one real pair of benchmark runs, and the summary
-rule on fixed numbers."""
+"""tools/bench_record.py: one real pair of benchmark runs on each of two
+workloads, and the summary rule on fixed numbers."""
 
 import importlib.util
 import json
@@ -15,23 +15,31 @@ END_TO_END = ["setup_s", "checks_per_s", "check_p50_ms", "check_p90_ms", "pass_s
 
 
 def test_one_pair_at_the_repo_root(tmp_path, capsys):
+    # two workloads, one pair each: one entry per workload, in the order given
     out = tmp_path / "bench.json"
-    argv = [ROOT, ROOT, "--workload", "suite-compare", "--seed", "1", "--pairs", "1", "--seconds", "0", "--out", str(out)]
+    workloads = ["suite-compare", "law-suites"]
+    argv = [ROOT, ROOT, "--workload", ",".join(workloads), "--seed", "1", "--pairs", "1",
+            "--seconds", "0", "--out", str(out)]
     assert bench_record.main(argv) == 0
     doc = json.loads(out.read_text())
-    assert sorted(doc) == ["checkouts", "cpu_count", "python", "runs", "seconds", "seeds", "summary", "workload"]
-    assert doc["workload"] == "suite-compare" and doc["seeds"] == [1]
-    (run,) = doc["runs"]
-    assert run["first"] == "parent" and run["seed"] == 1
-    for side in ("parent", "child"):
-        assert run[side]["correct"] is True
-        assert sorted(run[side]["metrics"]) == sorted(END_TO_END)
-    assert list(doc["summary"]) == END_TO_END
-    for s in doc["summary"].values():
-        assert {"parent", "child", "ratio", "bound", "wins", "pairs", "unresolved"} <= set(s)
-        assert s["pairs"] == 1 and s["unresolved"] is False
+    assert sorted(doc) == ["checkouts", "cpu_count", "python", "seconds", "seeds", "workloads"]
+    assert doc["seeds"] == [1] and list(doc["workloads"]) == workloads
+    for entry in doc["workloads"].values():
+        assert sorted(entry) == ["runs", "summary"]
+        (run,) = entry["runs"]
+        assert run["first"] == "parent" and run["seed"] == 1
+        for side in ("parent", "child"):
+            assert run[side]["correct"] is True
+            assert sorted(run[side]["metrics"]) == sorted(END_TO_END)
+        assert list(entry["summary"]) == END_TO_END
+        for s in entry["summary"].values():
+            assert {"parent", "child", "ratio", "bound", "wins", "pairs", "unresolved"} <= set(s)
+            assert s["pairs"] == 1 and s["unresolved"] is False
     printed = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in printed[-7:]] == END_TO_END
+    for k, w in enumerate(workloads):
+        block = printed[len(printed) - 8 * (len(workloads) - k):][:8]
+        assert block[0] == f"{w}:"
+        assert [line.split(":")[0].strip() for line in block[1:]] == END_TO_END
 
 
 def test_summary_counts_wins_and_marks_a_wide_parent_unresolved():

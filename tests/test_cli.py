@@ -329,8 +329,6 @@ def test_laws_verb_small():
             "40",
             "--seed",
             "1",
-            "--depth",
-            "3",
             "--no-relator",
             "--no-congruence",
             "--signature",
@@ -343,7 +341,7 @@ def test_laws_verb_small():
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--samples", "-3"), ("--samples", "0"), ("--trials", "-3"), ("--depth", "-3")],
+    [("--samples", "-3"), ("--samples", "0"), ("--trials", "-3")],
 )
 def test_laws_rejects_bad_counts(flag, value):
     code, report = run(
@@ -628,7 +626,7 @@ def test_laws_rejects_a_repeated_modality(names):
 
 
 def test_laws_modality_list_strips_whitespace():
-    base = ["laws", "--samples", "5", "--depth", "2", "--no-relator", "--no-congruence"]
+    base = ["laws", "--samples", "5", "--no-relator", "--no-congruence"]
     base += ["--signature", "prob+nondet", "--json"]
     spaced = run(base + ["--modality", "E, Epes"])
     assert spaced[0] == 0
@@ -646,6 +644,7 @@ _UNREAD_FLAGS = {
     "compare-seed": ["compare", "a", "b", "--seed", "9"],
     "distinguish-seed": ["distinguish", "a", "b", "--seed", "9"],
     "laws-numerals": ["laws", "--numerals", "3,4", "--signature", "prob"],
+    "laws-depth": ["laws", "--depth", "3", "--signature", "prob"],
 }
 
 

@@ -177,8 +177,8 @@ def test_nat_indexed_children_are_lazy():
 
 
 def test_lookup_has_one_child_per_storable_value():
-    # the machine builds a lookup as laws.random_value_tree does: a plain
-    # tuple of V children, so machine-built and law-built lookups compare equal
+    # the machine builds a lookup as spec.random_value_tree does: a plain
+    # tuple of V children, so machine-built and sampled lookups compare equal
     prog = parse_program("lookup[l](x. return x)", STORE)
     t = eval_tree(prog, 3, STORE, width=3)
     assert t == Node("lookup[l]", tuple(Leaf(Return(numeral(k))) for k in range(3)))

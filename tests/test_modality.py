@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from cbpv_quant.laws import random_value_tree, standard_modalities
+from cbpv_quant.laws import standard_modalities
 from cbpv_quant.lattice import StateSetSpace, StateTableSpace, StoreConfig
 from cbpv_quant import modality
 from cbpv_quant.modality import (
@@ -24,7 +24,7 @@ from cbpv_quant.modality import (
     sufficient_depth,
 )
 from cbpv_quant.trees import Leaf, Node, Unknown, eta, leaves, map_leaves
-from spec import denote_at_depth
+from spec import denote_at_depth, monotone_maps, random_value_tree
 
 E = expectation_modality()
 C = cost_modality()
@@ -170,7 +170,7 @@ def test_exact_denotation_matches_recurrence_at_sufficient_depth(name):
     rng = random.Random(47)
     for _ in range(40):
         t = random_value_tree(q, rng, 4, lambda: q.space.sample(rng), p_unknown=0.3)
-        for f in q.space.monotone_maps(rng, 2):
+        for f in monotone_maps(q.space, rng, 2):
             assert denote_limit(q, t, f) == denote_at_depth(
                 q, map_leaves(t, f), sufficient_depth(q, t)
             )
@@ -189,7 +189,7 @@ def test_interval_walk_matches_recurrence_at_sufficient_depth(name):
     for _ in range(40):
         t = random_value_tree(q, rng, 4, lambda: space.sample(rng), p_unknown=0.3)
         d = sufficient_depth(q, t)
-        for f in space.monotone_maps(rng, 2):
+        for f in monotone_maps(space, rng, 2):
             raised = {x: space.raise_of(rng, f(x)) for x in leaves(t)}
             iv = evaluate_interval(q, t, lambda x: (f(x), raised[x]))
             assert iv.lo == denote_at_depth(q, map_leaves(t, f), d)
@@ -279,7 +279,7 @@ def test_k_valuation_fold_is_k_single_folds(name):
         for _ in range(30):
             t = random_value_tree(q, rng, 4, lambda: space.sample(rng), p_unknown=0.3)
             nullary += _count_nullary(t)
-            hs = space.monotone_maps(rng, k)
+            hs = monotone_maps(space, rng, k)
             calls = []
             got = denote_limit(qk, t, lambda x: calls.append(x) or tuple(h(x) for h in hs))
             assert len(got) == k
@@ -488,7 +488,6 @@ def test_update_rules_reject_a_missing_parameter_as_set_loc_does():
 
 
 def test_depth_monotone_all_shipped_modalities():
-    from cbpv_quant.laws import random_value_tree, standard_modalities
 
     for name, q in standard_modalities().items():
         rng = random.Random(17)
@@ -502,7 +501,6 @@ def test_depth_monotone_all_shipped_modalities():
 
 def test_bounds_soundness_under_truncation_all_modalities():
     # pruning subtrees to Unknown widens the certified interval
-    from cbpv_quant.laws import random_value_tree, standard_modalities
     from spec import tree_depth, tree_leq, truncate
 
     for name, q in standard_modalities().items():

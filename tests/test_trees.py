@@ -9,9 +9,8 @@ from cbpv_quant.trees import (
     eta,
     leaves,
     map_leaves,
-    mu,
 )
-from spec import contains_unknown, tree_depth, tree_leq, truncate
+from spec import contains_unknown, mu, tree_depth, tree_leq, truncate
 
 
 def random_tree(rng, depth, leaf):
@@ -87,16 +86,14 @@ def test_truncate_shares_a_child_shallower_than_the_cut():
 @pytest.mark.parametrize(
     "law,bound",
     [
-        # recorded with the copies gone; building the raised copy and its
-        # flattening, and copying every truncation whole, takes 1,070 and 1,055
-        ("law_decomposability", 535),
+        # recorded with the copies gone; copying every truncation whole
+        # takes 1,055
         ("law_scott_chain", 779),
     ],
 )
 def test_law_samples_build_no_copies(monkeypatch, law, bound):
-    # law f builds each sample's double tree and its flattening and nothing
-    # more; law b's tree-level sampler (tests/spec.py) keeps, in its
-    # truncations, what the cut leaves whole
+    # law b's tree-level sampler (tests/spec.py) keeps, in its truncations,
+    # what the cut leaves whole
     import spec
     from cbpv_quant import laws
 
@@ -109,8 +106,7 @@ def test_law_samples_build_no_copies(monkeypatch, law, bound):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Node, "__init__", counting)
-    sampler = {"law_decomposability": laws.law_decomposability, "law_scott_chain": spec.law_scott_chain}[law]
-    sampler(laws.standard_modalities()["E"], laws.LawParams(45, 3, 4))
+    getattr(spec, law)(laws.standard_modalities()["E"], laws.LawParams(45, 3, 4))
     assert built <= bound
 
 

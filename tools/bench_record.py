@@ -1,21 +1,23 @@
 """Record alternating benchmark runs of two checkouts and compare them.
 
-    python3 tools/bench_record.py PARENT CHILD --workload law-suites --seed 1,7919 \
-        --pairs 10 --seconds 40 --out law-suites-pairs.json
+    python3 tools/bench_record.py PARENT CHILD --workload law-suites,deep-fuel \
+        --seed 1,2,7919 --pairs 10 --seconds 40 --out pairs.json
 
 PARENT and CHILD are checkout directories.  Each pair runs the checkout's own
 `bench/run.py`, unchanged, as a subprocess with `--trace 0`, once per side;
 the side that runs first alternates from pair to pair, and pair i uses the
-i-th of the comma-separated seeds, cycling.  Only the last line of each run's
-standard output, its JSON result, is read.
+i-th of the comma-separated seeds, cycling.  Pair i of every comma-separated
+workload runs before pair i + 1 of any, so a slow stretch of the host falls
+on all workloads alike.  Only the last line of each run's standard output,
+its JSON result, is read.
 
-The output file holds every run's end-to-end metrics and `correct` flag, and
-per metric each side's median and quartiles, the median ratio (child over
-parent), the bound from CHILD's `BENCHMARK.json` and the number of pairs the
-child won.  A metric is "unresolved" when the parent's interquartile range,
-relative to its median, is wider than the bound: the runs then spread too
-widely to tell a change within the bound from none.  The same table is
-printed.  Standard library only.
+The output file holds, per workload, every run's end-to-end metrics and
+`correct` flag, and per metric each side's median and quartiles, the median
+ratio (child over parent), the bound from CHILD's `BENCHMARK.json` and the
+number of pairs the child won.  A metric is "unresolved" when the parent's
+interquartile range, relative to its median, is wider than the bound: the
+runs then spread too widely to tell a change within the bound from none.
+The same table is printed, per workload.  Standard library only.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("child")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="one workload, or several comma-separated")
     ap.add_argument("--seed", required=True, help="one seed, or several comma-separated, cycled over the pairs")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40.0)
@@ -110,37 +112,39 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     seeds = [int(s) for s in args.seed.split(",")]
+    workloads = [w.strip() for w in args.workload.split(",")]
     paths = {"parent": os.path.abspath(args.parent), "child": os.path.abspath(args.child)}
     with open(os.path.join(paths["child"], "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
 
-    runs = []
+    runs = {w: [] for w in workloads}
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"pair": i, "seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_bench(paths[side], args.workload, seed, args.seconds)
-        runs.append(pair)
-        print(f"pair {i} seed {seed}: " + ", ".join(
-            f"{side} checks_per_s {pair[side]['metrics']['checks_per_s']:.4g}" for side in order
-        ), flush=True)
+        for w in workloads:
+            pair = {"pair": i, "seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_bench(paths[side], w, seed, args.seconds)
+            runs[w].append(pair)
+            print(f"{w} pair {i} seed {seed}: " + ", ".join(
+                f"{side} checks_per_s {pair[side]['metrics']['checks_per_s']:.4g}" for side in order
+            ), flush=True)
 
-    summary = summarize(runs, end_to_end)
+    entries = {w: {"runs": runs[w], "summary": summarize(runs[w], end_to_end)} for w in workloads}
     doc = {
-        "workload": args.workload,
+        "workloads": entries,
         "seeds": seeds,
         "seconds": args.seconds,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "checkouts": {side: {"path": getattr(args, side), "head": git_head(paths[side])} for side in SIDES},
-        "runs": runs,
-        "summary": summary,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
-    for line in report_lines(summary):
-        print(line)
+    for w, entry in entries.items():
+        print(f"{w}:")
+        for line in report_lines(entry["summary"]):
+            print("  " + line)
     return 0
 
 
