@@ -8,9 +8,12 @@ Laws checked:
      the full tree's) follow by induction on the tree;
   d. per modality, unit: the denotation of a single leaf is its value;
   e. the four relator laws, exhausted over small Boolean carriers: each
-     pool tree is folded once per Boolean valuation of its distinct leaves,
-     and each instance (t, r, R) is decided once from those tables, so every
-     instance is still checked and the check counts stay the same;
+     pool tree is folded once per Boolean valuation of its distinct leaves;
+     each pool pair gets one table of the tree pairs that break the order
+     under each pair of left and right valuations, as a bitmask; a
+     relation's relator is then a bitmask over the pool pair's tree pairs,
+     one OR per left valuation, and the laws compare those masks, so every
+     instance (t, r, R) is still checked and the check counts stay the same;
   g. congruence spot-checks: pairs equivalent at bounds stay undistinguished
      under random program contexts.
 
@@ -34,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 from .config import RunConfig, Runtime, build_runtime
 from .equivalence import compare, Distinguished
-from .lattice import BoolSpace, StoreConfig
+from .lattice import StoreConfig
 from .modality import (
     ModalitySpec,
     bool_modalities,
@@ -211,6 +214,12 @@ def law_unit(q: ModalitySpec, params: LawParams) -> LawResult:
 
 # --------------------------------------------------------------------------
 # Law e: relator laws over Boolean carriers, exhaustively
+#
+# Everything here is a bitmask.  A Boolean valuation h of a carrier has bit
+# a set iff carrier[a] is true.  A relation R between two carriers has bit
+# a * len(right carrier) + b set iff it relates left[a] to right[b].  The
+# relator membership of a relation over two pools has bit
+# i * len(right trees) + j set iff (left tree i, right tree j) lies in it.
 
 
 def _tree_pool(carrier: Sequence) -> list[EffectTree]:
@@ -222,16 +231,18 @@ def _tree_pool(carrier: Sequence) -> list[EffectTree]:
 
 
 class _Pool:
-    """A tree pool with its fold tables.
+    """A tree pool over a carrier, with its fold tables.
 
     For tree i, `leaves[i]` lists its distinct leaves and `tables[i][m]` holds
     each modality's exact denotation of the tree under the Boolean valuation
-    sending leaves[i][b] to bit b of m.  Pool trees are total objects here: a
-    bottom leaf denotes bot exactly, so the tables hold exact denotations, not
-    fuel intervals.
+    sending leaves[i][b] to bit b of m, so each tree is folded once per m.
+    `rows[h][i]` is the m that the valuation h of the whole carrier selects
+    for tree i.  Pool trees are total objects here: a bottom leaf denotes
+    bot exactly, so the tables hold exact denotations, not fuel intervals.
     """
 
-    def __init__(self, trees: list[EffectTree], mods: Sequence[ModalitySpec]):
+    def __init__(self, carrier: Sequence, trees: list[EffectTree], mods: Sequence[ModalitySpec]):
+        self.carrier = list(carrier)
         self.trees = trees
         self.leaves = [tuple(dict.fromkeys(leaves(t))) for t in trees]
         self.tables = [
@@ -241,188 +252,181 @@ class _Pool:
             ]
             for t, ls in zip(trees, self.leaves)
         ]
+        bit = {x: 1 << a for a, x in enumerate(self.carrier)}
+        self.rows = [
+            tuple(sum(1 << b for b, x in enumerate(ls) if h & bit[x]) for ls in self.leaves)
+            for h in range(1 << len(self.carrier))
+        ]
+
+    def truths(self, h: int, width: int) -> list[int]:
+        """Per modality, the trees it values true under h, tree i at bit
+        i * width."""
+        vals = [tab[m] for tab, m in zip(self.tables, self.rows[h])]
+        return [sum(1 << i * width for i, v in enumerate(vals) if v[k]) for k in range(len(vals[0]))]
 
 
 def _bit_valuation(xs: tuple, m: int) -> Callable[[object], bool]:
     return {x: bool(m >> b & 1) for b, x in enumerate(xs)}.__getitem__
 
 
-def _reach(tl: tuple, pres: tuple) -> frozenset:
-    """The table index pairs (i, j) that Boolean valuations h of the left
-    elements reach, where bit b of i is h(tl[b]) and bit b of j is the join
-    of h over pres[b] (the right set R[h]: a right element is valued at the
-    join of h over its preimages, as in the tests' `simulation.right_set`).
-    Only the elements of tl and of pres move i or j, so h ranges over those
-    alone."""
-    deps = list(dict.fromkeys([*tl, *(a for p in pres for a in p)]))
-    out = set()
-    for bits in itertools.product((False, True), repeat=len(deps)):
-        h = dict(zip(deps, bits))
-        i = sum(1 << b for b, a in enumerate(tl) if h[a])
-        j = sum(1 << b for b, p in enumerate(pres) if any(h[a] for a in p))
-        out.add((i, j))
-    return frozenset(out)
-
-
 class _RelatorTables:
-    """The decision tables of one relator law; nothing here outlives it.
+    """The violation table of one pool pair, and relator membership decided
+    from it; nothing here outlives the law that made it.
 
-    (t, r) lies in the relator of R iff no valuation h reaches a pair (i, j)
-    of table indices at which some modality's value of t is not below its
-    value of r.  So each pool pair gets the violating pairs of every (t, r)
-    once, each leaf shape and preimage family gets its reached pairs once,
-    and each instance is one disjointness test.  The violation and decision
-    caches hold their pools in the key, never an `id`, so no key outlives or
-    mistakes its pool.
+    `bad[h][g]` holds the cells (t, r) at which some modality values t true
+    under the left valuation h and r false under the right valuation g, the
+    one way a Boolean value is not below another.  (t, r) lies in the
+    relator of R iff no h makes it violate against R[h], which values each
+    right element at the join of h over its preimages (as the tests'
+    `simulation.right_set` does): the join of R's rows over the bits of h.
+    So one decision ORs at most 2^|left carrier| violation masks.
     """
 
-    def __init__(self):
-        self.leq = BoolSpace().leq
-        self.reached: dict = {}
-        self.violations: dict = {}
-        self.decided: dict = {}
+    def __init__(self, left: _Pool, right: _Pool):
+        self.left, self.right = left, right
+        nr = len(right.trees)
+        self.full = (1 << len(left.trees) * nr) - 1
+        # per right valuation, the trees each modality values false
+        falses = [[(1 << nr) - 1 & ~m for m in right.truths(g, 1)] for g in range(len(right.rows))]
+        self.bad = []
+        for h in range(len(left.rows)):
+            trues, row = left.truths(h, nr), []
+            for fs in falses:
+                cells = 0
+                for lm, rm in zip(trues, fs):
+                    cells |= lm * rm  # bits at i * nr times a right mask: their cells
+                row.append(cells)
+            self.bad.append(row)
 
-    def _violations(self, left: _Pool, right: _Pool) -> list[list[frozenset]]:
-        got = self.violations.get((left, right))
-        if got is None:
-            leq = self.leq
-            got = self.violations[left, right] = [
-                [
-                    frozenset(
-                        (i, j)
-                        for i, tv in enumerate(ttab)
-                        for j, rv in enumerate(rtab)
-                        if not all(map(leq, tv, rv))
-                    )
-                    for rtab in right.tables
-                ]
-                for ttab in left.tables
-            ]
-        return got
+    def decide(self, rel: int) -> int:
+        """The relator membership of the relation `rel`."""
+        nr = len(self.right.carrier)
+        rows = [rel >> a * nr & (1 << nr) - 1 for a in range(len(self.left.carrier))]
+        bad = self.bad
+        reach = [0] * len(bad)  # reach[h] is R[h]
+        out = bad[0][0]
+        for h in range(1, len(bad)):
+            low = h & -h
+            reach[h] = reach[h ^ low] | rows[low.bit_length() - 1]
+            out |= bad[h][reach[h]]
+        return self.full & ~out
 
-    def decide(self, left: _Pool, right: _Pool, rel) -> tuple[tuple[bool, ...], ...]:
-        """Relator membership of every (t, r) in left x right, rows over t."""
-        pre: dict = {}
-        for a, b in rel:
-            pre.setdefault(b, set()).add(a)
-        rows = []
-        for tl, bad_row in zip(left.leaves, self._violations(left, right)):
-            row = []
-            for rl, bad in zip(right.leaves, bad_row):
-                key = (tl, tuple(frozenset(pre.get(y, ())) for y in rl))
-                reach = self.reached.get(key)
-                if reach is None:
-                    reach = self.reached[key] = _reach(*key)
-                row.append(reach.isdisjoint(bad))
-            rows.append(tuple(row))
-        return tuple(rows)
+    def members(self) -> list[int]:
+        """`decide` of every relation, indexed by the relation."""
+        return [self.decide(rel) for rel in range(1 << len(self.left.carrier) * len(self.right.carrier))]
 
-    def member(self, left: _Pool, right: _Pool, rel) -> tuple[tuple[bool, ...], ...]:
-        """`decide`, once per (left, right, rel)."""
-        key = (left, right, frozenset(rel))
-        got = self.decided.get(key)
-        if got is None:
-            got = self.decided[key] = self.decide(left, right, rel)
-        return got
+
+def _unions(parts: Sequence[int]) -> list[int]:
+    """The union of every subset of `parts`, in the order
+    `itertools.product((0, 1), repeat=len(parts))` lists the subsets."""
+    out = [0]
+    for p in parts:
+        out = [m | d for m in out for d in (0, p)]
+    return out
+
+
+def _pairs(rel: int, xs: Sequence, ys: Sequence) -> list:
+    """The pairs of the relation `rel`, sorted when xs and ys are."""
+    return [(x, y) for a, x in enumerate(xs) for b, y in enumerate(ys) if rel >> a * len(ys) + b & 1]
 
 
 def law_relator(max_carrier: int = 3) -> list[LawResult]:
     """The four relator laws, every instance (t, r, R) over the tree pools of
     small carriers decided exhaustively.  Each pool tree is folded once per
-    Boolean valuation of its distinct leaves, and each instance is decided
-    once from those tables (`_RelatorTables`)."""
+    Boolean valuation of its distinct leaves, and each instance is one bit
+    of a membership mask decided from those tables (`_RelatorTables`).  A
+    block of instances adds its checks at once, and adds its failure text
+    once per failing instance."""
     mods = list(bool_modalities(("nor",)).values())
     results = []
 
     def pool(carrier: Sequence) -> _Pool:
-        return _Pool(_tree_pool(carrier), mods)
+        return _Pool(carrier, _tree_pool(carrier), mods)
 
     # law 1: reflexive relations lift to reflexive relators
     runs, fails = 0, []
-    tables = _RelatorTables()  # one per law: each law has its own pools
     for n in range(1, max_carrier + 1):
         carrier = list(range(n))
         p = pool(carrier)
-        ident = {(x, x) for x in carrier}
-        off_diag = [(x, y) for x in carrier for y in carrier if x != y]
-        for k in range(len(off_diag) + 1):
-            for extra in itertools.combinations(off_diag, k):
-                rel = ident | set(extra)
-                m = tables.member(p, p, rel)
-                for i in range(len(p.trees)):
-                    runs += 1
-                    if not m[i][i]:
-                        fails.append(f"reflexivity broke at carrier {n}, rel {sorted(rel)}")
+        tables = _RelatorTables(p, p)
+        k = len(p.trees)
+        diag = sum(1 << i * (k + 1) for i in range(k))
+        ident = sum(1 << x * (n + 1) for x in carrier)
+        off_diag = [1 << x * n + y for x in carrier for y in carrier if x != y]
+        for size in range(len(off_diag) + 1):
+            for extra in itertools.combinations(off_diag, size):
+                rel = ident | sum(extra)
+                runs += k
+                broke = (diag & ~tables.decide(rel)).bit_count()
+                if broke:
+                    fails += [f"reflexivity broke at carrier {n}, rel {_pairs(rel, carrier, carrier)}"] * broke
     results.append(LawResult("e1 (relator reflexive)", "may/must", runs, tuple(fails)))
 
     # law 2: monotone in the relation
     runs, fails = 0, []
-    tables = _RelatorTables()
     for nx, ny in ((2, 2), (3, 2)):
         X, Y = list(range(nx)), list(range(100, 100 + ny))
-        cells = [(x, y) for x in X for y in Y]
         pool_x, pool_y = pool(X), pool(Y)
-        pairs = list(itertools.product(range(len(pool_x.trees)), range(len(pool_y.trees))))
-        for assignment in itertools.product((0, 1, 2), repeat=len(cells)):
-            # 0: in neither, 1: in S only, 2: in both R and S  (so R subset of S)
-            R = {c for c, a in zip(cells, assignment) if a == 2}
-            S = {c for c, a in zip(cells, assignment) if a >= 1}
-            in_r, in_s = tables.member(pool_x, pool_y, R), tables.member(pool_x, pool_y, S)
-            for i, j in pairs:
-                runs += 1
-                if in_r[i][j] and not in_s[i][j]:
-                    fails.append(f"monotonicity broke: R={sorted(R)} S={sorted(S)}")
+        member = _RelatorTables(pool_x, pool_y).members()
+        # each cell in neither, in S only, or in both R and S (so R subset of S)
+        pairs = [(0, 0)]
+        for c in range(nx * ny):
+            w = 1 << c
+            pairs = [(r | d, s | e) for r, s in pairs for d, e in ((0, 0), (0, w), (w, w))]
+        runs += len(pairs) * len(pool_x.trees) * len(pool_y.trees)
+        for R, S in pairs:
+            broke = (member[R] & ~member[S]).bit_count()
+            if broke:
+                fails += [f"monotonicity broke: R={_pairs(R, X, Y)} S={_pairs(S, X, Y)}"] * broke
     results.append(LawResult("e2 (relator monotone)", "may/must", runs, tuple(fails)))
 
     # law 3: composition
     runs, fails = 0, []
-    tables = _RelatorTables()
     X, Y, Z = [0, 1], [10, 11], [20, 21]
-    cells_r = [(x, y) for x in X for y in Y]
-    cells_s = [(y, z) for y in Y for z in Z]
     pool_x, pool_y, pool_z = pool(X), pool(Y), pool(Z)
-    triples = list(
-        itertools.product(
-            range(len(pool_x.trees)), range(len(pool_y.trees)), range(len(pool_z.trees))
-        )
-    )
-    for rbits in itertools.product((0, 1), repeat=4):
-        R = {c for c, b in zip(cells_r, rbits) if b}
-        in_r = tables.member(pool_x, pool_y, R)
-        for sbits in itertools.product((0, 1), repeat=4):
-            S = {c for c, b in zip(cells_s, sbits) if b}
-            RS = {(x, z) for (x, y) in R for (y2, z) in S if y == y2}
-            in_s, in_rs = tables.member(pool_y, pool_z, S), tables.member(pool_x, pool_z, RS)
-            for t, u, r in triples:
-                runs += 1
-                if in_r[t][u] and in_s[u][r] and not in_rs[t][r]:
-                    fails.append(f"composition broke: R={sorted(R)} S={sorted(S)}")
+    in_r = _RelatorTables(pool_x, pool_y).members()
+    in_s = _RelatorTables(pool_y, pool_z).members()
+    in_rs = _RelatorTables(pool_x, pool_z).members()
+    rels = _unions([1 << c for c in range(4)])
+    # per S, the composite of every R in `rels` with S: R's cell (a, b)
+    # contributes S's row b as row a
+    composites = [_unions([(S >> 2 * b & 3) << 2 * a for a in range(2) for b in range(2)]) for S in rels]
+    n = len(pool_y.trees)  # every pool has n trees
+    column, row = sum(1 << t * n for t in range(n)), (1 << n) - 1
+    for ri, R in enumerate(rels):
+        # per middle tree u, the trees t with (t, u) in R's relator, at bits t * n
+        cols = [in_r[R] >> u & column for u in range(n)]
+        for S, comp in zip(rels, composites):
+            ms, not_rs = in_s[S], ~in_rs[comp[ri]]
+            runs += n ** 3
+            # cols[u] times row u of S's relator: the (t, r) that pass through u
+            broke = sum((col * (ms >> u * n & row) & not_rs).bit_count() for u, col in enumerate(cols))
+            if broke:
+                fails += [f"composition broke: R={_pairs(R, X, Y)} S={_pairs(S, Y, Z)}"] * broke
     results.append(LawResult("e3 (relator composition)", "may/must", runs, tuple(fails)))
 
     # law 4: inverse images
     runs, fails = 0, []
-    tables = _RelatorTables()
     X, Y, Z, W = [0, 1], [10, 11], [20, 21], [30, 31]
     pool_x, pool_y = pool(X), pool(Y)
-    pairs = list(itertools.product(range(len(pool_x.trees)), range(len(pool_y.trees))))
-    cells = [(z, w) for z in Z for w in W]
+    lhs = _RelatorTables(pool_x, pool_y).members()
+    cells = len(pool_x.trees) * len(pool_y.trees)
     fs = [dict(zip(X, fbits)) for fbits in itertools.product(Z, repeat=2)]
     gs = [dict(zip(Y, gbits)) for gbits in itertools.product(W, repeat=2)]
     # the pools mapped by each f and by each g, shared by all their instances
-    f_pools = [_Pool([map_leaves(t, f.__getitem__) for t in pool_x.trees], mods) for f in fs]
-    g_pools = [_Pool([map_leaves(r, g.__getitem__) for r in pool_y.trees], mods) for g in gs]
+    f_pools = [_Pool(Z, [map_leaves(t, f.__getitem__) for t in pool_x.trees], mods) for f in fs]
+    g_pools = [_Pool(W, [map_leaves(r, g.__getitem__) for r in pool_y.trees], mods) for g in gs]
     for f, f_pool in zip(fs, f_pools):
         for g, g_pool in zip(gs, g_pools):
-            for rbits in itertools.product((0, 1), repeat=4):
-                R = {c for c, b in zip(cells, rbits) if b}
-                pre = {(x, y) for x in X for y in Y if (f[x], g[y]) in R}
-                lhs = tables.member(pool_x, pool_y, pre)
-                # each (f, g, R) comes up once, so its images are not cached
-                rhs = tables.decide(f_pool, g_pool, R)
-                for i, j in pairs:
-                    runs += 1
-                    if lhs[i][j] != rhs[i][j]:
-                        fails.append(f"inverse image broke: f={f} g={g} R={sorted(R)}")
+            rhs = _RelatorTables(f_pool, g_pool).members()
+            # the preimage of every R in `rels`: R's cell (f(x), g(y)) contributes (x, y)
+            images = [2 * Z.index(f[x]) + W.index(g[y]) for x in X for y in Y]
+            pres = _unions([sum(1 << c for c, k in enumerate(images) if k == cell) for cell in range(4)])
+            runs += len(rels) * cells
+            for R, pre in zip(rels, pres):
+                broke = (lhs[pre] ^ rhs[R]).bit_count()
+                if broke:
+                    fails += [f"inverse image broke: f={f} g={g} R={_pairs(R, Z, W)}"] * broke
     results.append(LawResult("e4 (relator inverse image)", "may/must", runs, tuple(fails)))
     return results
 

@@ -1,9 +1,11 @@
 """tools/bench_record.py: one real pair of benchmark runs on each of two
-workloads, and the summary rule on fixed numbers."""
+workloads, the summary rule on fixed numbers, and which directories have a
+HEAD of their own."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench_record.py")
@@ -25,7 +27,12 @@ def test_one_pair_at_the_repo_root(tmp_path, capsys):
     assert sorted(doc) == ["checkouts", "cpu_count", "python", "seconds", "seeds", "workloads"]
     assert doc["seeds"] == [1] and list(doc["workloads"]) == workloads
     for entry in doc["workloads"].values():
-        assert sorted(entry) == ["runs", "summary"]
+        assert sorted(entry) == ["counters", "runs", "summary"]
+        # one traced run per side and seed; the same code counts the same work
+        ((seed, sides),) = entry["counters"].items()
+        assert seed == "1" and sorted(sides) == ["child", "parent"]
+        assert {"laws.checks", "modality.folds", "trees.nodes_built"} <= set(sides["parent"])
+        assert sides["parent"] == sides["child"]
         (run,) = entry["runs"]
         assert run["first"] == "parent" and run["seed"] == 1
         for side in ("parent", "child"):
@@ -37,9 +44,26 @@ def test_one_pair_at_the_repo_root(tmp_path, capsys):
             assert s["pairs"] == 1 and s["unresolved"] is False
     printed = capsys.readouterr().out.splitlines()
     for k, w in enumerate(workloads):
-        block = printed[len(printed) - 8 * (len(workloads) - k):][:8]
+        block = printed[len(printed) - 9 * (len(workloads) - k):][:9]
         assert block[0] == f"{w}:"
-        assert [line.split(":")[0].strip() for line in block[1:]] == END_TO_END
+        assert [line.split(":")[0].strip() for line in block[1:8]] == END_TO_END
+        assert block[8].strip() == "counters at seed 1: identical"
+
+
+def test_git_head_reads_only_the_checkout_itself(tmp_path):
+    # a plain directory inside a repository is no checkout: no HEAD, not the
+    # enclosing repository's
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("-c", "user.name=bench", "-c", "user.email=bench@example.invalid", "-c", "commit.gpgsign=false",
+        "commit", "-q", "--allow-empty", "-m", "x")
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    head = bench_record.git_head(str(tmp_path))
+    assert head is not None and len(head) == 40
+    assert bench_record.git_head(str(plain)) is None
 
 
 def test_summary_counts_wins_and_marks_a_wide_parent_unresolved():

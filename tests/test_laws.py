@@ -484,28 +484,36 @@ def _reference_law_relator(max_carrier, mods):
 
 
 def test_relator_tables_decide_every_instance_as_the_reference(monkeypatch):
-    # every relator instance e1-e4 read is a cell of a matrix `decide` made;
-    # each cell must match the table-free reference decision
+    # every relator instance e1-e4 read is a bit of a membership mask that
+    # `decide` made; each bit must match the table-free reference decision
     from cbpv_quant import laws
 
     mods = bool_modalities(("nor",))
     made = []
     decide = laws._RelatorTables.decide
 
-    def recording(self, left, right, rel):
-        out = decide(self, left, right, rel)
-        made.append((left, right, set(rel), out))
+    def recording(self, rel):
+        out = decide(self, rel)
+        made.append((self.left, self.right, rel, out))
         return out
 
     monkeypatch.setattr(laws._RelatorTables, "decide", recording)
     assert all(r.passed for r in laws.law_relator(max_carrier=2))
     cells = 0
     for left, right, rel, out in made:
+        width = len(right.carrier)
+        pairs = {
+            (x, y)
+            for a, x in enumerate(left.carrier)
+            for b, y in enumerate(right.carrier)
+            if rel >> a * width + b & 1
+        }
         for i, t in enumerate(left.trees):
             for j, r in enumerate(right.trees):
                 cells += 1
-                assert out[i][j] == _o_rel(t, r, rel, mods), (t, r, sorted(rel))
-    assert cells == 25 * len(made) and len(made) == 5 + 80 + 48 + 16 + 256
+                got = bool(out >> i * len(right.trees) + j & 1)
+                assert got == _o_rel(t, r, pairs, mods), (t, r, sorted(pairs))
+    assert len(made) == 5 + 80 + 48 + 16 + 256 and cells == 25 * len(made) == 10125
 
 
 def test_relator_runs_are_pinned():
@@ -514,24 +522,75 @@ def test_relator_runs_are_pinned():
     assert [r.runs for r in law_relator(2)] == [25, 20250, 32000, 6400]
 
 
-def test_broken_must_fails_the_relator_laws_as_the_reference(monkeypatch):
-    # a `must` that is not monotone in its second child breaks the relator
-    # laws; the tables must report the reference's failures, in its order
+def _relator_failures_as_the_reference(monkeypatch, mode, rule):
+    # law e with one nor rule swapped, at the default carrier size, the only
+    # one with 8 x 8 valuation tables: the tables must report the reference's
+    # failures, one per failing instance, in its order
     from cbpv_quant import laws
     from cbpv_quant.modality import OpRule
 
     good = bool_modalities(("nor",))
     broken = dict(good)
-    bad_nor = OpRule(lambda node, kids: kids[0] and not kids[1])
-    broken["must"] = replace(good["must"], rules={"nor": bad_nor})
+    broken[mode] = replace(good[mode], rules={"nor": OpRule(rule)})
     monkeypatch.setattr(laws, "bool_modalities", lambda ops: broken)
-    got = laws.law_relator(max_carrier=2)
-    want = _reference_law_relator(2, broken)
+    got = laws.law_relator(max_carrier=3)
+    want = _reference_law_relator(3, broken)
     assert [(r.law, r.runs) for r in got] == [(r.law, r.runs) for r in want]
-    # composition survives this mutation; the other three laws break
-    assert [bool(r.failures) for r in got] == [True, True, False, True]
     for g, w in zip(got, want):
         assert g.failures == w.failures, g.law
+    return [bool(r.failures) for r in got]
+
+
+def test_broken_must_fails_the_relator_laws_as_the_reference(monkeypatch):
+    # a `must` that is not monotone in its second child: composition survives
+    broke = _relator_failures_as_the_reference(monkeypatch, "must", lambda node, kids: kids[0] and not kids[1])
+    assert broke == [True, True, False, True]
+
+
+def test_antitone_may_fails_the_relator_laws_as_the_reference(monkeypatch):
+    # a `may` that is antitone in its first child: composition survives
+    broke = _relator_failures_as_the_reference(monkeypatch, "may", lambda node, kids: not kids[0] or kids[1])
+    assert broke == [True, True, False, True]
+
+
+def test_composition_counts_its_failing_instances_one_by_one(monkeypatch):
+    # no nor rule breaks composition, so feed law e3 seeded random membership
+    # masks and count its failures instance by instance, as the loop before
+    # masks did
+    import itertools
+    import random
+
+    from cbpv_quant import laws
+
+    rng = random.Random(5)
+    made = []
+
+    def members(self):
+        cells = len(self.left.trees) * len(self.right.trees)
+        out = [rng.getrandbits(cells) for _ in range(1 << len(self.left.carrier) * len(self.right.carrier))]
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(laws._RelatorTables, "members", members)
+    e3 = laws.law_relator(max_carrier=1)[2]
+    in_r, in_s, in_rs = made[2:5]  # after law e2's two pool pairs
+
+    def mask(rel, xs, ys):
+        return sum(1 << 2 * xs.index(x) + ys.index(y) for x, y in rel)
+
+    X, Y, Z = [0, 1], [10, 11], [20, 21]
+    fails = []
+    for rbits in itertools.product((0, 1), repeat=4):
+        R = {c for c, b in zip(itertools.product(X, Y), rbits) if b}
+        for sbits in itertools.product((0, 1), repeat=4):
+            S = {c for c, b in zip(itertools.product(Y, Z), sbits) if b}
+            RS = {(x, z) for (x, y) in R for (y2, z) in S if y == y2}
+            r, s, rs = in_r[mask(R, X, Y)], in_s[mask(S, Y, Z)], in_rs[mask(RS, X, Z)]
+            for t, u, v in itertools.product(range(5), repeat=3):
+                if r >> 5 * t + u & 1 and s >> 5 * u + v & 1 and not rs >> 5 * t + v & 1:
+                    fails.append(f"composition broke: R={sorted(R)} S={sorted(S)}")
+    assert e3.runs == 32000 and len(fails) > 1000
+    assert e3.failures == tuple(fails)
 
 
 def test_relator_folds_every_pool_tree_on_every_call(monkeypatch):

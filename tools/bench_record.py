@@ -8,8 +8,10 @@ PARENT and CHILD are checkout directories.  Each pair runs the checkout's own
 the side that runs first alternates from pair to pair, and pair i uses the
 i-th of the comma-separated seeds, cycling.  Pair i of every comma-separated
 workload runs before pair i + 1 of any, so a slow stretch of the host falls
-on all workloads alike.  Only the last line of each run's standard output,
-its JSON result, is read.
+on all workloads alike.  Before the pairs, each side runs once per workload
+and seed with `--trace 1 --seconds 0`, for the counters that do not depend
+on the host.  Only the last line of each run's standard output, its JSON
+result, is read.
 
 The output file holds, per workload, every run's end-to-end metrics and
 `correct` flag, and per metric each side's median and quartiles, the median
@@ -17,7 +19,11 @@ ratio (child over parent), the bound from CHILD's `BENCHMARK.json` and the
 number of pairs the child won.  A metric is "unresolved" when the parent's
 interquartile range, relative to its median, is wider than the bound: the
 runs then spread too widely to tell a change within the bound from none.
-The same table is printed, per workload.  Standard library only.
+Beside them, under "counters", it holds per seed each side's count-unit
+metrics of the traced run.  The same table is printed, per workload, with
+one line per seed saying whether the two sides' counters are identical.
+Each checkout's HEAD is recorded when the checkout is the top of a git work
+tree, and null otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,11 +39,15 @@ import sys
 SIDES = ("parent", "child")
 
 
-def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def bench_result(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    result = bench_result(checkout, workload, seed, seconds, 0)
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
@@ -46,9 +56,25 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def exact_counters(checkout: str, workload: str, seed: int) -> dict:
+    """The count-unit metrics of one traced pass over the seed's first round."""
+    result = bench_result(checkout, workload, seed, 0, 1)
+    return {k: v["value"] for k, v in result["metrics"].items() if v["unit"] == "count"}
+
+
 def git_head(checkout: str):
-    out = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else None
+    """The checkout's HEAD, or None unless the checkout is the top of a git
+    work tree: a plain directory inside another repository has no HEAD of
+    its own."""
+
+    def git(*args):
+        out = subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or os.path.realpath(top) != os.path.realpath(checkout):
+        return None
+    return git("rev-parse", "HEAD")
 
 
 def quartiles(xs: list) -> dict:
@@ -99,6 +125,15 @@ def report_lines(summary: dict) -> list:
     return lines
 
 
+def counter_lines(counters: dict) -> list:
+    lines = []
+    for seed, sides in counters.items():
+        parent, child = sides["parent"], sides["child"]
+        differ = [k for k in sorted(parent.keys() | child.keys()) if parent.get(k) != child.get(k)]
+        lines.append(f"counters at seed {seed}: " + (f"differ in {', '.join(differ)}" if differ else "identical"))
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
@@ -117,6 +152,10 @@ def main(argv=None) -> int:
     with open(os.path.join(paths["child"], "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
 
+    counters = {
+        w: {str(seed): {side: exact_counters(paths[side], w, seed) for side in SIDES} for seed in dict.fromkeys(seeds)}
+        for w in workloads
+    }
     runs = {w: [] for w in workloads}
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
@@ -130,7 +169,9 @@ def main(argv=None) -> int:
                 f"{side} checks_per_s {pair[side]['metrics']['checks_per_s']:.4g}" for side in order
             ), flush=True)
 
-    entries = {w: {"runs": runs[w], "summary": summarize(runs[w], end_to_end)} for w in workloads}
+    entries = {
+        w: {"runs": runs[w], "summary": summarize(runs[w], end_to_end), "counters": counters[w]} for w in workloads
+    }
     doc = {
         "workloads": entries,
         "seeds": seeds,
@@ -143,7 +184,7 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
     for w, entry in entries.items():
         print(f"{w}:")
-        for line in report_lines(entry["summary"]):
+        for line in report_lines(entry["summary"]) + counter_lines(entry["counters"]):
             print("  " + line)
     return 0
 
