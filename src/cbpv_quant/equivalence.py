@@ -8,6 +8,11 @@ argument pools); the tool never asserts unbounded equivalence.
 
 Both searches read one `FormulaSuite`: `compare` scans its formulas, and
 `find_distinguishing_formula` walks its levels, smallest size first.
+`compare` evaluates the whole suite on each term with
+`Satisfier.satisfies_all`, whose modal formulas of one modality on one
+subterm fold in one walk of `modality.power`, cached on the modality.  The
+search asks `Satisfier.satisfies` one formula at a time, so it still stops
+at the first witness without folding the rest of its level.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ class NoDistinctionFound:
 Verdict = Union[Distinguished, RefinesUpTo, NoDistinctionFound]
 
 _TAGS = {"leq": "left_not_below_right", "geq": "right_not_below_left"}
+_PASSES = {"leq": ("leq",), "geq": ("geq",), "both": ("geq", "leq")}
 
 
 def compare(
@@ -85,6 +91,11 @@ def compare(
     forward direction, so for mutually incomparable pairs the reported
     witness is the one violating `right below left`.
     """
+    passes = _PASSES.get(direction)
+    if passes is None:
+        raise EquivalenceError(
+            f"compare direction must be one of {', '.join(_PASSES)}; got {direction!r}"
+        )
     space = satisfier.space
     lt = satisfier.type_of(left)
     rt = satisfier.type_of(right)
@@ -92,11 +103,11 @@ def compare(
         raise EquivalenceError(
             f"compare needs both terms at the suite type {suite.target}; got {lt} and {rt}"
         )
-    evaluated = [
-        (phi, satisfier.satisfies(left, phi, fuel).interval, satisfier.satisfies(right, phi, fuel).interval)
-        for phi in suite.formulas
-    ]
-    passes = {"leq": ("leq",), "geq": ("geq",), "both": ("geq", "leq")}[direction]
+    evaluated = list(zip(
+        suite.formulas,
+        satisfier.satisfies_all(left, suite.formulas, fuel),
+        satisfier.satisfies_all(right, suite.formulas, fuel),
+    ))
     certified = 0
     inconclusive = 0
     for mode in passes:

@@ -501,7 +501,11 @@ def law_congruence(
     seed: int = 0,
 ) -> LawResult:
     """Contexts around candidate-equivalent pairs, compared over the suite of
-    `runtime.config.suite_size` at `runtime.config.fuel`."""
+    `runtime.config.suite_size` at `runtime.config.fuel`.
+
+    The candidates are equivalent by construction, so one that the bounded
+    `compare` already distinguishes is a failure line and stays out of the
+    trials; with no candidate left, no trial runs."""
     _check_trials(trials)
     rng = random.Random(seed)
     sat = Satisfier(runtime.signature, runtime.modalities, runtime.space, runtime.width)
@@ -509,15 +513,18 @@ def law_congruence(
     ty = ProducerType(NAT)
     fuel = runtime.config.fuel
     suite = enumerate_basic_formulas(ty, runtime.config.suite_size, pools, runtime.modalities)
-    candidates = [
-        (m, n)
-        for (m, n) in _equivalent_pairs(runtime, rng)
-        if sat.type_of(m) == ty
-        and not isinstance(compare(m, n, suite, fuel, sat), Distinguished)
-    ]
+    candidates = []
     failures = []
+    for m, n in _equivalent_pairs(runtime, rng):
+        if sat.type_of(m) != ty:
+            continue
+        verdict = compare(m, n, suite, fuel, sat)
+        if isinstance(verdict, Distinguished):
+            failures.append(f"candidate {m} ~ {n} distinguished before any context via {verdict.formula}")
+        else:
+            candidates.append((m, n))
     runs = 0
-    for i in range(trials):
+    for i in range(trials if candidates else 0):
         m, n = candidates[rng.randrange(len(candidates))]
         ctx = _context_pool(runtime, rng)
         cm, cn = ctx(m), ctx(n)

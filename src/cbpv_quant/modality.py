@@ -15,7 +15,8 @@ The recurrence itself is a test oracle (`tests/spec.py`), which the tests
 hold the fold to.
 
 One walk serves k leaf valuations at once when it folds `power(q, k)`, the
-modality applying q's combinators position by position to k-tuples.
+modality applying q's combinators position by position to k-tuples; it is
+built once per modality and k and kept on q.
 `denote_limit` is the fold with Unknown at bot.  `evaluate_interval` folds
 q^2 with Unknown at (bot, top) and each leaf payload x at its (lo, hi) pair
 leaf(x): the lower bound sends Unknown to bot, the upper to top.  Both are
@@ -84,10 +85,11 @@ class ModalitySpec:
         return {op: (r.fn, r.family_consult) for op, r in self.rules.items()}
 
     @cached_property
-    def _pair(self) -> ModalitySpec:
-        """power(self, 2), the modality whose one fold gives both bounds of
-        `evaluate_interval`."""
-        return power(self, 2)
+    def _powers(self) -> dict[int, ModalitySpec]:
+        """k -> power(self, k), each built once: k = 2 gives both bounds of
+        `evaluate_interval` in one fold, and `Satisfier.satisfies_all` folds
+        power(self, k) for a batch of k modal formulas."""
+        return {}
 
     def __repr__(self):
         return f"<Modality {self.name} over {self.space.name}>"
@@ -168,7 +170,10 @@ def power(q: ModalitySpec, k: int) -> ModalitySpec:
     """q^k over k-tuples: each combinator applied position by position, so
     one fold under a leaf valuation into k-tuples is k folds of q, one per
     position.  A node without children (an error lift's raise[e]) still
-    gives k values."""
+    gives k values.  Built once per modality and k, and kept on q."""
+    qk = q._powers.get(k)
+    if qk is not None:
+        return qk
 
     def lift(rule: OpRule) -> OpRule:
         fn = rule.fn
@@ -180,7 +185,9 @@ def power(q: ModalitySpec, k: int) -> ModalitySpec:
 
         return OpRule(pointwise, rule.family_consult)
 
-    return ModalitySpec(f"{q.name}^{k}", PowerSpace(q.space, k), {op: lift(r) for op, r in q.rules.items()})
+    rules = {op: lift(r) for op, r in q.rules.items()}
+    qk = q._powers[k] = ModalitySpec(f"{q.name}^{k}", PowerSpace(q.space, k), rules)
+    return qk
 
 
 def sufficient_depth(q: ModalitySpec, t: EffectTree, memo: Optional[dict] = None) -> int:
@@ -217,7 +224,7 @@ def evaluate_interval(
     # as the checks known to fail that way expect; it goes when the fold
     # becomes stack-safe.
     sufficient_depth(q, t)
-    lo, hi = _fold(t, q._pair, leaf, (q.space.bot, q.space.top), {})
+    lo, hi = _fold(t, power(q, 2), leaf, (q.space.bot, q.space.top), {})
     assert_interval_order(q.space, lo, hi)
     return Interval(lo, hi)
 

@@ -4,14 +4,15 @@ Results are certified intervals.  Modal formulas measure the term's effect
 tree at the given fuel, built once per term and fuel by `Satisfier.tree`, in
 one walk that carries a lower and an upper bound per node; leaf-monotonicity
 of the shipped modalities makes the sandwich sound.  Each modal subformula is
-measured once per term and fuel, however many formulas share it.
+measured once per term and fuel, however many formulas share it, and a
+suite's modal formulas of one modality on one term fold in one walk.
 On recursion-free programs every result is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .formulas import (
     AndF,
@@ -35,7 +36,7 @@ from .formulas import (
 )
 from .lattice import StateTableSpace, TruthSpace
 from .machine import eval_tree
-from .modality import Interval, ModalitySpec, evaluate_interval
+from .modality import Interval, ModalitySpec, evaluate_interval, power
 from .syntax import (
     Apply,
     CbpvError,
@@ -64,6 +65,25 @@ class SatResult:
     fuel_used: int
 
 
+_DISSECTORS = (ThunkF, InjF, FstF, SndF, ArgF, ProjF)
+
+
+def _dissect(term: GenTerm, phi: Formula) -> Optional[GenTerm]:
+    """The subterm on which a dissector formula (`_DISSECTORS`) measures its
+    body, or None when an injection formula's label is not the value's."""
+    if isinstance(phi, ThunkF):
+        return Force(term)
+    if isinstance(phi, ArgF):
+        return Apply(term, phi.arg)
+    if isinstance(phi, ProjF):
+        return Proj(term, phi.label)
+    if isinstance(phi, InjF):
+        assert isinstance(term, Inj)
+        return term.arg if term.label == phi.label else None
+    assert isinstance(term, Pair)
+    return term.fst if isinstance(phi, FstF) else term.snd
+
+
 class Satisfier:
     """Evaluates formulas on terms and memoises what they share.
 
@@ -75,6 +95,13 @@ class Satisfier:
     once.  Modal intervals live as long as the trees: a call at another fuel
     drops both, while the types are held for the Satisfier's lifetime.
     Formulas are checked against the term's type on every call.
+
+    `satisfies_all` evaluates a whole suite on one term, as `compare` does
+    for each side: the modal formulas it reaches outside any modality that
+    share a subterm and a modality fold once, as one walk of power(q, k),
+    and their k intervals go into the memo before the formulas are
+    evaluated.  `satisfies` folds each modal formula on its own, so a
+    search that stops at its first witness folds no more than it reads.
 
     Modal intervals are keyed by equality, so formulas that compare equal
     share one entry: after `E<const 1.0>`, `E<const 1>` on the same term
@@ -134,6 +161,49 @@ class Satisfier:
         iv = self._eval(term, phi, fuel)
         return SatResult(iv, fuel)
 
+    def satisfies_all(self, term: GenTerm, formulas: Sequence[Formula], fuel: int) -> list[Interval]:
+        """`satisfies(term, phi, fuel).interval` for each formula, in order.
+
+        The modal subformulas the formulas reach outside any modality are
+        grouped by the subterm they measure and their modality; a group of
+        k >= 2 not yet measured folds power(q, k) once, and each formula is
+        then evaluated with its modal intervals already in the memo.
+        """
+        if fuel < 1:
+            raise SatisfactionError("fuel must be positive")
+        ty = self.type_of(term)
+        for phi in formulas:
+            check_formula(phi, ty, self.modalities, self.space, self.sig)
+        groups: dict[tuple[GenTerm, str], dict[Modal, None]] = {}
+        for phi in formulas:
+            self._reached(term, phi, groups)
+        for (sub, name), group in groups.items():
+            if len(group) > 1:
+                self._modal_batch(sub, self.modalities[name], list(group), fuel)
+        return [self._eval(term, phi, fuel) for phi in formulas]
+
+    def _reached(self, term: GenTerm, phi: Formula, groups: dict) -> None:
+        """Add each modal subformula that `_eval(term, phi)` measures outside
+        any modality to `groups`, keyed by (subterm, modality); one with
+        unhashable parts is left out, for `_modal` to fold on its own."""
+        if isinstance(phi, Modal):
+            try:
+                groups.setdefault((term, phi.modality), {})[phi] = None
+            except TypeError:
+                pass
+        elif isinstance(phi, _DISSECTORS):
+            sub = _dissect(term, phi)
+            if sub is not None:
+                self._reached(sub, phi.body, groups)
+        elif isinstance(phi, (OrF, AndF)):
+            for p in phi.members:
+                self._reached(term, p, groups)
+        elif isinstance(phi, MixF):
+            self._reached(term, phi.opt, groups)
+            self._reached(term, phi.pess, groups)
+        elif isinstance(phi, (StepF, NegF, SigmaMuF)):
+            self._reached(term, phi.body, groups)
+
     # ---- structural evaluation; typing is established before entry
 
     def _eval(self, term: GenTerm, phi: Formula, fuel: int) -> Interval:
@@ -141,23 +211,11 @@ class Satisfier:
         if isinstance(phi, NatEq):
             v = space.top if numeral_value(term) == phi.n else space.bot
             return Interval(v, v)
-        if isinstance(phi, ThunkF):
-            return self._eval(Force(term), phi.body, fuel)
-        if isinstance(phi, InjF):
-            assert isinstance(term, Inj)
-            if term.label != phi.label:
+        if isinstance(phi, _DISSECTORS):
+            sub = _dissect(term, phi)
+            if sub is None:
                 return Interval(space.bot, space.bot)
-            return self._eval(term.arg, phi.body, fuel)
-        if isinstance(phi, FstF):
-            assert isinstance(term, Pair)
-            return self._eval(term.fst, phi.body, fuel)
-        if isinstance(phi, SndF):
-            assert isinstance(term, Pair)
-            return self._eval(term.snd, phi.body, fuel)
-        if isinstance(phi, ArgF):
-            return self._eval(Apply(term, phi.arg), phi.body, fuel)
-        if isinstance(phi, ProjF):
-            return self._eval(Proj(term, phi.label), phi.body, fuel)
+            return self._eval(sub, phi.body, fuel)
         if isinstance(phi, Modal):
             return self._modal(term, phi, fuel)
         if isinstance(phi, (OrF, AndF)):
@@ -214,6 +272,32 @@ class Satisfier:
         if key is not None:
             self._modals[key] = iv
         return iv
+
+    def _modal_batch(self, term: ComTerm, q: ModalitySpec, phis: list[Modal], fuel: int) -> None:
+        """Measure the modal formulas `phis`, all of modality q, on the term:
+        one fold of power(q, k) for the k of them not yet in the memo, when
+        k >= 2; a single one is left to `_modal`."""
+        tree = self.tree(term, fuel)
+        todo = [phi for phi in phis if (term, phi) not in self._modals]
+        if len(todo) < 2:
+            return
+        bodies = [phi.body for phi in todo]
+        cache: dict = {}
+
+        def leaf_bounds(leaf) -> tuple:
+            got = cache.get(leaf)
+            if got is None:
+                if not isinstance(leaf, Return):
+                    raise SatisfactionError(
+                        f"modal formula over a non-producing terminal {leaf}"
+                    )
+                ivs = [self._eval(leaf.value, body, fuel) for body in bodies]
+                got = cache[leaf] = (tuple([iv.lo for iv in ivs]), tuple([iv.hi for iv in ivs]))
+            return got
+
+        iv = evaluate_interval(power(q, len(todo)), tree, leaf_bounds)
+        for phi, lo, hi in zip(todo, iv.lo, iv.hi):
+            self._modals[(term, phi)] = Interval(lo, hi)
 
     def _sigma_mu(self, term: GenTerm, phi: SigmaMuF, fuel: int) -> Interval:
         space = self.space

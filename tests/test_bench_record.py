@@ -17,26 +17,43 @@ END_TO_END = ["setup_s", "checks_per_s", "check_p50_ms", "check_p90_ms", "pass_s
 
 
 def test_one_pair_at_the_repo_root(tmp_path, capsys):
-    # two workloads, one pair each: one entry per workload, in the order given
+    # two workloads, one pair each: one entry per workload, in the order
+    # given; deep-fuel fails its known-defect checks
     out = tmp_path / "bench.json"
-    workloads = ["suite-compare", "law-suites"]
+    workloads = ["suite-compare", "deep-fuel"]
     argv = [ROOT, ROOT, "--workload", ",".join(workloads), "--seed", "1", "--pairs", "1",
             "--seconds", "0", "--out", str(out)]
     assert bench_record.main(argv) == 0
     doc = json.loads(out.read_text())
     assert sorted(doc) == ["checkouts", "cpu_count", "python", "seconds", "seeds", "workloads"]
     assert doc["seeds"] == [1] and list(doc["workloads"]) == workloads
-    for entry in doc["workloads"].values():
-        assert sorted(entry) == ["counters", "runs", "summary"]
+    for w, entry in doc["workloads"].items():
+        assert sorted(entry) == ["counters", "fixed_work", "runs", "summary"]
         # one traced run per side and seed; the same code counts the same work
         ((seed, sides),) = entry["counters"].items()
         assert seed == "1" and sorted(sides) == ["child", "parent"]
         assert {"laws.checks", "modality.folds", "trees.nodes_built"} <= set(sides["parent"])
         assert sides["parent"] == sides["child"]
+        # one untraced run per side and seed at a fixed amount of work: its
+        # memory and its failed checks, the same on both sides
+        ((seed, sides),) = entry["fixed_work"].items()
+        assert seed == "1" and sorted(sides) == ["child", "parent"]
+        for fixed in sides.values():
+            assert sorted(fixed) == ["correct", "failed_checks", "peak_rss_mb"]
+            assert fixed["peak_rss_mb"] > 0
+        failed = sides["parent"]["failed_checks"]
+        assert failed == sides["child"]["failed_checks"] == sorted(failed)
+        if w == "deep-fuel":
+            # the known defects (ROADMAP item 14); which ones depends on the
+            # interpreter's stack, so only their shape is pinned
+            assert failed and all(f.startswith("deep/") and ": " in f for f in failed)
+        else:
+            assert failed == [] and sides["parent"]["correct"] is True
         (run,) = entry["runs"]
         assert run["first"] == "parent" and run["seed"] == 1
         for side in ("parent", "child"):
-            assert run[side]["correct"] is True
+            if w != "deep-fuel":
+                assert run[side]["correct"] is True
             assert sorted(run[side]["metrics"]) == sorted(END_TO_END)
         assert list(entry["summary"]) == END_TO_END
         for s in entry["summary"].values():
@@ -44,10 +61,13 @@ def test_one_pair_at_the_repo_root(tmp_path, capsys):
             assert s["pairs"] == 1 and s["unresolved"] is False
     printed = capsys.readouterr().out.splitlines()
     for k, w in enumerate(workloads):
-        block = printed[len(printed) - 9 * (len(workloads) - k):][:9]
+        block = printed[len(printed) - 10 * (len(workloads) - k):][:10]
         assert block[0] == f"{w}:"
         assert [line.split(":")[0].strip() for line in block[1:8]] == END_TO_END
         assert block[8].strip() == "counters at seed 1: identical"
+        n = len(doc["workloads"][w]["fixed_work"]["1"]["parent"]["failed_checks"])
+        assert block[9].strip().startswith("fixed work at seed 1: peak_rss_mb ")
+        assert block[9].endswith(f"; failed checks identical ({n} -> {n})")
 
 
 def test_git_head_reads_only_the_checkout_itself(tmp_path):

@@ -477,3 +477,15 @@ def test_compare_rejects_mismatched_types(cost_nondet_rt, cost_terms):
     thunked = parse_program("return thunk (return 7)", rt.signature)
     with pytest.raises(EquivalenceError, match="suite type"):
         compare(M, thunked, suite, 8, sat)
+
+
+def test_compare_rejects_an_unknown_direction_before_evaluating(cost_nondet_rt, cost_terms):
+    from cbpv_quant.equivalence import EquivalenceError
+
+    rt = cost_nondet_rt
+    sat = _sat(rt)
+    M, N, _ = cost_terms
+    suite = enumerate_basic_formulas(parse_ctype("F nat"), 2, POOLS, rt.modalities)
+    with pytest.raises(EquivalenceError, match="direction"):
+        compare(M, N, suite, 8, sat, direction="bogus")
+    assert not sat._trees

@@ -68,6 +68,30 @@ def test_congruence_smoke():
     assert r.runs > 0
 
 
+def test_congruence_reports_a_distinguished_candidate(monkeypatch):
+    # a candidate that bounded compare already tells apart is a failure
+    # line, not a pair silently dropped, and never enters the trials
+    import cbpv_quant.laws as laws
+    from cbpv_quant.parser import parse_program
+
+    rt = build_runtime(RunConfig(signature="prob"))
+    real = laws._equivalent_pairs
+    zero, one = (parse_program(t, rt.signature) for t in ("return 0", "return 1"))
+
+    def planted(runtime, rng):
+        return [(zero, one)] + real(runtime, rng)
+
+    monkeypatch.setattr(laws, "_equivalent_pairs", planted)
+    r = law_congruence(rt, trials=20, seed=3)
+    assert r.failures[0] == "candidate return 0 ~ return 1 distinguished before any context via E<{1}>"
+    assert len(r.failures) == 1 and r.runs > 0
+    # with every candidate distinguished, no trial runs
+    monkeypatch.setattr(laws, "_equivalent_pairs", lambda runtime, rng: [(zero, one), (one, zero)])
+    r = law_congruence(rt, trials=20, seed=3)
+    assert r.runs == 0 and len(r.failures) == 2
+    assert all(f.startswith("candidate ") for f in r.failures)
+
+
 def test_failing_law_is_reported():
     # a deliberately broken "modality" whose nor-rule inverts one side must
     # trip leaf-monotonicity

@@ -1,6 +1,10 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+
+from cbpv_quant.config import RunConfig, build_runtime
 
 from cbpv_quant.formulas import (
     AndF,
@@ -15,9 +19,13 @@ from cbpv_quant.formulas import (
     StepF,
     parse_formula,
 )
+from cbpv_quant.generators import TermGen, generate_program
+from cbpv_quant.lattice import StateTableSpace
 from cbpv_quant.parser import parse_program
 from cbpv_quant.satisfaction import SatisfactionError, Satisfier, satisfies_exact
+from cbpv_quant.suites import Pools, enumerate_basic_formulas
 from cbpv_quant.syntax import numeral
+from spec import parse_ctype, parse_vtype
 
 
 def _sat(rt):
@@ -390,6 +398,29 @@ def test_compare_builds_one_tree_per_term(prob_nondet_rt, monkeypatch):
     assert built == [(left, 8), (right, 8)]
 
 
+@pytest.mark.parametrize("text", ["F nat", "nat -> F nat"])
+def test_compare_folds_once_per_term_and_modality(prob_nondet_rt, monkeypatch, text):
+    # a suite's modal formulas of one modality on one subterm fold as one
+    # walk of power(q, k): one fold per term, argument and modality, not
+    # one per formula
+    from collections import Counter
+
+    from cbpv_quant.equivalence import compare
+
+    rt = prob_nondet_rt
+    ty = parse_ctype(text)
+    suite = enumerate_basic_formulas(ty, 4, Pools(numerals=(0, 1, 2)), rt.modalities)
+    rng = random.Random(5)
+    left, right = (generate_program(rng, rt.signature, 3, ty) for _ in range(2))
+    assert left != right
+    folds = _count_folds(monkeypatch)
+    compare(left, right, suite, 8, _sat(rt))
+    args = 3 if text.startswith("nat") else 1
+    k = len(suite.formulas) // (args * len(rt.modalities))
+    assert k > 2
+    assert Counter(folds) == {f"{q}^{k}": 2 * args for q in rt.modalities}
+
+
 def test_tree_memo_keeps_one_fuel(prob_rt, monkeypatch):
     rt = prob_rt
     prog = parse_program("por(return 0, return 1)", rt.signature)
@@ -532,6 +563,90 @@ def test_unhashable_formula_is_evaluated_unmemoised(prob_rt):
     sat = _sat(rt)
     for _ in range(2):
         assert sat.satisfies(prog, listed, 8).interval.lo == 1.0
+
+
+# ---- satisfies_all: a whole suite on one term, one fold per modality
+
+BATCH_SIGNATURES = (
+    "prob",
+    "prob+nondet",
+    "cost",
+    "cost+nondet",
+    "store",
+    "store+nondet",
+    "prob+store",
+    "prob+nondet+error",
+    "cost+error",
+    "store+nondet+error",
+)
+
+
+def _unhashable(phi):
+    """phi with its modality's body b replaced by or[b, b] over a list, so
+    the modal formula cannot be a memo key."""
+    if isinstance(phi, Modal):
+        return Modal(phi.modality, OrF([phi.body, phi.body]))
+    return replace(phi, body=_unhashable(phi.body))
+
+
+def _mixed(formulas, space):
+    """A suite's formulas with duplicates, an unhashable modal formula and
+    non-modal formulas over them, for each kind of formula `_eval` reads."""
+    first, last = formulas[0], formulas[-1]
+    out = [
+        *formulas,
+        *formulas[:2],
+        _unhashable(first),
+        NegF(first),
+        StepF(last, space.top),
+        AndF((first, last)),
+        OrF((last, ConstF(space.bot))),
+        ConstF(space.top),
+    ]
+    if space.name == "unit":
+        out.append(MixF(first, last))
+    if isinstance(space, StateTableSpace):
+        n = len(space.all_states)
+        out.append(SigmaMuF((1.0 / n,) * n, first))
+    return out
+
+
+@pytest.mark.parametrize("signame", BATCH_SIGNATURES)
+def test_satisfies_all_matches_fresh_satisfiers(signame):
+    rt = build_runtime(RunConfig(signature=signame))
+    rng = random.Random(BATCH_SIGNATURES.index(signame))
+    pools = Pools(numerals=(0, 1, 2))
+    cases = []
+    for text in ("F nat", "nat -> F nat", "F (U (F nat))", "F (nat * U F nat)"):
+        ty = parse_ctype(text)
+        cases += [(ty, generate_program(rng, rt.signature, 3, ty)) for _ in range(2)]
+    gen = TermGen(rng, rt.signature)
+    for text in ("U F nat", "U F nat * U(nat -> F nat)"):
+        ty = parse_vtype(text)
+        cases += [(ty, gen.val({}, ty, 3)) for _ in range(3)]
+    checked = 0
+    for ty, term in cases:
+        for size in (3, 4, 5):
+            formulas = enumerate_basic_formulas(ty, size, pools, rt.modalities).formulas
+            if not formulas:
+                continue
+            formulas = _mixed(formulas, rt.space)
+            sat = _sat(rt)
+            for fuel in (1, 4, 16, 120):
+                fresh = [_sat(rt).satisfies(term, phi, fuel).interval for phi in formulas]
+                assert sat.satisfies_all(term, formulas, fuel) == fresh
+                checked += len(formulas)
+    assert checked > 2000
+
+
+def test_satisfies_all_checks_fuel_and_types(prob_rt):
+    sat = _sat(prob_rt)
+    prog = parse_program("return 1", prob_rt.signature)
+    with pytest.raises(SatisfactionError, match="positive"):
+        sat.satisfies_all(prog, [Modal("E", NatEq(1))], 0)
+    with pytest.raises(FormulaTypeError):
+        sat.satisfies_all(prog, [Modal("E", NatEq(1)), NatEq(1)], 8)
+    assert sat.satisfies_all(prog, [], 8) == []
 
 
 # ---- certified means certified: float rounding breaks both today

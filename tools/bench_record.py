@@ -8,10 +8,13 @@ PARENT and CHILD are checkout directories.  Each pair runs the checkout's own
 the side that runs first alternates from pair to pair, and pair i uses the
 i-th of the comma-separated seeds, cycling.  Pair i of every comma-separated
 workload runs before pair i + 1 of any, so a slow stretch of the host falls
-on all workloads alike.  Before the pairs, each side runs once per workload
-and seed with `--trace 1 --seconds 0`, for the counters that do not depend
-on the host.  Only the last line of each run's standard output, its JSON
-result, is read.
+on all workloads alike.  Before the pairs, each side runs twice per
+workload and seed: once with `--trace 1 --seconds 0`, for the counters that
+do not depend on the host, and once with `--trace 0 --seconds 0`, which runs
+the seed's fixed minimum of rounds, for memory at a fixed amount of work and
+the checks that failed.  Of each run's standard output, the last line, its
+JSON result, is read, and of a `--trace 0` run also its `failed xN:` report
+lines.
 
 The output file holds, per workload, every run's end-to-end metrics and
 `correct` flag, and per metric each side's median and quartiles, the median
@@ -20,8 +23,11 @@ number of pairs the child won.  A metric is "unresolved" when the parent's
 interquartile range, relative to its median, is wider than the bound: the
 runs then spread too widely to tell a change within the bound from none.
 Beside them, under "counters", it holds per seed each side's count-unit
-metrics of the traced run.  The same table is printed, per workload, with
-one line per seed saying whether the two sides' counters are identical.
+metrics of the traced run, and under "fixed_work" each side's `correct`,
+`peak_rss_mb` and failed checks (`name: reason`, sorted) of the fixed-work
+run.  The same table is printed, per workload, with one line per seed saying
+whether the two sides' counters are identical and one giving both sides'
+fixed-work `peak_rss_mb` and whether their failed checks are the same.
 Each checkout's HEAD is recorded when the checkout is the top of a git work
 tree, and null otherwise.  Standard library only.
 """
@@ -32,22 +38,27 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 
 SIDES = ("parent", "child")
+# a failed check in bench/run.py's report: "  failed x3: deep/geometric/800: RecursionError"
+FAILED_LINE = re.compile(r"\s*failed x\d+: (.*)")
 
 
-def bench_result(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench_output(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, list]:
+    """A run's JSON result and the report lines before it."""
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    return json.loads(lines[-1]), lines[:-1]
 
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    result = bench_result(checkout, workload, seed, seconds, 0)
+    result, _ = bench_output(checkout, workload, seed, seconds, 0)
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
@@ -58,8 +69,20 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 def exact_counters(checkout: str, workload: str, seed: int) -> dict:
     """The count-unit metrics of one traced pass over the seed's first round."""
-    result = bench_result(checkout, workload, seed, 0, 1)
+    result, _ = bench_output(checkout, workload, seed, 0, 1)
     return {k: v["value"] for k, v in result["metrics"].items() if v["unit"] == "count"}
+
+
+def fixed_work(checkout: str, workload: str, seed: int) -> dict:
+    """One untraced run of the seed's minimum of rounds: `peak_rss_mb` at a
+    fixed amount of work, which a faster side does not inflate by keeping
+    more checks, and each failed check as `name: reason`."""
+    result, report = bench_output(checkout, workload, seed, 0, 0)
+    return {
+        "correct": result["correct"],
+        "peak_rss_mb": result["metrics"]["peak_rss_mb"]["value"],
+        "failed_checks": sorted(m.group(1) for m in map(FAILED_LINE.fullmatch, report) if m),
+    }
 
 
 def git_head(checkout: str):
@@ -134,6 +157,21 @@ def counter_lines(counters: dict) -> list:
     return lines
 
 
+def fixed_work_lines(fixed: dict) -> list:
+    lines = []
+    for seed, sides in fixed.items():
+        parent, child = sides["parent"], sides["child"]
+        failed = set(parent["failed_checks"]), set(child["failed_checks"])
+        same = "identical" if failed[0] == failed[1] else (
+            f"differ: parent only {sorted(failed[0] - failed[1])}, child only {sorted(failed[1] - failed[0])}"
+        )
+        lines.append(
+            f"fixed work at seed {seed}: peak_rss_mb {parent['peak_rss_mb']:.6g} -> {child['peak_rss_mb']:.6g}"
+            f"; failed checks {same} ({len(parent['failed_checks'])} -> {len(child['failed_checks'])})"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
@@ -156,6 +194,10 @@ def main(argv=None) -> int:
         w: {str(seed): {side: exact_counters(paths[side], w, seed) for side in SIDES} for seed in dict.fromkeys(seeds)}
         for w in workloads
     }
+    fixed = {
+        w: {str(seed): {side: fixed_work(paths[side], w, seed) for side in SIDES} for seed in dict.fromkeys(seeds)}
+        for w in workloads
+    }
     runs = {w: [] for w in workloads}
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
@@ -170,7 +212,13 @@ def main(argv=None) -> int:
             ), flush=True)
 
     entries = {
-        w: {"runs": runs[w], "summary": summarize(runs[w], end_to_end), "counters": counters[w]} for w in workloads
+        w: {
+            "runs": runs[w],
+            "summary": summarize(runs[w], end_to_end),
+            "counters": counters[w],
+            "fixed_work": fixed[w],
+        }
+        for w in workloads
     }
     doc = {
         "workloads": entries,
@@ -184,7 +232,8 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
     for w, entry in entries.items():
         print(f"{w}:")
-        for line in report_lines(entry["summary"]) + counter_lines(entry["counters"]):
+        lines = report_lines(entry["summary"]) + counter_lines(entry["counters"])
+        for line in lines + fixed_work_lines(entry["fixed_work"]):
             print("  " + line)
     return 0
 
