@@ -332,7 +332,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sat", help="degree to which a program satisfies a formula")
     sp.add_argument("program")
     sp.add_argument("formula")
-    sp.add_argument("--exact", action="store_true", help="double the fuel until exact (capped)")
+    sp.add_argument(
+        "--exact",
+        action="store_true",
+        help="solve the least fixed point over the program's configuration graph; "
+        "where that is not possible, double the fuel until exact (capped)",
+    )
     common(sp, "fuel")
     sp.set_defaults(fn=cmd_sat)
 

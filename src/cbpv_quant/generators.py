@@ -151,13 +151,36 @@ class TermGen:
 
     def _terminal(self, ctx: dict[str, ValType], ty: ComType, depth: int) -> ComTerm:
         if isinstance(ty, ProducerType):
-            return Return(self.val(ctx, ty.val, depth))
+            v = self.val(ctx, ty.val, depth)
+            if not _has_sum(ty.val):
+                return Return(v)
+            # an injection only checks, so it is returned through an
+            # annotated identity, whose argument is a checking position
+            x = self.fresh()
+            return Apply(Lambda(x, ty.val, Return(Var(x))), v)
         if isinstance(ty, ArrowType):
             x = self.fresh()
             return Lambda(x, ty.dom, self.com({**ctx, x: ty.dom}, ty.cod, depth))
         if isinstance(ty, ProductType):
             return Record(tuple((l, self.com(ctx, t, depth)) for l, t in ty.fields))
         raise ValueError(f"cannot generate a terminal of type {ty}")
+
+
+def _has_sum(ty) -> bool:
+    """Does the value type hold a sum type anywhere, under thunks too?"""
+    if isinstance(ty, SumType):
+        return True
+    if isinstance(ty, PairType):
+        return _has_sum(ty.fst) or _has_sum(ty.snd)
+    if isinstance(ty, ThunkType):
+        return _has_sum(ty.com)
+    if isinstance(ty, ProducerType):
+        return _has_sum(ty.val)
+    if isinstance(ty, ArrowType):
+        return _has_sum(ty.dom) or _has_sum(ty.cod)
+    if isinstance(ty, ProductType):
+        return any(_has_sum(t) for _, t in ty.fields)
+    return False
 
 
 def generate_program(

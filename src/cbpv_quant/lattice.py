@@ -7,12 +7,14 @@ higher truth: leq(a, b) iff a >= b numerically, top = 0, bot = inf).  A
 power space^k, ordered pointwise, holds the values of k folds run in one
 walk; it has only the order and its bounds.
 
-Order comparisons and equality are exact.  Values are double-precision
-floats.  The shipped example programs produce shallow dyadic rationals,
-which floats represent exactly, but that does not hold in general:
-arithmetic on other values rounds to nearest, so a bound can land on the
-wrong side of the true value (the lower bound of a program worth 6/7 rounds
-above 6/7 from fuel 140).
+Order comparisons and equality are exact.  Fuel-bounded values are
+double-precision floats.  The shipped example programs produce shallow
+dyadic rationals, which floats represent exactly, but that does not hold in
+general: arithmetic on other values rounds to nearest, so a bound can land
+on the wrong side of the true value (the lower bound of a program worth 6/7
+rounds above 6/7 from fuel 140).  The exact solve over a configuration
+graph (`modality.least_fixed_point`) gives E's values as `Fraction`s, which
+compare exactly with floats; one that a float cannot hold renders as p/q.
 """
 
 from __future__ import annotations
@@ -315,10 +317,16 @@ class PowerSpace(TruthSpace):
         return all(map(self.space.leq, a, b))
 
 
-def _render_float(v: float) -> str:
+def _render_float(v) -> str:
+    """An integer without a point; a float, or a `Fraction` a float holds
+    exactly (a dyadic one), as the float's repr; any other `Fraction` as
+    p/q."""
     if v == int(v):
         return str(int(v))
-    return repr(v)
+    q = getattr(v, "denominator", None)
+    if q is not None and (q & (q - 1) or float(v) != v):
+        return f"{v.numerator}/{q}"
+    return repr(float(v))
 
 
 def assert_interval_order(space: TruthSpace, lo, hi) -> None:

@@ -24,6 +24,11 @@ sound for every leaf-monotone modality, and a modality whose combinators
 are monotone is leaf-monotone (law a of `laws`), which `laws.law_monotone`
 checks for the shipped ones.
 
+`least_fixed_point` needs no tree: over a term's closed configuration
+graph (`machine.explore`) it gives the supremum of the fuel chain itself,
+by Kleene iteration of q's combinators where the chain is finite (the
+Booleans, P(S), cost) and by an exact linear solve for E.
+
 `machine.eval_tree` shares equal subtrees, one node per (configuration,
 fuel).  A fold is a homomorphism, so folding a shared node once gives the
 value of folding each of its copies: `evaluate_interval` passes `_fold` a
@@ -239,17 +244,157 @@ def denote_limit(q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], Any] = la
     return _fold(t, q, leaf, q.space.bot, None)
 
 
+def least_fixed_point(q: ModalitySpec, graph, leaf: Callable[[Any], tuple]) -> Optional[Interval]:
+    """The least fixed point of q over a closed configuration graph
+    (`machine.explore`), at its root: the least values x_s with x_s the
+    combinator of s's operator applied to the values of s's children, where
+    a stretch ending at a terminal is valued at its payload and a silent
+    cycle at bot.  By Kleene's theorem and Scott-continuity it is the
+    supremum of the fuel chain, so it lies in `evaluate_interval`'s interval
+    at every fuel.  Leaf values are intervals, leaf(x) = (lo, hi): the
+    solve runs once on the lo ends and once on the hi ends, which
+    leaf-monotonicity makes sound.
+
+    Over the Booleans, P(S) and cost, Kleene iteration with q's own
+    combinators from bot: the first two are finite lattices, and a cost
+    chain from inf descends through sums of the naturals the nodes charge,
+    so it stabilises within the cap below.  Over [0, 1], where only E's
+    fair coin (`_average`) and childless nodes occur, an exact linear solve
+    in `Fraction` (Baier & Katoen, Principles of Model Checking, 2008,
+    section 10.1).  None otherwise: any other combinator over [0, 1] (Eopt's
+    and Epes's `nor`), state tables (EG), or a Kleene iteration past its
+    cap."""
+    space = q.space
+    if isinstance(space, UnitIntervalSpace):
+        return _linear_solve(q, graph, leaf)
+    if not isinstance(space, (BoolSpace, StateSetSpace, CostSpace)):
+        return None
+    qq = power(q, 2)
+    x: dict = {}
+    rules = []
+    for s in graph.stretches:
+        if s.end is None:
+            x[s] = qq.space.bot
+        elif s.op is None:
+            x[s] = leaf(s.end.focus)
+        else:
+            x[s] = qq.space.bot
+            rules.append((s,) + _consulted(qq, s))
+    # each round but the last raises some node's value: at most the height
+    # of P(S) (or 1) per node and bound, and a cost node's value settles
+    # within one round per node, as in Bellman-Ford
+    for _ in range(2 * len(rules) * max(1, len(getattr(space, "all_states", ()))) + 2):
+        changed = False
+        for s, fn, kids in reversed(rules):
+            v = fn(s, [x[k] for k in kids])
+            if v != x[s]:
+                x[s] = v
+                changed = True
+        if not changed:
+            lo, hi = x[graph.root]
+            assert_interval_order(space, lo, hi)
+            return Interval(lo, hi)
+    return None
+
+
+def _consulted(q: ModalitySpec, s) -> tuple[Callable, tuple]:
+    """The combinator of stretch s's operator under q and the children it reads."""
+    try:
+        fn, width = q._table[s.op]
+    except KeyError:
+        raise _no_combinator(q, s.op) from None
+    kids = s.kids
+    if width is not None:
+        if len(kids) < width:
+            raise ModalityError(f"lookup {s.op!r} has {len(kids)} children, fewer than {width}")
+        kids = kids[:width]
+    return fn, kids
+
+
+def _linear_solve(q: ModalitySpec, graph, leaf: Callable[[Any], tuple]) -> Optional[Interval]:
+    """E's least fixed point: x_s = (x_a + x_b) / 2 at a fair coin with
+    children a and b, solved exactly in `Fraction`.  The coins that cannot
+    reach a leaf or a childless node are 0 first; the rest of the system
+    then has a unique solution.  Gauss-Jordan elimination over sparse rows
+    leaves the root's row as weights on the leaves and childless nodes,
+    which value both leaf ends at once."""
+    from fractions import Fraction
+
+    zero, half = Fraction(0), Fraction(1, 2)
+    const: dict = {}  # stretch -> (lo, hi) for terminals and childless nodes
+    coins = []
+    for s in graph.stretches:
+        if s.end is None:
+            continue
+        if s.op is None:
+            lo, hi = leaf(s.end.focus)
+        else:
+            fn, kids = _consulted(q, s)
+            if fn is _average and len(kids) == 2:
+                coins.append(s)
+                continue
+            if kids:
+                return None
+            lo = hi = fn(s, [])
+        const[s] = (Fraction(lo), Fraction(hi))
+    # the coins that reach a leaf, backwards from the leaves
+    parents: dict = {}
+    for s in coins:
+        for k in s.kids:
+            parents.setdefault(k, []).append(s)
+    live: set = set()
+    todo = list(const)
+    while todo:
+        for p in parents.get(todo.pop(), ()):
+            if p not in live:
+                live.add(p)
+                todo.append(p)
+    # row s: x_s as weights on live coins, leaves and childless nodes;
+    # users[k]: the rows with a weight on the live coin k
+    live_coins = [s for s in coins if s in live]
+    rows: dict = {s: {} for s in live_coins}
+    users: dict = {s: set() for s in live_coins}
+    for s in live_coins:
+        row = rows[s]
+        for k in s.kids:
+            if k in live or k in const:
+                row[k] = row.get(k, zero) + half
+                if k in users:
+                    users[k].add(s)
+    for s in live_coins:
+        row = rows[s]
+        users[s].discard(s)
+        d = 1 - row.pop(s, zero)
+        for k in row:
+            row[k] /= d
+        for u in users.pop(s):
+            r = rows[u]
+            c = r.pop(s)
+            for k, w in row.items():
+                r[k] = r.get(k, zero) + c * w
+                if k in users:
+                    users[k].add(u)
+    root = graph.root
+    weights = rows.get(root) or ({root: 1} if root in const else {})
+    lo = sum([w * const[k][0] for k, w in weights.items()], zero)
+    hi = sum([w * const[k][1] for k, w in weights.items()], zero)
+    assert_interval_order(q.space, lo, hi)
+    return Interval(lo, hi)
+
+
 # --------------------------------------------------------------------------
 # The shipped modality families
 
 
+def _average(node: Node, kids: list):
+    """E's fair coin: the mean of the two children's values, a linear
+    combinator, which `least_fixed_point` solves as such."""
+    return (kids[0] + kids[1]) / 2.0
+
+
 def expectation_modality() -> ModalitySpec:
     """E over [0,1]: fair coin average at probabilistic-choice nodes."""
-
-    def por(node: Node, kids: list):
-        return (kids[0] + kids[1]) / 2.0
-
-    return ModalitySpec("E", UnitIntervalSpace(), {"por": OpRule(por)})
+    return ModalitySpec("E", UnitIntervalSpace(), {"por": OpRule(_average)})
 
 
 def cost_modality() -> ModalitySpec:

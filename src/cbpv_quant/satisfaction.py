@@ -7,12 +7,20 @@ of the shipped modalities makes the sandwich sound.  Each modal subformula is
 measured once per term and fuel, however many formulas share it, and a
 suite's modal formulas of one modality on one term fold in one walk.
 On recursion-free programs every result is exact.
+
+`satisfies_exact` first tries the value with no fuel (`Satisfier.solve`):
+each modal subformula is the least fixed point of its modality over the
+configuration graph of the term it measures, which is the supremum of the
+fuel chain.  E's is solved exactly, as a `Fraction`; Boolean, state-set and
+cost modalities by Kleene iteration.  Where a graph does not close within
+the budget, or the modality is EG, or Eopt or Epes over a nondeterministic
+choice, it doubles the fuel instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .formulas import (
     AndF,
@@ -35,8 +43,8 @@ from .formulas import (
     check_formula,
 )
 from .lattice import StateTableSpace, TruthSpace
-from .machine import eval_tree
-from .modality import Interval, ModalitySpec, evaluate_interval, power
+from .machine import Graph, eval_tree, explore
+from .modality import Interval, ModalitySpec, evaluate_interval, least_fixed_point, power
 from .syntax import (
     Apply,
     CbpvError,
@@ -57,6 +65,12 @@ from .typecheck import EMPTY, infer_type
 
 class SatisfactionError(CbpvError):
     pass
+
+
+class _Unsolved(Exception):
+    """A modal subformula whose least fixed point `Satisfier.solve` cannot
+    give: its term's graph is open, or its modality is not one
+    `modality.least_fixed_point` solves."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,11 @@ class Satisfier:
     drops both, while the types are held for the Satisfier's lifetime.
     Formulas are checked against the term's type on every call.
 
+    `solve` evaluates a formula with no fuel, each modal subformula at its
+    modality's least fixed point over the term's configuration graph; it
+    keeps each graph per term and budget, and each solved value per term
+    and formula, for the Satisfier's lifetime.
+
     `satisfies_all` evaluates a whole suite on one term, as `compare` does
     for each side: the modal formulas it reaches outside any modality that
     share a subterm and a modality fold once, as one walk of power(q, k),
@@ -126,6 +145,9 @@ class Satisfier:
         self._trees: dict[ComTerm, EffectTree] = {}
         self._modals: dict[tuple[ComTerm, Modal], Interval] = {}
         self._tree_fuel: Optional[int] = None
+        self._graphs: dict[tuple[ComTerm, int], Graph] = {}
+        self._lfps: dict[tuple[ComTerm, Modal], Interval] = {}
+        self._budget = 0
 
     def type_of(self, term: GenTerm) -> GenType:
         """The type of a closed term, inferred once per distinct term."""
@@ -160,6 +182,20 @@ class Satisfier:
         check_formula(phi, self.type_of(term), self.modalities, self.space, self.sig)
         iv = self._eval(term, phi, fuel)
         return SatResult(iv, fuel)
+
+    def solve(self, term: GenTerm, phi: Formula, budget: int) -> Optional[Interval]:
+        """`term |= phi` exactly, with no fuel: each modal subformula it
+        reaches is the least fixed point of its modality over the
+        configuration graph of the term it measures (`machine.explore`
+        within `budget` machine steps, `modality.least_fixed_point`).  None
+        when one of them cannot be solved.  Values are exact, and a solved E
+        value is a `Fraction`."""
+        check_formula(phi, self.type_of(term), self.modalities, self.space, self.sig)
+        self._budget = budget
+        try:
+            return self._eval(term, phi, None)
+        except _Unsolved:
+            return None
 
     def satisfies_all(self, term: GenTerm, formulas: Sequence[Formula], fuel: int) -> list[Interval]:
         """`satisfies(term, phi, fuel).interval` for each formula, in order.
@@ -240,10 +276,12 @@ class Satisfier:
         if isinstance(phi, MixF):
             a = self._eval(term, phi.opt, fuel)
             b = self._eval(term, phi.pess, fuel)
-            return Interval((a.lo + b.lo) / 2.0, (a.hi + b.hi) / 2.0)
+            return Interval((a.lo + b.lo) / 2, (a.hi + b.hi) / 2)
         raise FormulaTypeError(f"unknown formula {phi!r}")
 
-    def _modal(self, term: ComTerm, phi: Modal, fuel: int) -> Interval:
+    def _modal(self, term: ComTerm, phi: Modal, fuel: Optional[int]) -> Interval:
+        if fuel is None:
+            return self._lfp(term, phi)
         tree = self.tree(term, fuel)
         key = (term, phi)
         try:
@@ -252,7 +290,16 @@ class Satisfier:
             key = iv = None
         if iv is not None:
             return iv
-        body = phi.body
+        # folded in this frame, so the fold starts at the same stack depth
+        # as without the memo
+        iv = evaluate_interval(self.modalities[phi.modality], tree, self._leaf_bounds(phi.body, fuel))
+        if key is not None:
+            self._modals[key] = iv
+        return iv
+
+    def _leaf_bounds(self, body: Formula, fuel: Optional[int]) -> Callable[[ComTerm], tuple]:
+        """The leaf valuation of a modal formula with body `body`: a leaf
+        `return v` at the bounds of `v |= body`, evaluated once per leaf."""
         cache: dict = {}
 
         def leaf_bounds(leaf) -> tuple:
@@ -266,11 +313,28 @@ class Satisfier:
                 got = cache[leaf] = (iv.lo, iv.hi)
             return got
 
-        # folded in this frame, so the fold starts at the same stack depth
-        # as without the memo
-        iv = evaluate_interval(self.modalities[phi.modality], tree, leaf_bounds)
+        return leaf_bounds
+
+    def _lfp(self, term: ComTerm, phi: Modal) -> Interval:
+        """The modal formula's exact value on the term (`solve`): the
+        modality's least fixed point over the term's graph, explored once
+        per term and budget, and solved once per term and formula."""
+        key = (term, phi)
+        try:
+            iv = self._lfps.get(key)
+        except TypeError:  # a formula with unhashable parts is not memoised
+            key = iv = None
+        if iv is not None:
+            return iv
+        graph = self._graphs.get((term, self._budget))
+        if graph is None:
+            graph = self._graphs[(term, self._budget)] = explore(term, self.sig, self.width, self._budget)
+        if graph.closed:
+            iv = least_fixed_point(self.modalities[phi.modality], graph, self._leaf_bounds(phi.body, None))
+        if iv is None:
+            raise _Unsolved
         if key is not None:
-            self._modals[key] = iv
+            self._lfps[key] = iv
         return iv
 
     def _modal_batch(self, term: ComTerm, q: ModalitySpec, phis: list[Modal], fuel: int) -> None:
@@ -318,8 +382,17 @@ def satisfies_exact(
     fuel: int,
     fuel_cap: int = 4096,
 ) -> SatResult:
-    """Retry with doubled fuel until the result is exact or the cap is hit;
-    divergent programs surface as an inexact result at the cap, never a hang."""
+    """The exact value of `term |= phi`, reported at `fuel`, when every
+    modal subformula it reaches has a closed graph within `fuel_cap` machine
+    steps and a modality the graph solve handles (`Satisfier.solve`).
+    Otherwise retry with doubled fuel until the result is exact or the cap
+    is hit; divergent programs surface as an inexact result at the cap,
+    never a hang."""
+    if fuel < 1:
+        raise SatisfactionError("fuel must be positive")
+    iv = satisfier.solve(term, phi, fuel_cap)
+    if iv is not None:
+        return SatResult(iv, fuel)
     while True:
         res = satisfier.satisfies(term, phi, fuel)
         if res.interval.exact or fuel >= fuel_cap:

@@ -424,6 +424,30 @@ def test_sat_exact_flag(tmp_path):
     assert report.splitlines()[0] == "value = 1"
 
 
+@pytest.mark.parametrize(
+    "src, formula, value",
+    [
+        (r"fix (\f:U(F nat). por(return 0, por(return 0, por(fix (\g:U(F nat). force g), force f))))",
+         "E<const 1>", "6/7"),
+        (r"fix (\f:U(F nat). por(return 0, force f))", "E<{1}>", "0"),
+        (r"fix (\f:U(F nat). por(return 0, por(return 1, force f)))", "E<{1}>", "1/3"),
+        ("por(return 1, por(return 0, return 1))", "E<{1}>", "0.75"),
+    ],
+)
+def test_sat_exact_solves_the_configuration_graph(tmp_path, src, formula, value):
+    # the least fixed point over the graph, exact in Fraction: a non-dyadic
+    # value prints as p/q, a dyadic one as before; fuel doubling from 16 hit
+    # the recursion limit on the first two
+    p = tmp_path / "prog.cbpv"
+    p.write_text(src)
+    q = tmp_path / "phi.qf"
+    q.write_text(formula)
+    code, report = run(["sat", str(p), str(q), "--signature", "prob", "--exact"])
+    assert (code, report.splitlines()[0]) == (0, f"value = {value}")
+    code, report = run(["sat", str(p), str(q), "--signature", "prob", "--exact", "--json"])
+    assert json.loads(report)["interval"] == {"exact": True, "hi": value, "lo": value}
+
+
 @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
 def test_resource_exhaustion_is_an_error_not_a_verdict(progdir, monkeypatch, exc):
     # exit code 1 means distinguished/refuted; running out of stack or

@@ -126,3 +126,20 @@ def test_state_set_render_sorted():
     sp = StateSetSpace(STORE)
     v = frozenset({(1, 0), (0, 2)})
     assert sp.render(v) == "{[l=0 r=2], [l=1 r=0]}"
+
+
+def test_render_prints_a_non_dyadic_fraction_as_p_over_q():
+    # the graph solve's values are Fractions: a float holds a dyadic one
+    # exactly, and it prints as that float does; any other prints as p/q
+    from fractions import Fraction
+
+    unit = UnitIntervalSpace()
+    for v in (0.5, 0.25, 1.0, 0.0, 0.96875):
+        assert unit.render(Fraction(v)) == unit.render(v)
+    assert unit.render(Fraction(6, 7)) == "6/7"
+    assert unit.render(Fraction(1, 3)) == "1/3"
+    # dyadic, but beyond a float's 53 bits
+    assert unit.render(1 - Fraction(1, 2**60)) == f"{2**60 - 1}/{2**60}"
+    assert CostSpace().render(Fraction(7, 2)) == "3.5"
+    table = StateTableSpace(StoreConfig(("l",), 2))
+    assert table.render((Fraction(1, 3), Fraction(1, 2))) == "{[l=0]: 1/3, [l=1]: 0.5}"

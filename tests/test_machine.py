@@ -14,6 +14,7 @@ from cbpv_quant.machine import (
     ToFrame,
     continuations,
     eval_tree,
+    explore,
     machine_step,
     reduce,
 )
@@ -396,6 +397,52 @@ def test_child_configurations_are_the_tables_own(monkeypatch, name, fuel):
     sig, src, width = FINITE_STATE[name]
     eval_tree(parse_program(src, sig), fuel, sig, width)
     assert calls[0] <= 20
+
+
+# ---------------------------------------------------------------- the configuration graph
+
+
+def test_one_stepping_loop_serves_eval_tree_and_explore():
+    # `_run` is the one function that steps the machine: the unfolding at a
+    # fuel and the exploration without fuel both run stretches through it
+    import ast
+    import inspect
+
+    from cbpv_quant import machine
+
+    def called(fn):
+        return {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    fns = {f.name: f for f in ast.parse(inspect.getsource(machine)).body if isinstance(f, ast.FunctionDef)}
+    assert [name for name, f in fns.items() if "machine_step" in called(f)] == ["_run"]
+    assert "_run" in called(fns["_approx"]) and "_run" in called(fns["explore"])
+
+
+# (stretches, stretches ending at an effect node) of each loop's graph
+GRAPH_SIZES = {"geometric": (3, 2), "six sevenths": (6, 4), "cost loop": (2, 2), "store loop": (6, 5)}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_STATE))
+def test_explore_runs_each_stretch_of_a_finite_state_loop_once(monkeypatch, name):
+    sig, src, width = FINITE_STATE[name]
+    prog = parse_program(src, sig)
+    calls = _counting_steps(monkeypatch)
+    g = explore(prog, sig, width)
+    steps = sum(s.steps for s in g.stretches)
+    assert g.closed and calls[0] == steps <= 20
+    assert (len(g.stretches), sum(s.op is not None for s in g.stretches)) == GRAPH_SIZES[name]
+    # a budget of exactly those steps still closes it, one less does not
+    assert explore(prog, sig, width, steps).closed
+    assert not explore(prog, sig, width, steps - 1).closed
+
+
+def test_explore_ends_a_silent_cycle_and_marks_a_graph_open_at_its_budget(monkeypatch):
+    omega = explore(parse_program(D, PROB), PROB)
+    assert omega.closed and omega.root.end is None and omega.stretches == (omega.root,)
+    calls = _counting_steps(monkeypatch)
+    sig, src = SILENT_LOOPS["growing value"]
+    g = explore(parse_program(src, sig), sig, budget=500)
+    assert not g.closed and calls[0] == 500 and g.root.steps is None
 
 
 # ---------------------------------------------------------------- pinned trees

@@ -166,13 +166,24 @@ def test_exactness_on_recursion_free_programs(prob_nondet_rt):
             assert sat.satisfies(prog, phi, 32).interval.exact
 
 
-def test_satisfies_exact_retries(prob_rt):
-    rt = prob_rt
+def test_satisfies_exact_retries(prob_nondet_rt):
+    # the graph solve declines Eopt below a nondeterministic choice, so the
+    # fuel doubles; the recursive branch is Unknown at every fuel: caps out
+    rt = prob_nondet_rt
     sat = _sat(rt)
-    geo = parse_program(r"fix (\f:U(F nat). por(return 0, force f))", rt.signature)
-    res = satisfies_exact(sat, geo, Modal("E", NatEq(1)), 2, fuel_cap=64)
-    assert not res.interval.exact  # genuinely divergent branch: caps out
+    loop = parse_program(r"fix (\f:U(F nat). nor(return 0, force f))", rt.signature)
+    res = satisfies_exact(sat, loop, Modal("Eopt", NatEq(1)), 2, fuel_cap=64)
+    assert not res.interval.exact
     assert res.fuel_used == 64
+
+
+def test_satisfies_exact_solves_geometric_to_zero(prob_rt):
+    # geometric only ever returns 0; its graph closes, and the solve gives an
+    # exact 0 at the fuel given, where the doubling capped out
+    rt = prob_rt
+    geo = parse_program(r"fix (\f:U(F nat). por(return 0, force f))", rt.signature)
+    res = satisfies_exact(_sat(rt), geo, Modal("E", NatEq(1)), 2, fuel_cap=64)
+    assert res.interval.exact and res.interval.lo == 0 and res.fuel_used == 2
 
 
 # ---------------------------------------------------------------- derived formulas

@@ -284,3 +284,28 @@ def test_judgement_outcomes_digest():
         43674,
         "38b4dd67ffdba5ad2dba18056ee44efc0ac9f08d78383cae76f3d20d78a27d6c",
     )
+
+
+SUM_SIGNATURES = [
+    base + nondet + error
+    for base in ("prob", "store", "prob+store", "cost")
+    for nondet in ("", "+nondet")
+    for error in ("", "+error")
+]
+
+
+@pytest.mark.parametrize("signame", SUM_SIGNATURES)
+@pytest.mark.parametrize("ty", ["F (U F nat + nat)", "F (nat + unit)"])
+def test_generated_programs_typecheck_at_sum_types(signame, ty):
+    # an injection only checks, so the generator returns one through an
+    # annotated identity; each program also parses back from its print
+    from cbpv_quant.syntax import print_com
+    from spec import parse_ctype
+
+    sig = build_signature(RunConfig(signature=signame, locations=("l",), value_bound=2))
+    want = parse_ctype(ty)
+    rng = random.Random(29)
+    for _ in range(20):
+        prog = generate_program(rng, sig, 4, want)
+        assert infer_type(EMPTY, prog, sig) == want
+        assert parse_program(print_com(prog), sig) == prog
