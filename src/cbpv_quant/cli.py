@@ -360,7 +360,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--modality", help="restrict to these modalities, comma-separated")
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--trials", type=int, default=100, help="congruence spot-check trials")
-    sp.add_argument("--no-relator", action="store_true")
+    sp.add_argument("--no-relator", action="store_true", help="skip law e, the obligation on may/must")
     sp.add_argument("--no-congruence", action="store_true")
     common(sp, "seed", "fuel")
     sp.set_defaults(fn=cmd_laws)

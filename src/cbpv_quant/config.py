@@ -238,7 +238,15 @@ def build_runtime(cfg: RunConfig) -> Runtime:
 
     auto = cfg.truth_space in ("auto", "")
     if not auto and cfg.truth_space == "bool":
-        mods = bool_modalities(signature.binary_ops())
+        # may/must have a combinator at each binary operator only
+        binary = signature.binary_ops()
+        lacking = [op for op in signature.ops if op not in binary]
+        if lacking:
+            raise ConfigError(
+                f"truth_space 'bool' has no Boolean combinator for {', '.join(lacking)}"
+                f" of signature {cfg.signature!r}"
+            )
+        mods = bool_modalities(binary)
         return Runtime(cfg, signature, mods["may"].space, mods, store)
 
     if base == "prob":

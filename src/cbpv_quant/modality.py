@@ -16,8 +16,7 @@ hold the fold to.
 
 One walk serves k leaf valuations at once when it folds `power(q, k)`, the
 modality applying q's combinators position by position to k-tuples; it is
-built once per modality and k and kept on q.
-`denote_limit` is the fold with Unknown at bot.  `evaluate_interval` folds
+built once per modality and k and kept on q.  `evaluate_interval` folds
 q^2 with Unknown at (bot, top) and each leaf payload x at its (lo, hi) pair
 leaf(x): the lower bound sends Unknown to bot, the upper to top.  Both are
 sound for every leaf-monotone modality, and a modality whose combinators
@@ -34,9 +33,9 @@ fuel).  A fold is a homomorphism, so folding a shared node once gives the
 value of folding each of its copies: `evaluate_interval` passes `_fold` a
 memo mapping id(node) to the node's value, and `sufficient_depth` keeps one
 mapping id(node) to its depth, each for the length of one call, so each
-distinct node is folded once.  `denote_limit` passes none: `laws` calls it
-on the relator laws' small pool trees, which share nothing, where the memo
-only costs, and on a shared tree it walks every copy.
+distinct node is folded once.  The exact denotation of a finite tree, the
+fold with Unknown at bot and no memo, is the test oracle `denote_limit` in
+`tests/spec.py`; on a shared tree it walks every copy.
 """
 
 from __future__ import annotations
@@ -232,16 +231,6 @@ def evaluate_interval(
     lo, hi = _fold(t, power(q, 2), leaf, (q.space.bot, q.space.top), {})
     assert_interval_order(q.space, lo, hi)
     return Interval(lo, hi)
-
-
-def denote_limit(q: ModalitySpec, t: EffectTree, leaf: Callable[[Any], Any] = lambda v: v):
-    """The exact denotation of a finite tree (the supremum of the chain), with
-    each leaf payload x valued at leaf(x): one fold with Unknown at bot.
-    Each consulted leaf is valued once, depth-first in child order; under
-    `power(q, k)` and a leaf valuation into k-tuples, one walk gives the k
-    denotations.
-    """
-    return _fold(t, q, leaf, q.space.bot, None)
 
 
 def least_fixed_point(q: ModalitySpec, graph, leaf: Callable[[Any], tuple]) -> Optional[Interval]:
@@ -497,8 +486,8 @@ def make_error_lift(
 
 def bool_modalities(ops: tuple[str, ...]) -> dict[str, ModalitySpec]:
     """The Boolean may/must pair: join (may) or meet (must) at each listed
-    binary operator.  A `truth_space = bool` runtime and the relator laws
-    use it."""
+    binary operator.  A `truth_space = bool` runtime uses it, and law e of
+    `laws` checks the obligation on its `nor` pair."""
     space = BoolSpace()
     return {
         mode: ModalitySpec(mode, space, {op: OpRule(lambda node, kids, fold=fold: fold(kids)) for op in ops})

@@ -9,18 +9,19 @@ divergence.  The approximation order on trees (`tree_leq`) and
 `contains_unknown`, which only the tests read, live in `tests/spec.py`.
 
 `machine.eval_tree` shares equal subtrees: one node per (configuration,
-fuel), reached along every path that leads to it.  The walkers here
-(`map_leaves`, `leaves`) keep no memo.  In the package only law e calls
-them, on its small relator pools, which share nothing; `tests/spec.py`
-keeps `mu`, `truncate` and `tree_depth` for the tree-level samplers of
-laws a-c and f.  Applied to an `eval_tree` result they visit every copy of
-a shared node, and `map_leaves` returns the tree unshared: a branching
-loop's tree at a high fuel costs time and memory exponential in the fuel.
+fuel), reached along every path that leads to it.
+`modality.evaluate_interval` folds each distinct node once.  The memo-free walkers `map_leaves`, `leaves`, `mu`, `truncate` and
+`tree_depth` are test oracles in `tests/spec.py`, for the tree-level
+samplers of laws a-c and f and law e's relator check over small pools,
+which share nothing.  Applied to an `eval_tree` result they visit every
+copy of a shared node, and `map_leaves` returns the tree unshared: a
+branching loop's tree at a high fuel costs time and memory exponential in
+the fuel.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Optional
 
 
 class EffectTree:
@@ -77,21 +78,3 @@ def eta(x: Any) -> EffectTree:
     """The one-leaf tree."""
     return Leaf(x)
 
-
-def map_leaves(t: EffectTree, f: Callable[[Any], Any]) -> EffectTree:
-    """Rewrite every non-Unknown leaf payload with f; Unknown passes through."""
-    if isinstance(t, Leaf):
-        return Leaf(f(t.value))
-    if isinstance(t, _Unknown):
-        return t
-    assert isinstance(t, Node)
-    return Node(t.op, tuple([map_leaves(c, f) for c in t.children]), t.param)
-
-
-def leaves(t: EffectTree) -> Iterator[Any]:
-    """Iterate leaf payloads, depth-first in child order."""
-    if isinstance(t, Leaf):
-        yield t.value
-    elif isinstance(t, Node):
-        for c in t.children:
-            yield from leaves(c)

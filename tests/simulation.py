@@ -2,10 +2,10 @@
 paper's theorem that formula equivalence is applicative bisimilarity.
 
 `relator_check` decides `t O(R) r` by folding both trees afresh per leaf
-valuation and modality; `laws` law e decides the same relator from tables,
-and `check_simulation_bounded` runs every clause of Abramsky's applicative
-simulation over a finite candidate relation.  The tests hold `compare` and
-law e to these; no verb reaches them."""
+valuation and modality; `spec.law_relator` decides the same relator from
+tables, and `check_simulation_bounded` runs every clause of Abramsky's
+applicative simulation over a finite candidate relation.  The tests hold
+`compare` and the relator oracle to these; no verb reaches them."""
 
 from __future__ import annotations
 
@@ -37,7 +37,8 @@ from cbpv_quant.syntax import (
     free_vars,
     numeral_value,
 )
-from cbpv_quant.trees import EffectTree, leaves
+from cbpv_quant.trees import EffectTree
+from spec import leaves
 from cbpv_quant.typecheck import EMPTY, infer_type
 
 

@@ -12,11 +12,11 @@ from cbpv_quant.laws import (
     LawParams,
     law_congruence,
     law_monotone,
-    law_relator,
     law_unit,
     standard_modalities,
 )
 from cbpv_quant.machine import Config, eval_tree
+from cbpv_quant.modality import bool_modalities
 from cbpv_quant.parser import parse_program
 from cbpv_quant.satisfaction import Satisfier
 from cbpv_quant.suites import Pools, enumerate_basic_formulas
@@ -25,6 +25,7 @@ from spec import (
     contains_unknown,
     decomposability_by_copies,
     law_leaf_monotone,
+    law_relator,
     law_scott_chain,
     law_sequential,
     parse_ctype,
@@ -178,6 +179,11 @@ def test_criterion_7_law_suites():
         ):
             result = law(q, params)
             assert result.passed, result.line()
+    # law e: the obligation on may and must the suite checks, and the
+    # exhaustive relator oracle it stands for
+    for q in bool_modalities(("nor",)).values():
+        result = law_monotone(q, params)
+        assert result.passed, result.line()
     for result in law_relator(max_carrier=3):
         assert result.passed, result.line()
     elapsed = time.perf_counter() - started

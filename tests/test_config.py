@@ -75,11 +75,42 @@ def test_truth_space_override_consistency():
     assert list(rt.modalities) == ["may", "must"]
 
 
+@pytest.mark.parametrize(
+    "signature, errors, lacking",
+    [
+        ("store", (), "lookup[l], update[l]"),
+        ("cost", (), "cost"),
+        ("prob+error", ("e",), "raise[e]"),
+    ],
+)
+def test_bool_truth_space_refuses_operators_without_a_boolean_combinator(signature, errors, lacking):
+    # may/must combine binary operators only; a signature with any other
+    # operator is refused up front, not when a program reaches it
+    cfg = RunConfig(signature=signature, truth_space="bool", locations=("l",), errors=errors)
+    with pytest.raises(ConfigError, match=re.escape(f"no Boolean combinator for {lacking} of signature")):
+        build_runtime(cfg)
+
+
+def test_bool_truth_space_refusal_exits_2(tmp_path):
+    from cbpv_quant.cli import run
+
+    prog = tmp_path / "upd.cbpv"
+    prog.write_text("update[l](1, return 0)\n")
+    conf = tmp_path / "run.toml"
+    conf.write_text("signature = store\ntruth_space = bool\nlocations = [l]\n")
+    code, report = run(["sat", str(prog), "may<{0}>", "--config", str(conf)])
+    assert code == 2
+    assert report == (
+        "error: truth_space 'bool' has no Boolean combinator for lookup[l], update[l]"
+        " of signature 'store'"
+    )
+
+
 def test_error_valuation_defaults_to_bottom():
     rt = build_runtime(RunConfig(signature="cost+error", errors=("e1", "e2")))
     cf = rt.modalities["Cf"]
     from cbpv_quant.trees import Node
-    from cbpv_quant.modality import denote_limit
+    from spec import denote_limit
 
     assert denote_limit(cf, Node("raise[e1]", ())) == math.inf
 

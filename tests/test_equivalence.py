@@ -360,8 +360,7 @@ def _brute_bool_relator(t, r, pairs):
     # independent oracle: quantify h over all subsets of the left carrier
     import itertools
 
-    from cbpv_quant.modality import denote_limit
-    from cbpv_quant.trees import leaves, map_leaves
+    from spec import denote_limit, leaves, map_leaves
 
     lefts = sorted({a for a, _ in pairs} | set(leaves(t)))
     for bits in itertools.product((False, True), repeat=len(lefts)):

@@ -15,12 +15,12 @@ from cbpv_quant.config import RunConfig, build_runtime
 from cbpv_quant.formulas import Modal, parse_formula
 from cbpv_quant.generators import generate_program
 from cbpv_quant.machine import eval_tree, explore
-from cbpv_quant.modality import denote_limit, least_fixed_point
+from cbpv_quant.modality import least_fixed_point
 from cbpv_quant.parser import parse_program
 from cbpv_quant.satisfaction import SatResult, Satisfier, satisfies_exact
 from cbpv_quant.suites import Pools, enumerate_basic_formulas
 from cbpv_quant.syntax import CaseNat, Return, SeqTo, Var, print_com
-from spec import parse_ctype
+from spec import denote_limit, parse_ctype
 
 SIGNATURES = [
     base + nondet + error

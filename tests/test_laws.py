@@ -8,14 +8,15 @@ from cbpv_quant.laws import (
     LawParams,
     law_congruence,
     law_monotone,
-    law_relator,
     law_unit,
     standard_modalities,
 )
 from cbpv_quant.modality import bool_modalities
+import spec
 from spec import (
     decomposability_by_copies,
     law_leaf_monotone,
+    law_relator,
     law_scott_chain,
     law_sequential,
     random_value_tree,
@@ -162,7 +163,8 @@ def test_standard_modalities_fold_as_pinned(store, digest):
     # while laws built the modalities itself
     import hashlib
     import random
-    from cbpv_quant.modality import denote_limit, evaluate_interval
+    from cbpv_quant.modality import evaluate_interval
+    from spec import denote_limit
 
     mods = standard_modalities(store)
     assert list(mods) == ["E", "Eopt", "Epes", "C", "Copt", "Cpes", "G", "Gopt", "Gpes", "EG"]
@@ -406,9 +408,8 @@ def _o_rel(t, r, pairs, mods):
     import itertools
 
     from cbpv_quant.lattice import BoolSpace
-    from cbpv_quant.modality import denote_limit
-    from cbpv_quant.trees import leaves, map_leaves
     from simulation import right_set
+    from spec import denote_limit, leaves, map_leaves
 
     space = BoolSpace()
     lefts = sorted({a for a, _ in pairs} | set(leaves(t)))
@@ -427,8 +428,8 @@ def _reference_law_relator(max_carrier, mods):
     `_o_rel` with no tables."""
     import itertools
 
-    from cbpv_quant.laws import LawResult, _tree_pool
-    from cbpv_quant.trees import map_leaves
+    from cbpv_quant.laws import LawResult
+    from spec import _tree_pool, map_leaves
 
     memo = {}
 
@@ -510,19 +511,17 @@ def _reference_law_relator(max_carrier, mods):
 def test_relator_tables_decide_every_instance_as_the_reference(monkeypatch):
     # every relator instance e1-e4 read is a bit of a membership mask that
     # `decide` made; each bit must match the table-free reference decision
-    from cbpv_quant import laws
-
     mods = bool_modalities(("nor",))
     made = []
-    decide = laws._RelatorTables.decide
+    decide = spec._RelatorTables.decide
 
     def recording(self, rel):
         out = decide(self, rel)
         made.append((self.left, self.right, rel, out))
         return out
 
-    monkeypatch.setattr(laws._RelatorTables, "decide", recording)
-    assert all(r.passed for r in laws.law_relator(max_carrier=2))
+    monkeypatch.setattr(spec._RelatorTables, "decide", recording)
+    assert all(r.passed for r in law_relator(max_carrier=2))
     cells = 0
     for left, right, rel, out in made:
         width = len(right.carrier)
@@ -550,14 +549,13 @@ def _relator_failures_as_the_reference(monkeypatch, mode, rule):
     # law e with one nor rule swapped, at the default carrier size, the only
     # one with 8 x 8 valuation tables: the tables must report the reference's
     # failures, one per failing instance, in its order
-    from cbpv_quant import laws
     from cbpv_quant.modality import OpRule
 
     good = bool_modalities(("nor",))
     broken = dict(good)
     broken[mode] = replace(good[mode], rules={"nor": OpRule(rule)})
-    monkeypatch.setattr(laws, "bool_modalities", lambda ops: broken)
-    got = laws.law_relator(max_carrier=3)
+    monkeypatch.setattr(spec, "bool_modalities", lambda ops: broken)
+    got = law_relator(max_carrier=3)
     want = _reference_law_relator(3, broken)
     assert [(r.law, r.runs) for r in got] == [(r.law, r.runs) for r in want]
     for g, w in zip(got, want):
@@ -584,8 +582,6 @@ def test_composition_counts_its_failing_instances_one_by_one(monkeypatch):
     import itertools
     import random
 
-    from cbpv_quant import laws
-
     rng = random.Random(5)
     made = []
 
@@ -595,8 +591,8 @@ def test_composition_counts_its_failing_instances_one_by_one(monkeypatch):
         made.append(out)
         return out
 
-    monkeypatch.setattr(laws._RelatorTables, "members", members)
-    e3 = laws.law_relator(max_carrier=1)[2]
+    monkeypatch.setattr(spec._RelatorTables, "members", members)
+    e3 = law_relator(max_carrier=1)[2]
     in_r, in_s, in_rs = made[2:5]  # after law e2's two pool pairs
 
     def mask(rel, xs, ys):
@@ -619,12 +615,62 @@ def test_composition_counts_its_failing_instances_one_by_one(monkeypatch):
 
 def test_relator_folds_every_pool_tree_on_every_call(monkeypatch):
     # no fold table outlives a law_relator call
-    from cbpv_quant import laws
-
     calls = []
-    fold = laws.denote_limit
-    monkeypatch.setattr(laws, "denote_limit", lambda *a: calls.append(1) or fold(*a))
-    laws.law_relator()
+    fold = spec.denote_limit
+    monkeypatch.setattr(spec, "denote_limit", lambda *a: calls.append(1) or fold(*a))
+    law_relator()
     first = len(calls)
-    laws.law_relator()
+    law_relator()
     assert first > 0 and len(calls) == 2 * first
+
+
+# ---------------------------------------------------------------- law e as the obligation
+
+
+def test_law_e_is_the_obligation_on_may_and_must():
+    # with the relator on, the suite adds one line per Boolean modality: the
+    # obligation on its combinators, named as law e; with it off, none
+    from cbpv_quant.laws import run_law_suite
+
+    params = LawParams(samples=30, seed=3)
+    lines = run_law_suite([], params).results
+    want = [law_monotone(q, params) for q in bool_modalities(("nor",)).values()]
+    assert [r.line() for r in lines] == [
+        "law e (relator laws: monotone combinators) [may]: pass (60 checks)",
+        "law e (relator laws: monotone combinators) [must]: pass (60 checks)",
+    ]
+    assert [(r.subject, r.runs, r.failures) for r in lines] == [(r.subject, r.runs, r.failures) for r in want]
+    assert run_law_suite([], params, include_relator=False).results == []
+
+
+def test_relator_oracle_and_obligation_agree_on_all_32_boolean_variants(monkeypatch):
+    # the nor rule of may, then of must, replaced by each of the 16 Boolean
+    # binary functions: the exhaustive relator oracle passes, the obligation
+    # passes (as the law suite reports it for law e), and the function is
+    # monotone, all three or none; 6 monotone functions per modality pass
+    import itertools
+
+    from cbpv_quant import laws
+    from cbpv_quant.modality import OpRule
+
+    good = bool_modalities(("nor",))
+    bits = (False, True)
+    passing = 0
+    for mode in ("may", "must"):
+        for table in range(16):
+            def fn(a, b, table=table):
+                return bool(table >> 2 * a + b & 1)
+
+            variant = dict(good)
+            variant[mode] = replace(good[mode], rules={"nor": OpRule(lambda node, kids, fn=fn: fn(*kids))})
+            monkeypatch.setattr(spec, "bool_modalities", lambda ops, variant=variant: variant)
+            monkeypatch.setattr(laws, "bool_modalities", lambda ops, variant=variant: variant)
+            oracle = all(r.passed for r in law_relator(3))
+            obligation = law_monotone(variant[mode], LawParams(200, 0)).passed
+            suite = laws.run_law_suite([], LawParams(200, 0)).passed
+            monotone = all(
+                fn(a, b) <= fn(c, d) for a, b, c, d in itertools.product(bits, repeat=4) if a <= c and b <= d
+            )
+            assert oracle == obligation == suite == monotone, (mode, table)
+            passing += oracle
+    assert passing == 12

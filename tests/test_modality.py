@@ -13,7 +13,6 @@ from cbpv_quant.modality import (
     ModalitySpec,
     OpRule,
     cost_modality,
-    denote_limit,
     evaluate_interval,
     expectation_modality,
     make_error_lift,
@@ -23,8 +22,8 @@ from cbpv_quant.modality import (
     store_modality,
     sufficient_depth,
 )
-from cbpv_quant.trees import Leaf, Node, Unknown, eta, leaves, map_leaves
-from spec import denote_at_depth, monotone_maps, random_value_tree
+from cbpv_quant.trees import Leaf, Node, Unknown, eta
+from spec import denote_at_depth, denote_limit, leaves, map_leaves, monotone_maps, random_value_tree
 
 E = expectation_modality()
 C = cost_modality()

@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from cbpv_quant.trees import (
-    Leaf,
-    Node,
-    Unknown,
-    eta,
-    leaves,
-    map_leaves,
-)
-from spec import contains_unknown, mu, tree_depth, tree_leq, truncate
+from cbpv_quant.trees import Leaf, Node, Unknown, eta
+from spec import contains_unknown, leaves, map_leaves, mu, tree_depth, tree_leq, truncate
 
 
 def random_tree(rng, depth, leaf):
